@@ -29,33 +29,37 @@ let generated_document spec =
     Document.of_tree (Xqp_workload.Gen_synthetic.deep_chain ~depth:(int_of_string n) "a")
   | _ -> failwith "unknown generator; use auction:N[:SEED], bib:N[:SEED] or chain:N"
 
-let load_document ~file ~gen =
+(* A saved succinct store opens through the one packed-open path: the
+   loaded store, its DOM and its summary-derived statistics, no rebuild. *)
+let open_store ?pager path =
+  Executor.of_packed ?pager ~path (Xqp_storage.Store_io.read_file path)
+
+let load_executor ?pager ~file ~gen () =
   match (file, gen) with
   | Some path, None when Xqp_storage.Catalog.is_catalog_path path ->
     failwith
       (path
      ^ ": is a corpus catalog (.xqdbc); this command operates on a single document — query, \
         serve and explain accept catalogs, or open one shard's .xqdb directly")
-  | Some path, None ->
-    if Filename.check_suffix path ".xqdb" then
-      (* a saved succinct store: rebuild the packed document from it *)
-      Document.of_tree (Xqp_storage.Succinct_store.to_tree (Xqp_storage.Store_io.load path))
-    else Document.of_tree (Xml_parser.parse_file ~strip:true path)
-  | None, Some spec -> generated_document spec
+  | Some path, None when Filename.check_suffix path ".xqdb" -> open_store ?pager path
+  | Some path, None -> Executor.create ?pager (Document.of_tree (Xml_parser.parse_file ~strip:true path))
+  | None, Some spec -> Executor.create ?pager (generated_document spec)
   | Some _, Some _ -> failwith "give either --file or --gen, not both"
   | None, None -> failwith "a document is required: --file FILE or --gen SPEC"
 
 (* Session-level source loading: a [.xqdbc] corpus catalog opens as a
-   scatter-gather session (every command goes through the same Session
-   surface), anything else packs into a single-document session. *)
+   scatter-gather session and a [.xqdb] store through [Session.open_db]
+   (every command goes through the same Session surface); anything else
+   packs into a single-document session. *)
 let load_session ?(domains = 1) ~file ~gen () =
   match file with
-  | Some path when Xqp_storage.Catalog.is_catalog_path path -> (
+  | Some path
+    when Xqp_storage.Catalog.is_catalog_path path || Filename.check_suffix path ".xqdb" -> (
     if gen <> None then failwith "give either --file or --gen, not both";
     match Xqp.Session.open_db ~domains path with
     | Ok session -> session
     | Error e -> failwith (Xqp.Error.message e))
-  | _ -> Xqp.Session.of_document (load_document ~file ~gen)
+  | _ -> Xqp.Session.of_document (Executor.doc (load_executor ~file ~gen ()))
 
 let file_arg =
   let doc =
@@ -607,11 +611,9 @@ let run_explain file gen strategy analyze rewrites trace_out no_cache workload q
     match session with
     | Some s -> Xqp.Session.executor s
     | None ->
-      let doc = load_document ~file ~gen in
       (* Attach a pager so the simulated-I/O counters are live under
          --analyze; plain explain never forces the store. *)
-      let pager = Xqp_storage.Pager.create () in
-      Executor.create ~pager doc
+      load_executor ~pager:(Xqp_storage.Pager.create ()) ~file ~gen ()
   in
   Fun.protect ~finally:(fun () -> Option.iter Xqp.Session.close session) @@ fun () ->
   let queries =
@@ -727,12 +729,11 @@ let rec downward_plan (p : Logical_plan.t) =
          (List.init (Pattern_graph.vertex_count pattern) (fun i -> i))
 
 let run_calibrate file gen threshold gate worst_n no_summary =
-  let doc =
+  let exec =
     match (file, gen) with
-    | None, None -> Xqp_workload.Gen_auction.packed ~scale:600 ()
-    | _ -> load_document ~file ~gen
+    | None, None -> Executor.create (Xqp_workload.Gen_auction.packed ~scale:600 ())
+    | _ -> load_executor ~file ~gen ()
   in
-  let exec = Executor.create doc in
   let stats = Executor.statistics exec in
   let rows =
     List.map
@@ -830,11 +831,10 @@ let calibrate_cmd =
 (* --- stats ------------------------------------------------------------- *)
 
 let run_stats file gen =
-  let doc = load_document ~file ~gen in
-  Format.printf "%a@." Document.pp_stats doc;
-  let stats = Statistics.build doc in
-  Format.printf "%a@." Statistics.pp stats;
-  let store = Xqp_storage.Succinct_store.of_document doc in
+  let exec = load_executor ~file ~gen () in
+  Format.printf "%a@." Document.pp_stats (Executor.doc exec);
+  Format.printf "%a@." Statistics.pp (Executor.statistics exec);
+  let store = Executor.store exec in
   Format.printf "succinct store: %a@." Xqp_storage.Succinct_store.pp_footprint
     (Xqp_storage.Succinct_store.footprint store);
   0
@@ -869,8 +869,7 @@ let generate_cmd =
 (* --- index ------------------------------------------------------------- *)
 
 let run_index file gen output =
-  let doc = load_document ~file ~gen in
-  let store = Xqp_storage.Succinct_store.of_document doc in
+  let store = Executor.store (load_executor ~file ~gen ()) in
   Xqp_storage.Store_io.save store output;
   let f = Xqp_storage.Succinct_store.footprint store in
   Printf.printf "wrote %s: %d nodes, %d bytes in memory\n" output
@@ -895,9 +894,7 @@ let run_pack corpus shards output gens files =
       (fun path ->
         ( Filename.basename path,
           fun () ->
-            if Filename.check_suffix path ".xqdb" then
-              Document.of_tree
-                (Xqp_storage.Succinct_store.to_tree (Xqp_storage.Store_io.load path))
+            if Filename.check_suffix path ".xqdb" then Executor.doc (open_store path)
             else Document.of_tree (Xml_parser.parse_file ~strip:true path) ))
       files
   in
@@ -958,7 +955,7 @@ let run_pages file query =
   if not (Filename.check_suffix file ".xqdb") then
     failwith "pages works on saved stores; build one with: xqp index -f doc.xml -o doc.xqdb";
   (* indexes (tag streams) live in RAM, data pages on disk *)
-  let doc = Document.of_tree (Xqp_storage.Succinct_store.to_tree (Xqp_storage.Store_io.load file)) in
+  let doc = Executor.doc (open_store file) in
   let paged = Xqp_storage.Paged_store.open_store file in
   let pool = Xqp_storage.Paged_store.pool paged in
   let pattern = Xqp_xpath.Parser.parse_pattern query in
@@ -993,8 +990,8 @@ let pages_cmd =
 (* --- repl -------------------------------------------------------------- *)
 
 let run_repl file gen =
-  let doc = load_document ~file ~gen in
-  let exec = Executor.create doc in
+  let exec = load_executor ~file ~gen () in
+  let doc = Executor.doc exec in
   Format.printf "xqp repl — %a@." Document.pp_stats doc;
   Format.printf "XPath by default; prefix with 'xq ' for XQuery, 'explain ' for plans; ctrl-d quits.@.";
   let rec loop () =

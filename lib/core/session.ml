@@ -44,7 +44,7 @@ let open_db ?domains path =
          (Printf.sprintf "%s: open_db expects a packed .xqdb store or .xqdbc catalog" path))
   else
     catching_source (fun () ->
-        of_tree (Storage.Succinct_store.to_tree (Storage.Store_io.load path)))
+        { exec = Executor.of_packed ~path (Storage.Store_io.read_file path); corpus = None })
 
 let parse_file path =
   if Filename.check_suffix path ".xqdb" || Storage.Catalog.is_catalog_path path then
@@ -99,6 +99,7 @@ let catching_query ?deadline_ms f =
   | exception Xqp_xquery.Eval.Error m -> Error (Error.Eval m)
   | exception Executor.Deadline_exceeded ->
     Error (Error.Timeout { deadline_ms = Option.value ~default:0 deadline_ms })
+  | exception Sg.Shard_error m -> Error (Error.Io m)
   | exception Failure m -> Error (Error.Internal m)
 
 (* --- profiled queries: the flight-recorder feed -------------------------- *)

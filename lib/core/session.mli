@@ -10,8 +10,10 @@
 
     A session is cheap to create and safe to share across domains for
     read-only querying: the underlying executor's artifacts (succinct
-    store, statistics, content index) build lazily once, the shared plan
-    cache is mutex-sharded, and metrics are atomic (DESIGN.md §11). *)
+    store, statistics, content index) build at most once — an opened
+    store brings its store and statistics with it (DESIGN.md §15) — the
+    shared plan cache is mutex-sharded, and metrics are atomic
+    (DESIGN.md §11). *)
 
 type t
 type node = Xqp_xml.Document.node
@@ -33,8 +35,14 @@ val open_db : ?domains:int -> string -> (t, Error.t) result
     execution across shards on [domains] worker domains (default 1 =
     inline; ignored for single stores); result node ids are tagged with
     their document's ordinal, and every entry point below works
-    unchanged. [Error (Bad_request _)] if the path ends in neither
-    suffix; [Error (Io _)] on missing or corrupt files. *)
+    unchanged. A single store opens through
+    {!Xqp_physical.Executor.of_packed}: its store is adopted, its DOM
+    built straight from it, and its statistics read off the packed path
+    summary after a recount against the document.
+    [Error (Bad_request _)] if the path ends in neither suffix;
+    [Error (Io _)] on missing or corrupt files, including a packed
+    summary whose counts disagree with the document — for a corpus, from
+    the first query that materializes the corrupt document. *)
 
 val parse_file : string -> (t, Error.t) result
 (** Parse an XML file. Refuses [.xqdb]/[.xqdbc] paths (use {!open_db}) —

@@ -34,12 +34,11 @@ let strategy_of_string = Pp.strategy_of_string
 
 let next_id = Atomic.make 0
 
-let create ?pager document =
-  let stats_lazy = lazy (Statistics.build document) in
+let make document ~store_lazy ~stats_lazy =
   {
     id = Atomic.fetch_and_add next_id 1 + 1;
     document;
-    store_lazy = lazy (Store.of_document ?pager document);
+    store_lazy;
     stats_lazy;
     stats_version = 0;
     engine_guard = Xqp_obs.Dsan.guard "Executor.engine_cache";
@@ -48,6 +47,29 @@ let create ?pager document =
     hints_lazy =
       lazy (Navigation.make_hints document (Statistics.summary (Lazy.force stats_lazy)));
   }
+
+let create ?pager document =
+  make document
+    ~store_lazy:(lazy (Store.of_document ?pager document))
+    ~stats_lazy:(lazy (Statistics.build document))
+
+(* The open path for packed images, single stores and corpus shards
+   alike: the loaded store is adopted, the DOM comes straight from its
+   pre-order scan, and statistics derive from the packed path summary —
+   checked against the DOM by the pass that assigns per-node path ids, so
+   a summary that lies fails the open instead of steering a plan. *)
+let of_packed ?pager ~path image =
+  let corrupt what = failwith (Printf.sprintf "%s: corrupt store file (%s)" path what) in
+  let store = Xqp_storage.Store_io.load_bytes ?pager ~path image in
+  let document =
+    try Store.to_document store with Invalid_argument m -> corrupt m
+  in
+  let stats =
+    let summary = Xqp_storage.Store_io.packed_summary ~path image in
+    try Statistics.of_summary ~doc:document summary
+    with Failure m -> corrupt ("path summary: " ^ m)
+  in
+  make document ~store_lazy:(Lazy.from_val store) ~stats_lazy:(Lazy.from_val stats)
 
 (* A planning-only executor whose statistics are injected rather than
    derived from a document — the corpus path plans against the catalog's

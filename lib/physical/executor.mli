@@ -29,6 +29,18 @@ val create : ?pager:Xqp_storage.Pager.t -> Xqp_xml.Document.t -> t
     live during execution — [explain --analyze] and the bench harness
     attach one; the default path stays pager-free. *)
 
+val of_packed : ?pager:Xqp_storage.Pager.t -> path:string -> string -> t
+(** Open a packed store image ({!Xqp_storage.Store_io.to_bytes}; [path]
+    labels errors) — the one open path behind [Session.open_db], corpus
+    shards and the CLI. The loaded store is adopted as {!store}; the
+    document is built straight from it
+    ({!Xqp_storage.Succinct_store.to_document}); {!statistics} derive from
+    the packed path summary ({!Statistics.of_summary} [~doc]), recounted
+    against the document before anything plans off it. Nothing is
+    re-derived that the image already holds.
+    @raise Failure on a corrupt image, including a summary whose paths,
+    counts or text flags disagree with the document. *)
+
 val create_planner : ?stats_version:int -> Statistics.t -> t
 (** A planning-only executor with injected statistics (typically
     {!Statistics.of_summary} over a catalog's merged summary) and a

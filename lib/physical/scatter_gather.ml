@@ -4,8 +4,6 @@
    .mli and DESIGN.md §14 for the ownership model. *)
 
 module Doc = Xqp_xml.Document
-module Store = Xqp_storage.Succinct_store
-module Store_io = Xqp_storage.Store_io
 module Catalog = Xqp_storage.Catalog
 module Ops = Xqp_algebra.Operators
 module Pp = Physical_plan
@@ -192,32 +190,34 @@ let doc_count t = Catalog.doc_count t.catalog
 let shard_count t = Array.length t.shard_states
 let close t = Option.iter stop_pool t.pool
 
+(* [Mutex.protect]: an unreadable container must not leave the lock held
+   for the next query. *)
 let shard_images t ss =
-  Mutex.lock ss.load_lock;
-  let images =
-    match ss.images with
-    | Some imgs -> imgs
-    | None ->
-        let imgs = Catalog.read_shard_images t.catalog ss.shard_index in
-        ss.images <- Some imgs;
-        imgs
-  in
-  Mutex.unlock ss.load_lock;
-  images
+  Mutex.protect ss.load_lock (fun () ->
+      match ss.images with
+      | Some imgs -> imgs
+      | None ->
+          let imgs = Catalog.read_shard_images t.catalog ss.shard_index in
+          ss.images <- Some imgs;
+          imgs)
 
-(* Build a document executor from its packed image. Called with the slot
-   lock held; opens trust the packed sections (fsck and XQP_VERIFY_PLANS
-   carry the cross-checks). *)
+exception Shard_error of string
+
+(* Build a document executor from its packed image through the same open
+   path as a single store. Called with the slot lock held. Materialization
+   happens inside a query, so an unreadable container or a corrupt image
+   surfaces as [Shard_error], not as a failure of the query itself. *)
 let slot_executor t ss slot doc_in_shard =
   match slot.exec with
   | Some exec -> exec
   | None ->
-      let image = (shard_images t ss).(doc_in_shard) in
       let path =
         Printf.sprintf "%s[%d]" (Catalog.shard_file t.catalog ss.shard_index) doc_in_shard
       in
-      let store = Store_io.load_bytes ~path image in
-      let exec = Executor.create (Doc.of_tree (Store.to_tree store)) in
+      let exec =
+        try Executor.of_packed ~path (shard_images t ss).(doc_in_shard)
+        with Failure m | Sys_error m -> raise (Shard_error m)
+      in
       slot.exec <- Some exec;
       M.incr t.m_materialized;
       Mutex.lock ss.load_lock;

@@ -59,6 +59,13 @@ val encode : ordinal:int -> Xqp_xml.Document.node -> Xqp_xml.Document.node
 val decode : Xqp_xml.Document.node -> int * Xqp_xml.Document.node
 (** [(ordinal, node)] of a tagged id. *)
 
+exception Shard_error of string
+(** A shard document could not be materialized: its container is
+    unreadable or its image corrupt — including a packed path summary
+    that disagrees with the document ({!Executor.of_packed}). Raised from
+    the first query that touches the document; the session layer reports
+    it as an I/O error. *)
+
 val with_doc_executor : t -> ordinal:int -> (Executor.t -> 'a) -> 'a
 (** Run [f] on the executor of the document at a global ordinal, under
     its slot lock (materializing it on first use) — the corpus XQuery

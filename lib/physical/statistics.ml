@@ -15,66 +15,10 @@ type t = {
   pids : int array; (* node id -> summary node (path partition), -1 for text/comment/PI *)
 }
 
-let bump table key = Hashtbl.replace table key (1 + Option.value ~default:0 (Hashtbl.find_opt table key))
-
-let build doc =
-  let n = Doc.node_count doc in
-  let tag_counts = Hashtbl.create 64 in
-  let pc = Hashtbl.create 256 in
-  let ad = Hashtbl.create 256 in
-  let max_depth = ref 0 in
-  let fanout_sum = ref 0 in
-  let fanout_nodes = ref 0 in
-  let elements = ref 0 in
-  (* Ancestor tag stack: ids are pre-order, so walk ids keeping a stack of
-     (subtree_end, tag). *)
-  let stack = ref [] in
-  for id = 0 to n - 1 do
-    let lvl = Doc.level doc id in
-    if lvl > !max_depth then max_depth := lvl;
-    stack := List.filter (fun (stop, _) -> stop >= id) !stack;
-    match Doc.kind doc id with
-    | Doc.Element | Doc.Attribute ->
-      let name = Doc.name doc id in
-      bump tag_counts name;
-      if Doc.kind doc id = Doc.Element then begin
-        incr elements;
-        fanout_sum := !fanout_sum + List.length (Doc.children doc id);
-        incr fanout_nodes
-      end;
-      (match !stack with
-      | (_, parent_tag) :: _ -> bump pc (parent_tag, name)
-      | [] -> ());
-      List.iter (fun (_, anc_tag) -> bump ad (anc_tag, name)) !stack;
-      if Doc.kind doc id = Doc.Element then
-        stack := (Doc.subtree_end doc id, name) :: !stack
-    | Doc.Text | Doc.Comment | Doc.Pi -> ()
-  done;
-  let summary = Ps.of_document doc in
-  {
-    doc_nodes = n;
-    elements = !elements;
-    tag_counts;
-    pc;
-    ad;
-    max_depth = !max_depth;
-    fanout_sum = !fanout_sum;
-    fanout_nodes = !fanout_nodes;
-    summary;
-    pids = Ps.annotate summary doc;
-  }
-
-(* Derive statistics from a path summary alone — no document in sight.
-   This is how a corpus plans: the catalog's merged summary stands in for
-   the (never-materialized) concatenated corpus document. Tag, parent/child
-   and ancestor/descendant counts are exact for elements and attributes
-   (every document node lies on exactly one root path); text/comment/PI
-   populations are invisible to the summary, so [doc_nodes] undercounts
-   them and fanout excludes text children — both only feed heuristics. No
-   per-node path ids exist ([path_id] returns -1), which is correct for a
-   planning-only instance: [summary_prune] always recomputes from the
-   executing executor's own statistics. *)
-let of_summary summary =
+(* One constructor for every source (what is exact in each mode: see the
+   .mli). With [doc], the summary feeds planning only after
+   [Path_summary.annotate] has recounted it against the document. *)
+let of_summary ?doc summary =
   let n = Ps.length summary in
   let tag_counts = Hashtbl.create 64 in
   let pc = Hashtbl.create 256 in
@@ -82,10 +26,10 @@ let of_summary summary =
   let bump_by table key k =
     Hashtbl.replace table key (k + Option.value ~default:0 (Hashtbl.find_opt table key))
   in
-  let doc_nodes = ref 0 in
+  let path_nodes = ref 0 in
   let elements = ref 0 in
-  let fanout_sum = ref 0 in
-  let max_depth = ref 0 in
+  let child_rows = ref 0 in
+  let summary_depth = ref 0 in
   let depth = Array.make (max 1 n) 0 in
   for i = 0 to n - 1 do
     let lab = Ps.label summary i in
@@ -94,16 +38,16 @@ let of_summary summary =
       if String.length lab > 0 && lab.[0] = '@' then String.sub lab 1 (String.length lab - 1)
       else lab
     in
-    doc_nodes := !doc_nodes + cnt;
+    path_nodes := !path_nodes + cnt;
     bump_by tag_counts name cnt;
     if Ps.is_element_label lab then elements := !elements + cnt;
     let p = Ps.parent summary i in
     depth.(i) <- (if p < 0 then 0 else depth.(p) + 1);
     let d = if Ps.has_text summary i then depth.(i) + 1 else depth.(i) in
-    if d > !max_depth then max_depth := d;
+    if d > !summary_depth then summary_depth := d;
     if p >= 0 then begin
       bump_by pc (Ps.label summary p, name) cnt;
-      fanout_sum := !fanout_sum + cnt
+      child_rows := !child_rows + cnt
     end;
     let rec up a =
       if a >= 0 then begin
@@ -113,18 +57,35 @@ let of_summary summary =
     in
     up p
   done;
+  let doc_nodes, fanout_sum, max_depth, pids =
+    match doc with
+    | None -> (!path_nodes, !child_rows, !summary_depth, [||])
+    | Some doc ->
+      let pids = Ps.annotate summary doc in
+      let nodes = Doc.node_count doc in
+      let max_depth = ref 0 in
+      for id = 0 to nodes - 1 do
+        max_depth := max !max_depth (Doc.level doc id)
+      done;
+      (* every non-root node is one content child of its element parent,
+         except attributes *)
+      let attributes = !path_nodes - !elements in
+      (nodes, max 0 (nodes - 1 - attributes), !max_depth, pids)
+  in
   {
-    doc_nodes = !doc_nodes;
+    doc_nodes;
     elements = !elements;
     tag_counts;
     pc;
     ad;
-    max_depth = !max_depth;
-    fanout_sum = !fanout_sum;
+    max_depth;
+    fanout_sum;
     fanout_nodes = !elements;
     summary;
-    pids = [||];
+    pids;
   }
+
+let build doc = of_summary ~doc (Ps.of_document doc)
 
 let tag_count t name = Option.value ~default:0 (Hashtbl.find_opt t.tag_counts name)
 let element_count t = t.elements

@@ -1,22 +1,35 @@
 (** Document statistics for cardinality estimation (§2's cost-model
     prerequisite, implemented here as the paper's planned extension).
 
-    Collected in one pass over the packed document: per-tag node counts,
-    parent-child tag-pair counts, ancestor-descendant tag-pair counts
-    (exact, via an ancestor-tag stack), depth and fan-out moments. *)
+    Everything derives from the document's {!Xqp_storage.Path_summary}:
+    per-tag node counts, parent-child and ancestor-descendant tag-pair
+    counts (exact — every node lies on exactly one root path), plus depth
+    and fan-out. A packed store carries its summary, so opening one
+    derives statistics without any per-node tag scan. *)
 
 type t
 
-val build : Xqp_xml.Document.t -> t
+val of_summary : ?doc:Xqp_xml.Document.t -> Xqp_storage.Path_summary.t -> t
+(** The one constructor. Tag, parent/child and ancestor/descendant counts
+    are exact for elements and attributes in both modes.
 
-val of_summary : Xqp_storage.Path_summary.t -> t
-(** Statistics derived from a path summary alone — how a corpus session
-    plans off its catalog's merged summary without materializing any
-    document. Tag, parent/child and ancestor/descendant counts are exact
-    for elements/attributes; text/comment/PI populations are invisible to
-    a summary, so [node_count] undercounts them and fan-out excludes text
-    children (heuristic inputs only). [path_id] is [-1] for every node:
-    the instance plans, it never executes. *)
+    With [doc] (the summary's own document — a packed store's summary on
+    open): [node_count], [avg_fanout] (content children per element: n − 1
+    − attributes over the element count), [max_depth] and per-node
+    [path_id]s are exact, and the pass that assigns the path ids checks
+    the summary against [doc] — @raise Failure on a missing path or a
+    differing count or text flag ({!Xqp_storage.Path_summary.annotate}).
+
+    Without [doc] (a corpus planning off its catalog's merged summary):
+    text/comment/PI populations are invisible to a summary, so
+    [node_count] undercounts them (it is the element + attribute count),
+    fan-out counts attribute rows rather than text children, [max_depth]
+    ignores comments and PIs, and [path_id] is [-1] for every node — the
+    instance plans, it never executes. *)
+
+val build : Xqp_xml.Document.t -> t
+(** Statistics of parsed XML: [of_summary ~doc (Path_summary.of_document
+    doc)]. *)
 
 val tag_count : t -> string -> int
 (** Number of element/attribute nodes with a tag. *)
@@ -51,8 +64,8 @@ val estimate_vertex_cardinality :
 
 (** {2 Path-summary synopsis}
 
-    {!build} also computes the document's {!Xqp_storage.Path_summary} and
-    the per-node path partition (node → summary node). Downward linear
+    With a document, statistics also carry the per-node path partition
+    (node → summary node). Downward linear
     paths are answered {e exactly} from the summary; twigs get an exact
     spine count scaled by branch-existence factors, still bounded above by
     the spine count. *)

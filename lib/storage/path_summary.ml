@@ -307,28 +307,53 @@ let skip_labels t ~targets ~self =
 
 (* --- per-node path ids -------------------------------------------------- *)
 
+(* One pre-order pass: a node's path is its parent's path id extended by
+   its own label, resolved through the summary's child index once per
+   (parent path, symbol id, attribute?) key rather than per node. The
+   same pass recounts every path and its text flag, so a summary that
+   disagrees with the document is caught here, before anything plans off
+   it. *)
 let annotate t doc =
   let module Doc = Xqp_xml.Document in
-  let n = Doc.node_count doc in
+  let n = Doc.node_count doc and len = length t in
+  let nsym = Xqp_xml.Symtab.cardinal (Doc.symtab doc) in
   let pids = Array.make n (-1) in
-  let stack = ref [] in
-  let lookup parent lab =
-    match Hashtbl.find_opt t.child_index (parent, lab) with
-    | Some id -> id
-    | None -> failwith (Printf.sprintf "Path_summary.annotate: path %s not in summary" lab)
+  let counts = Array.make len 0 and texts = Array.make len false in
+  let resolved = Hashtbl.create 64 in
+  let path_text parent lab = "/" ^ String.concat "/" (node_path t parent @ [ lab ]) in
+  let lookup parent sym attribute =
+    let key = ((((parent + 1) * nsym) + sym) * 2) + Bool.to_int attribute in
+    match Hashtbl.find_opt resolved key with
+    | Some sid -> sid
+    | None ->
+        let name = Xqp_xml.Symtab.name (Doc.symtab doc) sym in
+        let lab = if attribute then "@" ^ name else name in
+        let sid =
+          match Hashtbl.find_opt t.child_index (parent, lab) with
+          | Some sid -> sid
+          | None -> failwith (Printf.sprintf "path %s not in summary" (path_text parent lab))
+        in
+        Hashtbl.add resolved key sid;
+        sid
   in
   for id = 0 to n - 1 do
-    while (match !stack with (e, _) :: _ -> e < id | [] -> false) do
-      stack := List.tl !stack
-    done;
-    let parent_sid = match !stack with (_, s) :: _ -> s | [] -> super_root in
+    let parent = match Doc.parent doc id with Some p -> pids.(p) | None -> super_root in
     match Doc.kind doc id with
-    | Doc.Element ->
-        let sid = lookup parent_sid (Doc.name doc id) in
+    | (Doc.Element | Doc.Attribute) as kind ->
+        let sid = lookup parent (Doc.name_id doc id) (kind = Doc.Attribute) in
         pids.(id) <- sid;
-        stack := (Doc.subtree_end doc id, sid) :: !stack
-    | Doc.Attribute -> pids.(id) <- lookup parent_sid ("@" ^ Doc.name doc id)
-    | Doc.Text | Doc.Comment | Doc.Pi -> ()
+        counts.(sid) <- counts.(sid) + 1
+    | Doc.Text -> if parent >= 0 then texts.(parent) <- true
+    | Doc.Comment | Doc.Pi -> ()
+  done;
+  for i = 0 to len - 1 do
+    let path () = path_text t.parents.(i) t.labels.(i) in
+    if counts.(i) <> t.counts.(i) then
+      failwith
+        (Printf.sprintf "path %s: %d document nodes, summary count %d" (path ()) counts.(i)
+           t.counts.(i));
+    if texts.(i) <> t.text_flags.(i) then
+      failwith (Printf.sprintf "path %s: text flag disagrees with the document" (path ()))
   done;
   pids
 

@@ -131,7 +131,11 @@ val is_element_label : string -> bool
 
 val annotate : t -> Xqp_xml.Document.t -> int array
 (** [annotate t doc] maps every document node to its summary node id ([-1]
-    for text/comment/PI nodes). [t] must be the summary of [doc]. *)
+    for text/comment/PI nodes) in one pre-order pass, which also checks
+    [t] against [doc]: every path present, every count and text flag
+    equal. @raise Failure naming the first disagreeing path, so a packed
+    summary that does not describe its document never reaches a
+    planner. *)
 
 (** {2 Serialization (used by Store_io)} *)
 

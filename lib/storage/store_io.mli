@@ -19,10 +19,15 @@
     trailing section (4 × i64 per summary node), so the planner's
     cardinality synopsis rides with the data.
 
-    Opens trust the packed directory and summary sections by default:
-    the recompute-and-compare cross-checks are O(doc) per open, which
-    multiplies across a corpus of shards. They run in fsck, and {!load}
-    re-enables them with [~verify:true] or [XQP_VERIFY_PLANS=1]. *)
+    {!load} trusts the packed directory and summary sections by default:
+    recomputing them from the structure bits and comparing is O(doc) per
+    open, which multiplies across a corpus of shards. That full
+    cross-check runs in fsck, and {!load} re-enables it with
+    [~verify:true] or [XQP_VERIFY_PLANS=1]. The summary is not taken on
+    faith for planning, though: [Executor.of_packed], the open path of
+    sessions and corpus shards, reads it with {!packed_summary} and
+    recounts every path, count and text flag against the document it
+    builds, failing the open on any disagreement. *)
 
 val magic : string
 val version : int

@@ -236,6 +236,70 @@ let to_tree t =
   in
   build (root t)
 
+(* The DOM straight from one left-to-right scan of the structure bits:
+   open parens enter the next pre-order rank, close parens leave it. Tags
+   and contents are read sequentially (no rank1 per node) and without
+   pager accounting — materialization is not query I/O. Store symbols
+   map to document symbols on first occurrence, in pre-order, so the
+   document's symbol table matches {!Document.of_tree}'s. *)
+let to_document t =
+  let module B = Xml.Document.Builder in
+  let n = node_count t in
+  let b = B.create n in
+  let nsym = Xml.Symtab.cardinal t.symtab in
+  let labels = Array.init nsym (Xml.Symtab.name t.symtab) in
+  let kinds =
+    Array.map
+      (fun label ->
+        match kind_of_label label with
+        | Element -> Xml.Document.Element
+        | Attribute -> Xml.Document.Attribute
+        | Text -> Xml.Document.Text
+        | Comment -> Xml.Document.Comment
+        | Pi -> Xml.Document.Pi)
+      labels
+  in
+  let names = Array.make nsym (-2) in
+  let name_of sym =
+    let id = names.(sym) in
+    if id <> -2 then id
+    else begin
+      let label = labels.(sym) in
+      let id =
+        match kinds.(sym) with
+        | Xml.Document.Element -> B.intern b label
+        | Xml.Document.Attribute | Xml.Document.Pi ->
+          B.intern b (String.sub label 1 (String.length label - 1))
+        | Xml.Document.Text | Xml.Document.Comment -> -1
+      in
+      names.(sym) <- id;
+      id
+    end
+  in
+  let rank = ref 0 and content_id = ref 0 in
+  for pos = 0 to Balanced_parens.length t.bp - 1 do
+    if Balanced_parens.is_open t.bp pos then begin
+      let r = !rank in
+      let off = r * t.tag_width in
+      let sym =
+        if t.tag_width = 1 then Char.code (Bytes.get t.tags off)
+        else Char.code (Bytes.get t.tags off) lor (Char.code (Bytes.get t.tags (off + 1)) lsl 8)
+      in
+      let content =
+        if Bitvector.get t.has_content r then begin
+          let s = Content_store.get t.contents !content_id in
+          incr content_id;
+          s
+        end
+        else ""
+      in
+      B.open_node b kinds.(sym) ~name:(name_of sym) content;
+      rank := r + 1
+    end
+    else B.close_node b
+  done;
+  B.finish b
+
 let footprint t =
   {
     structure_bytes = Balanced_parens.size_in_bytes t.bp;

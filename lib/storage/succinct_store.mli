@@ -44,6 +44,11 @@ val to_tree : t -> Xqp_xml.Tree.t
 (** Rebuild the algebraic document (inverse of {!of_tree} up to nothing —
     the encoding is lossless). *)
 
+val to_document : t -> Xqp_xml.Document.t
+(** The packed document, built straight from one pre-order scan of the
+    store through {!Xqp_xml.Document.Builder} — equal to
+    [Document.of_tree (to_tree t)] without the intermediate tree. *)
+
 val node_count : t -> int
 val symtab : t -> Xqp_xml.Symtab.t
 (** Store-local symbol table (see naming conventions above). *)

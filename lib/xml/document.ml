@@ -23,108 +23,132 @@ let rec packed_count tree =
     List.fold_left (fun acc c -> acc + packed_count c) (1 + List.length e.attrs) e.children
   | Tree.Text _ | Tree.Comment _ | Tree.Pi _ -> 1
 
-let of_tree tree =
-  let n = packed_count tree in
-  let symtab = Symtab.create () in
-  let kinds = Array.make n Element in
-  let names = Array.make n (-1) in
-  let parents = Array.make n (-1) in
-  let first_children = Array.make n (-1) in
-  let next_siblings = Array.make n (-1) in
-  let sizes = Array.make n 1 in
-  let levels = Array.make n 0 in
-  let postorders = Array.make n 0 in
-  let contents = Array.make n "" in
-  let next_pre = ref 0 in
-  let next_post = ref 0 in
-  let alloc () =
-    let id = !next_pre in
-    incr next_pre;
-    id
-  in
-  (* Pack [node] and return its id; [prev] chains next_sibling. *)
-  let rec pack parent_id lvl node =
-    let id = alloc () in
-    parents.(id) <- parent_id;
-    levels.(id) <- lvl;
-    (match node with
-    | Tree.Text s ->
-      kinds.(id) <- Text;
-      contents.(id) <- s
-    | Tree.Comment s ->
-      kinds.(id) <- Comment;
-      contents.(id) <- s
-    | Tree.Pi (target, body) ->
-      kinds.(id) <- Pi;
-      names.(id) <- Symtab.intern symtab target;
-      contents.(id) <- body
-    | Tree.Element e ->
-      kinds.(id) <- Element;
-      names.(id) <- Symtab.intern symtab e.name;
-      let prev = ref (-1) in
-      let link child_id =
-        if !prev = -1 then first_children.(id) <- child_id
-        else next_siblings.(!prev) <- child_id;
-        prev := child_id
-      in
-      List.iter
-        (fun (key, value) ->
-          let attr_id = alloc () in
-          kinds.(attr_id) <- Attribute;
-          names.(attr_id) <- Symtab.intern symtab key;
-          contents.(attr_id) <- value;
-          parents.(attr_id) <- id;
-          levels.(attr_id) <- lvl + 1;
-          sizes.(attr_id) <- 1;
-          postorders.(attr_id) <- !next_post;
-          incr next_post;
-          link attr_id)
-        e.attrs;
-      List.iter (fun child -> link (pack id (lvl + 1) child)) e.children);
-    sizes.(id) <- !next_pre - id;
-    postorders.(id) <- !next_post;
-    incr next_post;
-    id
-  in
-  let root_id = pack (-1) 0 tree in
-  assert (root_id = 0);
-  assert (!next_pre = n);
-  (* Per-tag node lists, in document order. *)
-  let tags = Symtab.cardinal symtab in
-  let counts = Array.make tags 0 in
-  let n_elements = ref 0 in
-  for id = 0 to n - 1 do
-    (match kinds.(id) with
-    | Element ->
-      incr n_elements;
-      counts.(names.(id)) <- counts.(names.(id)) + 1
-    | Attribute -> counts.(names.(id)) <- counts.(names.(id)) + 1
-    | Text | Comment | Pi -> ())
-  done;
-  let by_name = Array.init tags (fun sym -> Array.make counts.(sym) 0) in
-  let fill = Array.make tags 0 in
-  for id = 0 to n - 1 do
-    match kinds.(id) with
-    | Element | Attribute ->
-      let sym = names.(id) in
-      by_name.(sym).(fill.(sym)) <- id;
-      fill.(sym) <- fill.(sym) + 1
-    | Text | Comment | Pi -> ()
-  done;
-  {
-    symtab;
-    kinds;
-    names;
-    parents;
-    first_children;
-    next_siblings;
-    sizes;
-    levels;
-    postorders;
-    contents;
-    by_name;
-    n_elements = !n_elements;
+module Builder = struct
+  type builder = {
+    symtab : Symtab.t;
+    kinds : kind array;
+    names : int array;
+    parents : int array;
+    first_children : int array;
+    next_siblings : int array;
+    sizes : int array;
+    levels : int array;
+    postorders : int array;
+    contents : string array;
+    mutable next_pre : int;
+    mutable next_post : int;
+    mutable open_id : int; (* innermost open node, -1 above the root *)
+    mutable closed_id : int; (* most recently closed node, -1 before any *)
   }
+
+  let create n =
+    {
+      symtab = Symtab.create ();
+      kinds = Array.make n Element;
+      names = Array.make n (-1);
+      parents = Array.make n (-1);
+      first_children = Array.make n (-1);
+      next_siblings = Array.make n (-1);
+      sizes = Array.make n 1;
+      levels = Array.make n 0;
+      postorders = Array.make n 0;
+      contents = Array.make n "";
+      next_pre = 0;
+      next_post = 0;
+      open_id = -1;
+      closed_id = -1;
+    }
+
+  let intern b name = Symtab.intern b.symtab name
+
+  let open_node b kind ~name content =
+    let id = b.next_pre in
+    if id >= Array.length b.kinds then invalid_arg "Document.Builder: more nodes than declared";
+    b.next_pre <- id + 1;
+    let p = b.open_id in
+    b.kinds.(id) <- kind;
+    b.names.(id) <- name;
+    b.contents.(id) <- content;
+    b.parents.(id) <- p;
+    if p >= 0 then begin
+      b.levels.(id) <- b.levels.(p) + 1;
+      (* The node closed last is this node's previous sibling exactly when
+         it shares the parent; otherwise this is the parent's first child. *)
+      let c = b.closed_id in
+      if c >= 0 && b.parents.(c) = p then b.next_siblings.(c) <- id
+      else b.first_children.(p) <- id
+    end;
+    b.open_id <- id
+
+  let close_node b =
+    let id = b.open_id in
+    if id < 0 then invalid_arg "Document.Builder: close without open";
+    b.sizes.(id) <- b.next_pre - id;
+    b.postorders.(id) <- b.next_post;
+    b.next_post <- b.next_post + 1;
+    b.closed_id <- id;
+    b.open_id <- b.parents.(id)
+
+  let finish b =
+    let n = Array.length b.kinds in
+    if b.next_pre <> n || b.open_id <> -1 then
+      invalid_arg "Document.Builder: unbalanced or short node stream";
+    (* Per-tag node lists, in document order. *)
+    let tags = Symtab.cardinal b.symtab in
+    let counts = Array.make tags 0 in
+    let n_elements = ref 0 in
+    for id = 0 to n - 1 do
+      match b.kinds.(id) with
+      | Element ->
+        incr n_elements;
+        counts.(b.names.(id)) <- counts.(b.names.(id)) + 1
+      | Attribute -> counts.(b.names.(id)) <- counts.(b.names.(id)) + 1
+      | Text | Comment | Pi -> ()
+    done;
+    let by_name = Array.init tags (fun sym -> Array.make counts.(sym) 0) in
+    let fill = Array.make tags 0 in
+    for id = 0 to n - 1 do
+      match b.kinds.(id) with
+      | Element | Attribute ->
+        let sym = b.names.(id) in
+        by_name.(sym).(fill.(sym)) <- id;
+        fill.(sym) <- fill.(sym) + 1
+      | Text | Comment | Pi -> ()
+    done;
+    {
+      symtab = b.symtab;
+      kinds = b.kinds;
+      names = b.names;
+      parents = b.parents;
+      first_children = b.first_children;
+      next_siblings = b.next_siblings;
+      sizes = b.sizes;
+      levels = b.levels;
+      postorders = b.postorders;
+      contents = b.contents;
+      by_name;
+      n_elements = !n_elements;
+    }
+end
+
+let of_tree tree =
+  let b = Builder.create (packed_count tree) in
+  let leaf kind ~name content =
+    Builder.open_node b kind ~name content;
+    Builder.close_node b
+  in
+  let rec pack = function
+    | Tree.Text s -> leaf Text ~name:(-1) s
+    | Tree.Comment s -> leaf Comment ~name:(-1) s
+    | Tree.Pi (target, body) -> leaf Pi ~name:(Builder.intern b target) body
+    | Tree.Element e ->
+      Builder.open_node b Element ~name:(Builder.intern b e.name) "";
+      List.iter (fun (key, value) -> leaf Attribute ~name:(Builder.intern b key) value) e.attrs;
+      List.iter pack e.children;
+      Builder.close_node b
+  in
+  pack tree;
+  Builder.finish b
 
 let of_string ?strip s = of_tree (Xml_parser.parse_string ?strip s)
 let root (_ : t) = 0

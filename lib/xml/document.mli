@@ -22,6 +22,31 @@ val of_tree : Tree.t -> t
 (** [of_tree tree] packs [tree]. The symbol table interns element and
     attribute names in pre-order of first occurrence. *)
 
+(** Pre-order construction into preallocated arrays — what {!of_tree}
+    packs through, and what a packed store's walk feeds directly, with no
+    intermediate {!Tree.t}. Attributes are opened (and closed) right
+    after their owner, before its content children. *)
+module Builder : sig
+  type builder
+
+  val create : int -> builder
+  (** A builder for exactly this many nodes. *)
+
+  val intern : builder -> string -> int
+  (** Symbol id of an element/attribute name or PI target. Intern in
+      pre-order of first occurrence to match {!of_tree}'s table. *)
+
+  val open_node : builder -> kind -> name:int -> string -> unit
+  (** Enter the next node in pre-order: its kind, name id ([-1] for text
+      and comments) and own content. @raise Invalid_argument past the
+      declared count. *)
+
+  val close_node : builder -> unit
+  val finish : builder -> t
+  (** @raise Invalid_argument unless exactly the declared number of nodes
+      were opened and all closed. *)
+end
+
 val to_tree : t -> node -> Tree.t
 (** [to_tree doc node] rebuilds the algebraic subtree rooted at [node]. *)
 
