@@ -62,7 +62,7 @@ let strategies =
     (fun s -> (Executor.strategy_name s, s))
     [ Executor.Nok; Executor.Twigstack; Executor.Binary_default; Executor.Navigation ]
 
-let run_query exec strategy q = Executor.query exec ~strategy q
+let run_query exec strategy q = Executor.execute exec ~strategy (Executor.Query q)
 
 let check_agreement exec q =
   let reference = run_query exec Executor.Reference q in
@@ -133,7 +133,7 @@ let () =
 let fig2_env ~books =
   let doc = Document.of_tree (Workload.Gen_bib.document ~books ()) in
   let exec = Executor.create doc in
-  let books_nodes = Executor.query exec ~strategy:Executor.Nok "/bib/book" in
+  let books_nodes = Executor.execute exec ~strategy:Executor.Nok (Executor.Query "/bib/book") in
   fun () ->
     let env = Env.empty in
     let env = Env.extend_for env "b" (fun _ -> List.map (fun n -> Value.Node n) books_nodes) in
@@ -632,7 +632,9 @@ let e8_run ~scale =
       let fused_plan = Rewrite.optimize plan in
       let context = [ Operators.document_context ] in
       let naive () = Navigation.eval_plan doc naive_plan ~context in
-      let fused () = Executor.run exec ~strategy:Executor.Auto fused_plan ~context in
+      let fused () =
+        Executor.execute exec ~strategy:Executor.Auto ~context (Executor.Plan fused_plan)
+      in
       if naive () <> fused () then failwith ("E8: rewriting changed results for " ^ q);
       let t_naive = measure naive in
       let t_fused = measure fused in
@@ -663,7 +665,7 @@ let () =
           in
           Bechamel.Test.make ~name:"E8-fused"
             (Bechamel.Staged.stage (fun () ->
-                 ignore (Executor.run exec plan ~context:[ Operators.document_context ]))));
+                 ignore (Executor.execute exec (Executor.Plan plan)))));
     }
 
 (* ------------------------------------------------------------------ *)
@@ -1272,7 +1274,9 @@ let qmet_run ~scale =
       (fun (q : Workload.Queries.query) ->
         let optimized = Rewrite.optimize (Xqp_xpath.Parser.parse q.Workload.Queries.xpath) in
         (* timing without tracing, on a warm pool *)
-        let time_ms = ms (measure (fun () -> Executor.run exec optimized ~context)) in
+        let time_ms =
+          ms (measure (fun () -> Executor.execute exec ~context (Executor.Plan optimized)))
+        in
         (* one traced run for the per-operator rows and I/O counters *)
         Xqp_storage.Pager.reset_stats pager;
         let result, rows = Profile.analyze exec optimized ~context in
@@ -1387,11 +1391,11 @@ let pcache_run ~scale =
   let misses = M.counter M.default "plan_cache.misses" in
   let h0 = M.value hits and m0 = M.value misses in
   (* cold round: one compile-and-miss per query *)
-  List.iter (fun q -> ignore (Executor.query exec q)) xpaths;
+  List.iter (fun q -> ignore (Executor.execute exec (Executor.Query q))) xpaths;
   let cold_misses = M.value misses - m0 in
   (* warm rounds: repeated workload execution should only hit *)
   for _ = 1 to pcache_warm_rounds do
-    List.iter (fun q -> ignore (Executor.query exec q)) xpaths
+    List.iter (fun q -> ignore (Executor.execute exec (Executor.Query q))) xpaths
   done;
   let total_hits = M.value hits - h0 in
   let total_misses = M.value misses - m0 in
@@ -1403,12 +1407,14 @@ let pcache_run ~scale =
         let xpath = q.Workload.Queries.xpath in
         (* both sides run the identical query; ~use_cache:false bypasses
            the cache entirely (no lookup, no metrics) *)
-        let cached = Executor.query exec xpath in
-        let uncached = Executor.query exec ~use_cache:false xpath in
+        let cached = Executor.execute exec (Executor.Query xpath) in
+        let uncached = Executor.execute exec ~use_cache:false (Executor.Query xpath) in
         if cached <> uncached then
           failwith (Printf.sprintf "PCACHE: cached plan disagrees on %s" xpath);
-        let t_cached = ms (measure (fun () -> Executor.query exec xpath)) in
-        let t_uncached = ms (measure (fun () -> Executor.query exec ~use_cache:false xpath)) in
+        let t_cached = ms (measure (fun () -> Executor.execute exec (Executor.Query xpath))) in
+        let t_uncached =
+          ms (measure (fun () -> Executor.execute exec ~use_cache:false (Executor.Query xpath)))
+        in
         Printf.printf "  %-6s %-40s %12.3f %14.3f %7.2fx\n" q.Workload.Queries.id xpath t_cached
           t_uncached
           (t_uncached /. t_cached);
@@ -1469,9 +1475,9 @@ let () =
           let doc = Workload.Gen_auction.packed ~scale:600 () in
           let exec = Executor.create doc in
           let q = "//person[profile/@income > 60000]/name" in
-          ignore (Executor.query exec q);
+          ignore (Executor.execute exec (Executor.Query q));
           Bechamel.Test.make ~name:"PCACHE-warm-query"
-            (Bechamel.Staged.stage (fun () -> ignore (Executor.query exec q))));
+            (Bechamel.Staged.stage (fun () -> ignore (Executor.execute exec (Executor.Query q)))));
     }
 
 (* ------------------------------------------------------------------ *)
@@ -1510,7 +1516,7 @@ let psum_run ~scale =
         let optimized = Rewrite.optimize (Xqp_xpath.Parser.parse xpath) in
         let est_old = Cost_model.estimate_plan stats ~use_summary:false optimized in
         let est_new, src = Cost_model.estimate_plan_detail stats optimized in
-        let actual = List.length (Executor.run exec optimized ~context:ctx) in
+        let actual = List.length (Executor.execute exec ~context:ctx (Executor.Plan optimized)) in
         let q_of est =
           let e = Float.max 1.0 est and a = Float.max 1.0 (float_of_int actual) in
           Float.max (e /. a) (a /. e)
@@ -1548,7 +1554,7 @@ let psum_run ~scale =
   let pager = Xqp_storage.Pager.create () in
   let pexec = Executor.create ~pager doc in
   ignore (Executor.store pexec);
-  let physical = Executor.compile_query pexec psum_empty_query in
+  let physical = (Executor.prepare pexec (Executor.Query psum_empty_query)).Executor.physical in
   (match physical.Physical_plan.op with
   | Physical_plan.Empty _ -> ()
   | _ -> failwith "PSUM: empty-path query did not compile to Empty");
@@ -1558,7 +1564,9 @@ let psum_run ~scale =
   let pruned_reads = M.value m_reads - r0 in
   if res <> [] then failwith "PSUM: pruned query returned nodes";
   if pruned_reads <> 0 then failwith "PSUM: pruned query touched the pager";
-  let t_pruned = ms (measure (fun () -> Executor.query pexec psum_empty_query)) in
+  let t_pruned =
+    ms (measure (fun () -> Executor.execute pexec (Executor.Query psum_empty_query)))
+  in
   Printf.printf "  pruned %-28s %.4f ms, pager reads: %d (plan: Empty)\n" psum_empty_query
     t_pruned pruned_reads;
   (* --- (c) skip-ahead navigation ------------------------------------ *)
@@ -1713,7 +1721,7 @@ let dsafe_run ~scale =
       (fun (q : Workload.Queries.query) -> q.Workload.Queries.xpath)
       (Workload.Queries.auction_paths @ Workload.Queries.auction_complexity_sweep)
   in
-  let round () = List.iter (fun q -> ignore (Executor.query exec q)) xpaths in
+  let round () = List.iter (fun q -> ignore (Executor.execute exec (Executor.Query q))) xpaths in
   round ();
   (* warm the plan cache *)
   (* (a) primitive price of the atomic counters *)

@@ -34,6 +34,14 @@ let generated_document spec =
 let open_store ?pager path =
   Executor.of_packed ?pager ~path (Xqp_storage.Store_io.read_file path)
 
+(* An XML file or a generator spec, parsed or generated into a document. *)
+let parsed_document ~file ~gen =
+  match (file, gen) with
+  | Some path, None -> Document.of_tree (Xml_parser.parse_file ~strip:true path)
+  | None, Some spec -> generated_document spec
+  | Some _, Some _ -> failwith "give either --file or --gen, not both"
+  | None, None -> failwith "a document is required: --file FILE or --gen SPEC"
+
 let load_executor ?pager ~file ~gen () =
   match (file, gen) with
   | Some path, None when Xqp_storage.Catalog.is_catalog_path path ->
@@ -42,10 +50,7 @@ let load_executor ?pager ~file ~gen () =
      ^ ": is a corpus catalog (.xqdbc); this command operates on a single document — query, \
         serve and explain accept catalogs, or open one shard's .xqdb directly")
   | Some path, None when Filename.check_suffix path ".xqdb" -> open_store ?pager path
-  | Some path, None -> Executor.create ?pager (Document.of_tree (Xml_parser.parse_file ~strip:true path))
-  | None, Some spec -> Executor.create ?pager (generated_document spec)
-  | Some _, Some _ -> failwith "give either --file or --gen, not both"
-  | None, None -> failwith "a document is required: --file FILE or --gen SPEC"
+  | _ -> Executor.create ?pager (parsed_document ~file ~gen)
 
 (* Session-level source loading: a [.xqdbc] corpus catalog opens as a
    scatter-gather session and a [.xqdb] store through [Session.open_db]
@@ -59,7 +64,7 @@ let load_session ?(domains = 1) ~file ~gen () =
     match Xqp.Session.open_db ~domains path with
     | Ok session -> session
     | Error e -> failwith (Xqp.Error.message e))
-  | _ -> Xqp.Session.of_document (Executor.doc (load_executor ~file ~gen ()))
+  | _ -> Xqp.Session.of_document (parsed_document ~file ~gen)
 
 let file_arg =
   let doc =
@@ -519,48 +524,10 @@ let workload_xpath_queries () =
     (fun (q : Xqp_workload.Queries.query) -> (q.Xqp_workload.Queries.id, q.Xqp_workload.Queries.xpath))
     (Xqp_workload.Queries.auction_paths @ Xqp_workload.Queries.auction_complexity_sweep)
 
-let explain_one exec ?session ?(strategy = Executor.Auto) ~analyze ~rewrites ~use_cache query =
-  let plan = Xqp_xpath.Parser.parse query in
-  let simplified = Rewrite.simplify plan in
-  let optimized, fires = Rewrite.optimize_traced plan in
-  Format.printf "parsed plan:     %a@." Logical_plan.pp simplified;
-  Format.printf "optimized plan:  %a@." Logical_plan.pp optimized;
-  if rewrites then begin
-    if fires = [] then Format.printf "rewrites:        (no rule fired)@."
-    else begin
-      Format.printf "rewrites:@.";
-      List.iter (fun f -> Format.printf "  %a@." Rewrite.pp_rule_fire f) fires
-    end
-  end;
-  (match optimized with
-  | Logical_plan.Tpm (_, pattern) ->
-    Format.printf "pattern graph:   %a@." Pattern_graph.pp pattern;
-    Format.printf "NoK partition:   %a@." Nok_partition.pp (Nok_partition.partition pattern);
-    let stats = Executor.statistics exec in
-    let est, src = Cost_model.estimate_plan_detail stats optimized in
-    Format.printf "estimated rows:  %.1f (%s)@." est (Statistics.source_label src);
-    List.iter
-      (fun engine ->
-        if Cost_model.supports pattern engine then
-          Format.printf "  cost[%s] = %.0f@."
-            (Cost_model.engine_name engine)
-            (Cost_model.estimate stats pattern engine))
-      Cost_model.all_engines;
-    Format.printf "chosen engine:   %s@."
-      (Cost_model.engine_name (Cost_model.choose stats pattern))
-  | _ -> Format.printf "(plan is not a single pattern; steps run navigationally)@.");
-  (* The plan the executor will actually run: compiled through the plan
-     cache, every τ bound to a concrete engine. A repeated query in the
-     same process reports a hit and skips parse/rewrite/costing. *)
-  let module M = Xqp_obs.Metrics in
-  let hits = M.counter M.default "plan_cache.hits" in
-  let hits_before = M.value hits in
-  let physical = Executor.compile_query exec ~strategy ~use_cache query in
-  Format.printf "plan cache:      %s@."
-    (if not use_cache then "bypassed"
-     else if M.value hits > hits_before then "hit"
-     else "miss");
-  Format.printf "physical plan:@.%a@." Physical_plan.pp physical;
+let explain_one exec ?session ~strategy ~analyze ~rewrites ~use_cache query =
+  let explained = Profile.explain exec ~strategy ~rewrites ~use_cache query in
+  Format.printf "%s" explained.Profile.rendered;
+  let physical = explained.Profile.physical in
   let context = [ Operators.document_context ] in
   match session with
   | Some s ->
@@ -572,8 +539,7 @@ let explain_one exec ?session ?(strategy = Executor.Auto) ~analyze ~rewrites ~us
     | Ok r ->
       Format.printf "operators:@.%a" Profile.pp_table (Profile.rows_of_physical physical);
       Format.printf "result:          %d nodes in %.1f ms (scatter-gather, engine=%s)@."
-        (List.length r.Xqp.Session.nodes) r.Xqp.Session.time_ms r.Xqp.Session.engine;
-      r.Xqp.Session.nodes
+        (List.length r.Xqp.Session.nodes) r.Xqp.Session.time_ms r.Xqp.Session.engine
     | Error e -> failwith (Xqp.Error.message e))
   | None ->
   if analyze then begin
@@ -581,8 +547,7 @@ let explain_one exec ?session ?(strategy = Executor.Auto) ~analyze ~rewrites ~us
     let result, rows = Profile.analyze_physical exec physical ~context in
     let elapsed_ms = (Sys.time () -. t0) *. 1000.0 in
     Format.printf "operators:@.%a" Profile.pp_table rows;
-    Format.printf "result:          %d nodes in %.1f ms@." (List.length result) elapsed_ms;
-    result
+    Format.printf "result:          %d nodes in %.1f ms@." (List.length result) elapsed_ms
   end
   else begin
     let rows = Profile.rows_of_physical physical in
@@ -590,8 +555,7 @@ let explain_one exec ?session ?(strategy = Executor.Auto) ~analyze ~rewrites ~us
     let t0 = Sys.time () in
     let result = Executor.run_physical exec physical ~context in
     Format.printf "result:          %d nodes in %.1f ms@." (List.length result)
-      ((Sys.time () -. t0) *. 1000.0);
-    result
+      ((Sys.time () -. t0) *. 1000.0)
   end
 
 let run_explain file gen strategy analyze rewrites trace_out no_cache workload queries =
@@ -600,11 +564,7 @@ let run_explain file gen strategy analyze rewrites trace_out no_cache workload q
      against, so estimates and plan-cache behavior match execution. *)
   let session =
     match file with
-    | Some path when Xqp_storage.Catalog.is_catalog_path path ->
-      if gen <> None then failwith "give either --file or --gen, not both";
-      (match Xqp.Session.open_db path with
-      | Ok s -> Some s
-      | Error e -> failwith (Xqp.Error.message e))
+    | Some path when Xqp_storage.Catalog.is_catalog_path path -> Some (load_session ~file ~gen ())
     | _ -> None
   in
   let exec =
@@ -656,7 +616,7 @@ let run_explain file gen strategy analyze rewrites trace_out no_cache workload q
     (fun i (id, q) ->
       if i > 0 then Format.printf "@.";
       if List.length queries > 1 then Format.printf "=== %s: %s@." id q;
-      ignore (explain_one exec ?session ~strategy ~analyze ~rewrites ~use_cache:(not no_cache) q);
+      explain_one exec ?session ~strategy ~analyze ~rewrites ~use_cache:(not no_cache) q;
       if analyze && trace_out <> None then append_events ())
     queries;
   (match trace_out with
@@ -742,7 +702,7 @@ let run_calibrate file gen threshold gate worst_n no_summary =
         let est, src =
           Cost_model.estimate_plan_detail stats ~use_summary:(not no_summary) optimized
         in
-        let actual = List.length (Executor.run exec optimized ~context:[ Operators.document_context ]) in
+        let actual = List.length (Executor.execute exec (Executor.Plan optimized)) in
         (* q-error: multiplicative distance between estimate and truth,
            with both sides floored at 1 so empty results stay finite *)
         let q_error =
@@ -1015,7 +975,7 @@ let run_repl file gen =
            Format.printf "optimized: %a@." Logical_plan.pp (Rewrite.optimize plan)
          end
          else begin
-           let nodes = Executor.query exec line in
+           let nodes = Executor.execute exec (Executor.Query line) in
            List.iteri
              (fun i id ->
                if i < 20 then

@@ -18,7 +18,7 @@ let () =
   List.iter
     (fun strategy ->
       let t0 = Sys.time () in
-      let nodes = Executor.query exec ~strategy q in
+      let nodes = Executor.execute exec ~strategy (Executor.Query q) in
       Format.printf "  %-16s %4d results  %6.2f ms@."
         (Executor.strategy_name strategy)
         (List.length nodes)

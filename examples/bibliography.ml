@@ -47,7 +47,7 @@ let () =
     (String.concat "\n" (List.map (Serializer.to_string ~indent:2) trees));
 
   (* --- the Env itself, made visible ----------------------------------- *)
-  let books = Executor.query exec "/bib/book" in
+  let books = Executor.execute exec (Executor.Query "/bib/book") in
   let env = Env.empty in
   let env = Env.extend_for env "b" (fun _ -> List.map (fun n -> Value.Node n) books) in
   let env =

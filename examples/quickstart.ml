@@ -1,8 +1,11 @@
 (* Quickstart: open a document, run XPath and XQuery, pick engines,
-   persist. Everything goes through the Xqp façade; see the other examples
-   for the layers underneath.
+   persist. Everything goes through the session API (Xqp.Session); every
+   call returns a result, with a structured Xqp.Error.t on failure. See
+   the other examples for the layers underneath.
 
    Run with: dune exec examples/quickstart.exe *)
+
+module Session = Xqp.Session
 
 let source =
   {|<library>
@@ -16,16 +19,19 @@ let source =
       </shelf>
     </library>|}
 
+let get = function Ok v -> v | Error e -> failwith (Xqp.Error.message e)
+
 let () =
-  (* 1. Open a database from a string (or Xqp.of_file for .xml / .xqdb). *)
-  let db = Xqp.of_string source in
-  Format.printf "document: %a@.@." Xqp.Xml.Document.pp_stats (Xqp.document db);
+  (* 1. Open a database from a string (Session.parse_file for .xml files,
+     Session.open_db for saved .xqdb stores). *)
+  let db = get (Session.of_string source) in
+  Format.printf "document: %a@.@." Xqp.Xml.Document.pp_stats (Session.document db);
 
   (* 2. XPath queries: parsed, rewritten into tree patterns, dispatched to
      the engine the cost model picks. *)
   let show q =
-    let nodes = Xqp.query db q in
-    Format.printf "%s -> %d nodes@.%s@.@." q (List.length nodes) (Xqp.to_xml db nodes)
+    let nodes = get (Session.query db q) in
+    Format.printf "%s -> %d nodes@.%s@.@." q (List.length nodes) (Session.to_xml db nodes)
   in
   show "/library/shelf/book/title";
   show "//book[year > 1900]/title";
@@ -38,25 +44,26 @@ let () =
     (fun engine ->
       Format.printf "%-16s %d nodes@."
         (Xqp.Physical.Executor.strategy_name engine)
-        (List.length (Xqp.query ~engine db q)))
+        (List.length (get (Session.query ~engine db q))))
     Xqp.Physical.Executor.all_strategies;
 
   (* 4. Lazy consumers stop as soon as their answer is determined. *)
-  Format.printf "@.any pre-1900 book? %b@." (Xqp.query_exists db "//book[year < 1900]");
-  (match Xqp.query_first db "//title" with
-  | Some t -> Format.printf "first title: %s@." (Xqp.text db t)
+  Format.printf "@.any pre-1900 book? %b@." (get (Session.exists db "//book[year < 1900]"));
+  (match get (Session.first db "//title") with
+  | Some t -> Format.printf "first title: %s@." (Session.text db t)
   | None -> ());
 
   (* 5. XQuery, including construction, and a plan report. *)
   Format.printf "@.XQuery:@.%s@.@."
-    (Xqp.xquery_string db
-       {|<english>{ for $b in //book where $b/@lang = "en" order by $b/year return $b/title }</english>|});
-  print_string (Xqp.explain db "//book[year > 1900]/title");
+    (get
+       (Session.xquery_string db
+          {|<english>{ for $b in //book where $b/@lang = "en" order by $b/year return $b/title }</english>|}));
+  print_string (get (Session.explain db "//book[year > 1900]/title")).Session.rendered;
 
   (* 6. Persist the succinct store and reopen it. *)
   let path = Filename.temp_file "xqp_quickstart" ".xqdb" in
-  Xqp.save db path;
-  let db2 = Xqp.of_file path in
-  assert (Xqp.query db2 q = Xqp.query db q);
+  Session.save db path;
+  let db2 = get (Session.open_db path) in
+  assert (get (Session.query db2 q) = get (Session.query db q));
   Format.printf "@.saved and reloaded %s — answers agree.@." path;
   Sys.remove path

@@ -53,7 +53,7 @@ let () =
   List.iter
     (fun (q, m) ->
       let streamed = List.length (Streaming.matches m) in
-      let stored = List.length (Executor.query exec ~strategy:Executor.Nok q) in
+      let stored = List.length (Executor.execute exec ~strategy:Executor.Nok (Executor.Query q)) in
       assert (streamed = stored))
     matchers;
   Format.printf "streaming results match the in-memory engines.@."

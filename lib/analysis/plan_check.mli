@@ -36,8 +36,8 @@ val any_node : kinds
 (** All four kinds — the context assumption when nothing is known. *)
 
 val document_context : kinds
-(** Just {!Doc_node}: the context of an absolute query ([Executor.query]
-    evaluates plans with the virtual document node as context). *)
+(** Just {!Doc_node}: the context of an absolute query ([Executor.execute]
+    evaluates plans from the virtual document node by default). *)
 
 val pp_kinds : Format.formatter -> kinds -> unit
 

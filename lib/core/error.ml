@@ -7,6 +7,7 @@ type t =
   | Overloaded of { queue_depth : int }
   | Shutting_down
   | Bad_request of string
+  | Payload_too_large of { limit_bytes : int }
   | Io of string
   | Internal of string
 
@@ -17,6 +18,7 @@ let code = function
   | Overloaded _ -> "overloaded"
   | Shutting_down -> "shutting-down"
   | Bad_request _ -> "bad-request"
+  | Payload_too_large _ -> "payload-too-large"
   | Io _ -> "io"
   | Internal _ -> "internal"
 
@@ -28,12 +30,15 @@ let message = function
     Printf.sprintf "server saturated: admission queue full at depth %d" queue_depth
   | Shutting_down -> "server is shutting down"
   | Bad_request m -> m
+  | Payload_too_large { limit_bytes } ->
+    Printf.sprintf "request body exceeds the %d-byte limit" limit_bytes
   | Io m -> m
   | Internal m -> m
 
 let http_status = function
   | Parse _ | Eval _ | Bad_request _ -> 400
   | Timeout _ -> 408
+  | Payload_too_large _ -> 413
   | Overloaded _ | Shutting_down -> 503
   | Io _ | Internal _ -> 500
 
@@ -42,6 +47,7 @@ let to_json e =
     match e with
     | Timeout { deadline_ms } -> [ ("deadline_ms", J.Num (float_of_int deadline_ms)) ]
     | Overloaded { queue_depth } -> [ ("queue_depth", J.Num (float_of_int queue_depth)) ]
+    | Payload_too_large { limit_bytes } -> [ ("limit_bytes", J.Num (float_of_int limit_bytes)) ]
     | _ -> []
   in
   J.Obj ([ ("code", J.Str (code e)); ("message", J.Str (message e)) ] @ extra)
@@ -64,19 +70,11 @@ let of_json json =
       Ok (Overloaded { queue_depth = d })
     | "shutting-down" -> Ok Shutting_down
     | "bad-request" -> Ok (Bad_request msg)
+    | "payload-too-large" ->
+      let l = match num "limit_bytes" with Some f -> int_of_float f | None -> 0 in
+      Ok (Payload_too_large { limit_bytes = l })
     | "io" -> Ok (Io msg)
     | "internal" -> Ok (Internal msg)
     | other -> Result.Error (Printf.sprintf "unknown error code %S" other))
 
 let pp ppf e = Format.fprintf ppf "%s: %s" (code e) (message e)
-
-(* Deprecated façade wrappers promised the old exception surface; map the
-   structured error back onto it so callers written against the
-   pre-session API keep their handlers. *)
-let to_exn = function
-  | Parse m -> Xqp_xpath.Parser.Parse_error m
-  | Eval m -> Xqp_xquery.Eval.Error m
-  | Timeout _ -> Xqp_physical.Executor.Deadline_exceeded
-  | other -> Failure (message other)
-
-let raise_exn e = raise (to_exn e)

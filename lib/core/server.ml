@@ -78,6 +78,7 @@ let reason_phrase = function
   | 400 -> "Bad Request"
   | 404 -> "Not Found"
   | 408 -> "Request Timeout"
+  | 413 -> "Payload Too Large"
   | 500 -> "Internal Server Error"
   | 503 -> "Service Unavailable"
   | _ -> "Unknown"
@@ -178,9 +179,16 @@ let wants_keep_alive ~version headers =
   | Some v when contains v "keep-alive" -> true
   | _ -> version = "HTTP/1.1"
 
+let max_body = 1_048_576
+
+(* What one read off a connection produced: a request (and whether the
+   client wants keep-alive), a request refused before its body was read
+   (answered, then the connection closes — the unread body must never be
+   parsed as the next request), or nothing (EOF/garbage/idle timeout). *)
+type incoming = Request of request * bool | Refused of Error.t | Closed
+
 (* Read one request: headers to the blank line, then Content-Length
-   bytes of body. Returns [None] on EOF/garbage/idle timeout (connection
-   just closes). SO_RCVTIMEO on the socket bounds how long a stalled or
+   bytes of body. SO_RCVTIMEO on the socket bounds how long a stalled or
    idle keep-alive client can hold a worker. *)
 let recv_request fd =
   let chunk_len = 4096 in
@@ -199,7 +207,7 @@ let recv_request fd =
           fill_headers ())
   in
   match fill_headers () with
-  | None -> None
+  | None -> Closed
   | Some blank -> (
     let head = String.sub (Buffer.contents buf) 0 blank in
     let lines =
@@ -210,16 +218,20 @@ let recv_request fd =
              else l)
     in
     match lines with
-    | [] -> None
+    | [] -> Closed
     | request_line :: headers -> (
-      match String.split_on_char ' ' request_line with
-      | meth :: target :: rest ->
-        let content_length =
-          match header_value headers "content-length" with
-          | Some v -> (
-            match int_of_string_opt v with Some n when n >= 0 && n <= 1_048_576 -> n | _ -> 0)
-          | None -> 0
-        in
+      let content_length =
+        match header_value headers "content-length" with
+        | None -> Ok 0
+        | Some v -> (
+          match int_of_string_opt v with
+          | Some n when n > max_body -> Error (Error.Payload_too_large { limit_bytes = max_body })
+          | Some n when n >= 0 -> Ok n
+          | _ -> Error (Error.Bad_request (Printf.sprintf "malformed Content-Length %S" v)))
+      in
+      match (String.split_on_char ' ' request_line, content_length) with
+      | _ :: _ :: _, Error e -> Refused e
+      | meth :: target :: rest, Ok content_length ->
         let already = Buffer.length buf - (blank + 4) in
         let body = Buffer.create (max content_length 16) in
         Buffer.add_string body (String.sub (Buffer.contents buf) (blank + 4) already);
@@ -242,10 +254,10 @@ let recv_request fd =
           | None -> (target, [])
         in
         let version = match rest with v :: _ -> String.trim v | [] -> "" in
-        Some
+        Request
           ( { meth; path; params; body = Buffer.contents body },
             wants_keep_alive ~version headers )
-      | _ -> None))
+      | _ -> Closed))
 
 (* --- request handling ---------------------------------------------------- *)
 
@@ -576,6 +588,28 @@ let handle_request core job req ~queue_ms =
   in
   (status, content_type, extra_headers, body)
 
+(* Closing a socket with unread input resets the connection, which can
+   destroy a response the client has not read yet. After refusing a
+   request unread, half-close so the client sees the response and EOF,
+   then discard what it still sends — at most [max_body] bytes, for at
+   most one second — before the worker closes the socket. *)
+let linger fd =
+  let scratch = Bytes.create 4096 in
+  let until = Unix.gettimeofday () +. 1.0 in
+  let rec drain budget =
+    let left = until -. Unix.gettimeofday () in
+    if budget > 0 && left > 0.0 then
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> ()
+      | _ ->
+        let n = Unix.read fd scratch 0 (Bytes.length scratch) in
+        if n > 0 then drain (budget - n)
+  in
+  try
+    Unix.shutdown fd Unix.SHUTDOWN_SEND;
+    drain max_body
+  with Unix.Unix_error _ -> ()
+
 (* Per-connection request loop: serve requests back to back while the
    client asks for keep-alive (HTTP/1.1 default). SO_RCVTIMEO is the
    idle timeout — a connection with no next request within it reads as
@@ -584,8 +618,13 @@ let handle_request core job req ~queue_ms =
 let handle core job ~queue_ms ~m_domain_requests ~m_domain_busy =
   let rec loop ~queue_ms =
     match recv_request job.fd with
-    | None -> ()
-    | Some (req, client_keep_alive) ->
+    | Closed -> ()
+    | Refused error ->
+      Metrics.incr core.m_requests;
+      respond job.fd ~status:(Error.http_status error) ~content_type:"application/json"
+        (Response.to_string (Response.error ~query:"" ~mode:"xpath" error));
+      linger job.fd
+    | Request (req, client_keep_alive) ->
       let t0 = Unix.gettimeofday () in
       Metrics.incr core.m_requests;
       Metrics.incr m_domain_requests;

@@ -155,8 +155,8 @@ let run_profiled ?(engine = Executor.Auto) ?(optimize = true) ?(use_cache = true
   let outcome =
     catching_query ?deadline_ms (fun () ->
         let deadline = deadline_of_ms deadline_ms in
-        let physical, fingerprint, cache =
-          Executor.compile_query_fp t.exec ~strategy:engine ~optimize ~use_cache q
+        let { Executor.physical; fingerprint; cache } =
+          Executor.prepare t.exec ~strategy:engine ~optimize ~use_cache (Executor.Query q)
         in
         compiled := Some (physical, cache, fingerprint);
         let execute () =
@@ -235,6 +235,26 @@ let run ?engine ?optimize ?use_cache ?deadline_ms t q =
 
 let query ?engine ?optimize ?use_cache ?deadline_ms t q =
   Result.map (fun r -> r.nodes) (run ?engine ?optimize ?use_cache ?deadline_ms t q)
+
+(* Early exit: on a single document a plan in the downward fragment runs
+   lazily and stops at its first hit. A corpus session's [document] is the
+   planner's placeholder, so it answers from the scatter-gather run, whose
+   head is the first hit in global document order. *)
+let early_exit t q ~lazily ~of_nodes =
+  let lazy_plan () =
+    let plan = Algebra.Rewrite.simplify (Xqp_xpath.Parser.parse q) in
+    if t.corpus = None && Physical.Pipelined.supported plan then Some plan else None
+  in
+  match catching_query lazy_plan with
+  | Error e -> Error e
+  | Ok (Some plan) ->
+    catching_query (fun () -> lazily (document t) plan ~context:[ Ops.document_context ])
+  | Ok None -> Result.map of_nodes (query t q)
+
+let first t q =
+  early_exit t q ~lazily:Physical.Pipelined.first ~of_nodes:(fun nodes -> List.nth_opt nodes 0)
+
+let exists t q = early_exit t q ~lazily:Physical.Pipelined.exists ~of_nodes:(( <> ) [])
 
 type xquery_result = { value : Algebra.Value.t; time_ms : float }
 
@@ -374,7 +394,7 @@ let xquery_string ?engine ?deadline_ms t q =
 
 (* --- explain ------------------------------------------------------------- *)
 
-type explain = {
+type explain = Physical.Profile.explain = {
   rendered : string;
   cache : Executor.cache_status;
   estimate : float option;
@@ -383,52 +403,6 @@ type explain = {
   physical : Pp.t;
 }
 
-(* Unlike the pre-redesign [Xqp.explain], this goes through
-   [compile_query_info] — the identical path [query] takes — so the plan
-   printed is the plan that runs, the cache outcome is this call's own,
-   and the estimate carries its provenance. *)
-let explain ?(engine = Executor.Auto) ?(optimize = true) ?(use_cache = true) t q =
+let explain ?(engine = Executor.Auto) ?optimize ?use_cache t q =
   catching_query (fun () ->
-      let buffer = Buffer.create 512 in
-      let ppf = Format.formatter_of_buffer buffer in
-      let module Lp = Algebra.Logical_plan in
-      let module Pg = Algebra.Pattern_graph in
-      let plan = Xqp_xpath.Parser.parse q in
-      Format.fprintf ppf "parsed:    %a@." Lp.pp (Algebra.Rewrite.simplify plan);
-      let optimized =
-        if optimize then Algebra.Rewrite.optimize plan else Algebra.Rewrite.simplify plan
-      in
-      Format.fprintf ppf "optimized: %a@." Lp.pp optimized;
-      let stats = Executor.statistics t.exec in
-      let estimate, estimate_source, chosen =
-        match optimized with
-        | Lp.Tpm (_, pattern) ->
-          Format.fprintf ppf "pattern:   %a@." Pg.pp pattern;
-          Format.fprintf ppf "partition: %a@." Physical.Nok_partition.pp
-            (Physical.Nok_partition.partition pattern);
-          let est, src = Physical.Cost_model.estimate_plan_detail stats optimized in
-          let src_label = Physical.Statistics.source_label src in
-          Format.fprintf ppf "estimate:  %.1f rows (%s)@." est src_label;
-          List.iter
-            (fun eng ->
-              if Physical.Cost_model.supports pattern eng then
-                Format.fprintf ppf "cost[%s] = %.0f@."
-                  (Physical.Cost_model.engine_name eng)
-                  (Physical.Cost_model.estimate stats pattern eng))
-            Physical.Cost_model.all_engines;
-          let chosen =
-            Physical.Cost_model.engine_name (Physical.Cost_model.choose stats pattern)
-          in
-          Format.fprintf ppf "chosen:    %s@." chosen;
-          (Some est, Some src_label, chosen)
-        | _ ->
-          Format.fprintf ppf "(steps run navigationally)@.";
-          (None, None, "navigation")
-      in
-      let physical, cache =
-        Executor.compile_query_info t.exec ~strategy:engine ~optimize ~use_cache q
-      in
-      Format.fprintf ppf "plan cache: %s@." (Executor.cache_status_label cache);
-      Format.fprintf ppf "physical:@.%a@." Pp.pp physical;
-      Format.pp_print_flush ppf ();
-      { rendered = Buffer.contents buffer; cache; estimate; estimate_source; chosen; physical })
+      Physical.Profile.explain t.exec ~strategy:engine ?optimize ?use_cache q)

@@ -1,12 +1,11 @@
 (** A server-grade session over one open database.
 
-    This is the redesigned façade core: explicit constructors (no
-    extension sniffing), a structured [('a, Error.t) result] surface
+    The query surface of xqp: explicit constructors (no extension
+    sniffing), a structured [('a, Error.t) result] surface
     instead of bare exceptions, and one set of optional parameters
-    ([?engine ?optimize ?use_cache ?deadline_ms]) shared by every entry
-    point — the CLI, the tests and {!Server} all drive this exact code
-    path. The legacy [Xqp.*] functions are thin deprecated wrappers over
-    it.
+    ([?engine ?optimize ?use_cache ?deadline_ms]) shared by the query
+    entry points — the CLI, the tests and {!Server} all drive this exact
+    code path.
 
     A session is cheap to create and safe to share across domains for
     read-only querying: the underlying executor's artifacts (succinct
@@ -83,6 +82,16 @@ val query :
   t -> string -> (node list, Error.t) result
 (** {!run} projected to its node list. *)
 
+val first : t -> string -> (node option, Error.t) result
+(** The first result in document order. On a single document a query in
+    the downward fragment ({!Xqp_physical.Pipelined.supported}) stops at
+    its first hit; a corpus session answers from the scatter-gather run
+    (the head in global document order, an ordinal-tagged id). *)
+
+val exists : t -> string -> (bool, Error.t) result
+(** Whether the query has any result, with the same early exit as
+    {!first}. *)
+
 type profiled = {
   result : query_result;
   fingerprint : string;
@@ -154,20 +163,20 @@ val xquery_result_strings : t -> Xqp_algebra.Value.t -> string list
 
 (** {1 Explain} *)
 
-type explain = {
-  rendered : string;  (** the human-readable report *)
+type explain = Xqp_physical.Profile.explain = {
+  rendered : string;
   cache : Xqp_physical.Executor.cache_status;
-      (** whether {e this} compilation hit the shared plan cache — the
-          pre-redesign explain recompiled from scratch and could
-          disagree with what [query] actually ran *)
-  estimate : float option;       (** estimated result rows (single-pattern plans) *)
-  estimate_source : string option;  (** provenance: ["exact"]/["bound"]/["stats"] *)
-  chosen : string;               (** cost-model engine choice, or ["navigation"] *)
-  physical : Xqp_physical.Physical_plan.t;  (** the plan that [query] executes *)
+  estimate : float option;
+  estimate_source : string option;
+  chosen : string;
+  physical : Xqp_physical.Physical_plan.t;
 }
+(** The report of {!Xqp_physical.Profile.explain}, with its fields. *)
 
 val explain :
   ?engine:engine -> ?optimize:bool -> ?use_cache:bool -> t -> string ->
   (explain, Error.t) result
-(** Compile through the same cached path as {!query} and report the plan,
-    this call's cache outcome, and the estimate with provenance. *)
+(** {!Xqp_physical.Profile.explain} on this session's executor: compiles
+    through the same cached path as {!query} and reports the plan, this
+    call's cache outcome, and the estimate with provenance. A corpus
+    session explains against its merged-summary planner. *)

@@ -1,12 +1,10 @@
 (** xqp — the single entry point.
 
-    The real surface is the session API: {!Session} (explicit
-    constructors, [result]-typed queries, unified
+    The surface is the session API: {!Session} (explicit constructors,
+    [result]-typed queries, unified
     [?engine ?optimize ?use_cache ?deadline_ms] options), {!Error} (the
     structured failure type), {!Response} (the one JSON wire schema) and
-    {!Server} ([xqp serve]'s multicore HTTP front end). The bare
-    functions below are the original façade kept as thin wrappers over
-    {!Session} — new code should use the session API directly:
+    {!Server} ([xqp serve]'s multicore HTTP front end):
 
     {[
       let db = Result.get_ok (Xqp.Session.of_string "<bib><book/></bib>") in
@@ -31,69 +29,3 @@ module Error = Error
 module Session = Session
 module Response = Response
 module Server = Server
-
-(** {1 Legacy façade}
-
-    Exception-raising wrappers over {!Session}, kept so existing callers
-    (and the seed tests) compile unchanged. Each re-raises the
-    corresponding {!Error.t} via {!Error.to_exn}. *)
-
-type t = Session.t
-(** An open database: a packed document plus its lazily-built succinct
-    store, statistics, content index and engine cache. *)
-
-type node = Xqp_xml.Document.node
-
-val of_string : string -> t
-(** Parse an XML string (whitespace-only text stripped).
-    @deprecated Use {!Session.of_string} (returns a [result]). *)
-
-val of_file : string -> t
-(** Load an [.xml] file, or an [.xqdb] store saved by {!save} — the
-    extension decides.
-    @deprecated Use {!Session.parse_file} or {!Session.open_db}, which
-    state their intent instead of sniffing the extension. *)
-
-val of_tree : Xqp_xml.Tree.t -> t
-val of_document : Xqp_xml.Document.t -> t
-val document : t -> Xqp_xml.Document.t
-val executor : t -> Xqp_physical.Executor.t
-
-val save : t -> string -> unit
-(** Persist the succinct store ([.xqdb], see {!Storage.Store_io}). *)
-
-(** {2 Queries} *)
-
-val query : ?engine:Xqp_physical.Executor.strategy -> t -> string -> node list
-(** Run an XPath expression from the document root: parse, rewrite
-    (R0 + R1/R2 fusion into τ), dispatch to the cost-model-chosen engine
-    (or [?engine]). Results in document order, duplicate-free.
-    @raise Xqp_xpath.Parser.Parse_error on malformed input.
-    @deprecated Use {!Session.query} / {!Session.run}. *)
-
-val query_first : t -> string -> node option
-(** Lazy evaluation with early exit when the plan is in the downward
-    fragment ({!Physical.Pipelined}); falls back to {!query} otherwise. *)
-
-val query_exists : t -> string -> bool
-
-val xquery : t -> string -> Xqp_algebra.Value.t
-(** Evaluate an XQuery expression ({!Xquery.Eval}).
-    @raise Xqp_xquery.Xq_parser.Parse_error / {!Xqp_xquery.Eval.Error}.
-    @deprecated Use {!Session.xquery}. *)
-
-val xquery_string : t -> string -> string
-
-(** {2 Results} *)
-
-val to_xml : ?indent:int -> t -> node list -> string
-(** Serialize result nodes (attributes as [@name="value"] lines). *)
-
-val text : t -> node -> string
-(** Typed (text) value of one node. *)
-
-val explain : t -> string -> string
-(** The rendered report of {!Session.explain}: parsed and optimized
-    plans, pattern graph, NoK partition, cost estimates with provenance,
-    the chosen engine, this call's plan-cache outcome, and the physical
-    plan that {!query} actually runs. *)

@@ -10,12 +10,12 @@ type t = {
   id : int;
   document : Doc.t;
   store_lazy : Store.t Lazy.t;
-  mutable stats_lazy : Statistics.t Lazy.t;
-  mutable stats_version : int;
+  stats_lazy : Statistics.t Lazy.t;
+  stats_version : int;
   engine_guard : Xqp_obs.Dsan.guard;
   engine_cache : (Pg.t, Cost_model.engine) Hashtbl.t;
   content_index_lazy : Content_index.t Lazy.t;
-  mutable hints_lazy : Navigation.hints Lazy.t;
+  hints_lazy : Navigation.hints Lazy.t;
 }
 
 type strategy = Pp.strategy =
@@ -34,13 +34,13 @@ let strategy_of_string = Pp.strategy_of_string
 
 let next_id = Atomic.make 0
 
-let make document ~store_lazy ~stats_lazy =
+let make ?(stats_version = 0) document ~store_lazy ~stats_lazy =
   {
     id = Atomic.fetch_and_add next_id 1 + 1;
     document;
     store_lazy;
     stats_lazy;
-    stats_version = 0;
+    stats_version;
     engine_guard = Xqp_obs.Dsan.guard "Executor.engine_cache";
     engine_cache = Hashtbl.create 16;
     content_index_lazy = lazy (Content_index.build document);
@@ -78,27 +78,17 @@ let of_packed ?pager ~path image =
    empty placeholder, so corpus callers execute on per-document executors
    instead. [stats_version] (the catalog's merged stats version) keys the
    shared plan cache alongside the fresh executor id. *)
-let create_planner ?(stats_version = 0) stats =
+let create_planner ?stats_version stats =
   let document = Doc.of_tree (Xqp_xml.Tree.elt "xqp:corpus" []) in
-  let t = create document in
-  t.stats_lazy <- lazy stats;
-  t.stats_version <- stats_version;
-  t
+  make ?stats_version document
+    ~store_lazy:(lazy (Store.of_document document))
+    ~stats_lazy:(Lazy.from_val stats)
 
 let id t = t.id
 let doc t = t.document
 let store t = Lazy.force t.store_lazy
 let statistics t = Lazy.force t.stats_lazy
-let stats_version t = t.stats_version
 let content_index t = Lazy.force t.content_index_lazy
-
-let refresh_statistics t =
-  t.stats_lazy <- lazy (Statistics.build t.document);
-  t.stats_version <- t.stats_version + 1;
-  Xqp_obs.Dsan.with_guard t.engine_guard (fun () -> Hashtbl.reset t.engine_cache);
-  let stats_lazy = t.stats_lazy in
-  t.hints_lazy <-
-    lazy (Navigation.make_hints t.document (Statistics.summary (Lazy.force stats_lazy)))
 
 let hints t = Lazy.force t.hints_lazy
 
@@ -136,7 +126,7 @@ let summary_prune t pattern ~context =
   end
 
 (* The executor's memoized cost-model chooser: [Auto] resolution per
-   distinct pattern is paid once per statistics version. The memo table
+   distinct pattern is paid once per executor. The memo table
    is guarded — planning is compile-time, so serializing the costing of
    one pattern across domains is cheap and keeps the table coherent;
    a racing duplicate computation would be benign but is avoided. *)
@@ -151,9 +141,6 @@ let cached_choose t pattern =
     Xqp_obs.Dsan.with_guard t.engine_guard (fun () ->
         Hashtbl.replace t.engine_cache pattern engine);
     engine
-
-let effective_strategy t strategy pattern =
-  Planner.effective ~choose:(cached_choose t) strategy pattern
 
 (* --- debug plan verification ------------------------------------------- *)
 
@@ -240,67 +227,57 @@ let cache_status_label = function
   | Cache_miss -> "miss"
   | Cache_bypassed -> "bypassed"
 
-let cache_key t ~strategy ~optimize query =
-  {
-    Plan_cache.query;
-    optimize;
-    strategy = strategy_name strategy;
-    doc_id = t.id;
-    stats_version = t.stats_version;
-  }
+type source = Query of string | Plan of Lp.t
 
-(* The status is observed on this call's own lookup, not inferred from
-   the global hit counters, so concurrent compilations on other domains
-   can never mis-attribute a hit. *)
-let with_cache t ~strategy ~optimize ~use_cache query build =
-  if not use_cache then (build (), Cache_bypassed)
-  else begin
-    let key = cache_key t ~strategy ~optimize query in
-    match Plan_cache.find shared_plan_cache key with
-    | Some physical -> (physical, Cache_hit)
-    | None ->
-      let physical = build () in
-      Plan_cache.add shared_plan_cache key physical;
-      (physical, Cache_miss)
-  end
+type compiled = { physical : Pp.t; fingerprint : string; cache : cache_status }
 
-(* Unlike queries, a plan handed to us as a value is compiled {e as
-   given} when [optimize] is false — [run] must execute exactly the plan
-   it received. The cache key is the fingerprint of the input plan, so a
-   hit also skips the rewriting when [optimize] is set. *)
-let compile_plan_fp t ?(strategy = Auto) ?(optimize = false) ?(use_cache = true) plan =
-  let (physical, fp), status =
-    with_cache t ~strategy ~optimize ~use_cache ("plan:" ^ Lp.fingerprint plan) (fun () ->
-        let plan = if optimize then Xqp_algebra.Rewrite.optimize plan else plan in
-        (compile t ~strategy plan, Lp.fingerprint plan))
+(* Text is parsed and rewritten (R0+R1/R2 under [optimize], R0 alone
+   otherwise) and keyed by itself. A plan handed over as a value is
+   compiled {e as given} unless [optimize] is set — [execute] must run
+   exactly the plan it received — and keyed by its fingerprint, so a hit
+   also skips the rewriting. The status is observed on this call's own
+   lookup, not inferred from the global hit counters, so concurrent
+   compilations on other domains can never mis-attribute a hit. *)
+let prepare t ?(strategy = Auto) ?optimize ?(use_cache = true) source =
+  let optimize =
+    Option.value optimize ~default:(match source with Query _ -> true | Plan _ -> false)
   in
-  (physical, fp, status)
-
-let compile_plan_info t ?strategy ?optimize ?use_cache plan =
-  let physical, _, status = compile_plan_fp t ?strategy ?optimize ?use_cache plan in
-  (physical, status)
-
-let compile_plan t ?strategy ?optimize ?use_cache plan =
-  fst (compile_plan_info t ?strategy ?optimize ?use_cache plan)
-
-let compile_query_fp t ?(strategy = Auto) ?(optimize = true) ?(use_cache = true) path =
-  let (physical, fp), status =
-    with_cache t ~strategy ~optimize ~use_cache path (fun () ->
-        let plan = Xqp_xpath.Parser.parse path in
-        let plan =
-          if optimize then Xqp_algebra.Rewrite.optimize plan
-          else Xqp_algebra.Rewrite.simplify plan
-        in
-        (compile t ~strategy plan, Lp.fingerprint plan))
+  let build () =
+    let plan =
+      match source with
+      | Query text ->
+        let plan = Xqp_xpath.Parser.parse text in
+        if optimize then Xqp_algebra.Rewrite.optimize plan else Xqp_algebra.Rewrite.simplify plan
+      | Plan plan -> if optimize then Xqp_algebra.Rewrite.optimize plan else plan
+    in
+    (compile t ~strategy plan, Lp.fingerprint plan)
   in
-  (physical, fp, status)
+  let (physical, fingerprint), cache =
+    if not use_cache then (build (), Cache_bypassed)
+    else begin
+      let key =
+        {
+          Plan_cache.query =
+            (match source with Query text -> text | Plan plan -> "plan:" ^ Lp.fingerprint plan);
+          optimize;
+          strategy = strategy_name strategy;
+          doc_id = t.id;
+          stats_version = t.stats_version;
+        }
+      in
+      match Plan_cache.find shared_plan_cache key with
+      | Some entry -> (entry, Cache_hit)
+      | None ->
+        let entry = build () in
+        Plan_cache.add shared_plan_cache key entry;
+        (entry, Cache_miss)
+    end
+  in
+  { physical; fingerprint; cache }
 
-let compile_query_info t ?strategy ?optimize ?use_cache path =
-  let physical, _, status = compile_query_fp t ?strategy ?optimize ?use_cache path in
-  (physical, status)
-
-let compile_query t ?strategy ?optimize ?use_cache path =
-  fst (compile_query_info t ?strategy ?optimize ?use_cache path)
+let compile_query_info t ?strategy ?optimize ?use_cache text =
+  let c = prepare t ?strategy ?optimize ?use_cache (Query text) in
+  (c.physical, c.cache)
 
 (* --- execution ---------------------------------------------------------- *)
 
@@ -525,10 +502,6 @@ let run_physical t ?deadline ?(trace = Tr.default) ?stats physical ~context =
   in
   go "0" physical context
 
-let run t ?(strategy = Auto) ?deadline plan ~context =
-  run_physical t ?deadline (compile_plan t ~strategy plan) ~context
-
-let query t ?(strategy = Auto) ?(optimize = true) ?(use_cache = true) ?deadline path =
-  run_physical t ?deadline
-    (compile_query t ~strategy ~optimize ~use_cache path)
-    ~context:[ Ops.document_context ]
+let execute t ?strategy ?optimize ?use_cache ?deadline ?(context = [ Ops.document_context ])
+    source =
+  run_physical t ?deadline (prepare t ?strategy ?optimize ?use_cache source).physical ~context

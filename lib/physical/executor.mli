@@ -5,10 +5,10 @@
     model, the content index). All planning — engine selection, join
     orders, fallbacks, estimates — happens once in {!compile} (via
     {!Planner}); {!run_physical} just interprets the resulting IR, never
-    consulting the cost model or resolving [Auto]. {!query} and
-    {!compile_query} memoize compiled plans in a process-wide
+    consulting the cost model or resolving [Auto]. {!prepare} is the one
+    cached compile: it memoizes compiled plans in a process-wide
     {!Plan_cache}, so repeated queries skip parsing, rewriting and
-    costing entirely. *)
+    costing entirely; {!execute} runs what it returns. *)
 
 type t
 
@@ -46,9 +46,10 @@ val create_planner : ?stats_version:int -> Statistics.t -> t
     {!Statistics.of_summary} over a catalog's merged summary) and a
     placeholder document: compile against it, never execute on it —
     corpus sessions run the compiled plan on per-document executors.
-    [stats_version] (default 0) becomes the plan-cache key component, so
-    a repacked catalog with a new merged stats version misses the cache
-    as it must. *)
+    [stats_version] (default 0; every other executor keeps 0, since its
+    document never changes) becomes the plan-cache key component, so a
+    repacked catalog with a new merged stats version misses the cache as
+    it must. *)
 
 val id : t -> int
 (** Process-unique identity of this executor (and hence its document) —
@@ -84,15 +85,6 @@ val doc : t -> Xqp_xml.Document.t
 val store : t -> Xqp_storage.Succinct_store.t
 val statistics : t -> Statistics.t
 
-val stats_version : t -> int
-(** Bumped by {!refresh_statistics}; part of the plan-cache key, so plans
-    costed against stale statistics are never served. *)
-
-val refresh_statistics : t -> unit
-(** Drop the memoized statistics (rebuilt lazily on next use), bump
-    {!stats_version} and clear the per-pattern engine memo — cached plans
-    for this executor become unreachable. *)
-
 val content_index : t -> Content_index.t
 (** The value index over attribute and simple-element content (built
     lazily; the binary-join engine consults it for covered string
@@ -114,39 +106,35 @@ val cache_status_label : cache_status -> string
 (** ["hit"] / ["miss"] / ["bypassed"] — the strings the JSON response
     schema and [explain] print. *)
 
-val compile_plan :
-  t -> ?strategy:strategy -> ?optimize:bool -> ?use_cache:bool ->
-  Xqp_algebra.Logical_plan.t -> Physical_plan.t
-(** Cached compilation keyed by the plan's
-    {!Xqp_algebra.Logical_plan.fingerprint}. [optimize] (default false)
-    applies R0+R1/R2 rewriting first — a cache hit skips that too. *)
+type source =
+  | Query of string  (** XPath text *)
+  | Plan of Xqp_algebra.Logical_plan.t  (** a logical plan value *)
 
-val compile_plan_info :
-  t -> ?strategy:strategy -> ?optimize:bool -> ?use_cache:bool ->
-  Xqp_algebra.Logical_plan.t -> Physical_plan.t * cache_status
-(** {!compile_plan} plus whether this call hit, missed or bypassed the
-    shared plan cache. *)
+type compiled = {
+  physical : Physical_plan.t;
+  fingerprint : string;
+      (** {!Xqp_algebra.Logical_plan.fingerprint} of the plan that was
+          compiled — the flight recorder's aggregation key. Computed once
+          at compile time and stored in the plan cache, so on the cache
+          hits that dominate a warm server it costs a projection, not a
+          plan render (DESIGN.md §13). *)
+  cache : cache_status;  (** this call's own cache outcome *)
+}
 
-val compile_query :
-  t -> ?strategy:strategy -> ?optimize:bool -> ?use_cache:bool -> string ->
-  Physical_plan.t
-(** Cached compilation keyed by the query text: parse, rewrite
-    ([optimize] default true: R0+R1/R2; otherwise R0 only), compile. *)
+val prepare :
+  t -> ?strategy:strategy -> ?optimize:bool -> ?use_cache:bool -> source -> compiled
+(** The one cached compile. [Query] text is parsed, rewritten
+    ([optimize], default true: R0+R1/R2; otherwise R0 only) and keyed by
+    the text. A [Plan] compiles as given unless [optimize] is set
+    (default false) and is keyed by its fingerprint, so a hit also skips
+    the rewriting. [use_cache] (default true) set to false compiles
+    afresh and reports [Cache_bypassed]. *)
 
 val compile_query_info :
   t -> ?strategy:strategy -> ?optimize:bool -> ?use_cache:bool -> string ->
   Physical_plan.t * cache_status
-(** {!compile_query} plus this call's cache outcome — what [explain] and
-    the server's response schema report. *)
-
-val compile_query_fp :
-  t -> ?strategy:strategy -> ?optimize:bool -> ?use_cache:bool -> string ->
-  Physical_plan.t * string * cache_status
-(** {!compile_query_info} plus the logical fingerprint of the plan that
-    was compiled — the flight recorder's aggregation key. The
-    fingerprint is computed once at compile time and stored in the plan
-    cache, so on the cache hits that dominate a warm server it costs a
-    tuple projection, not a plan render (DESIGN.md §13). *)
+(** [prepare (Query text)] projected to its plan and cache status — the
+    compile probe of [perfbench/xbench.ml]; other callers use {!prepare}. *)
 
 type op_stat = {
   os_path : string;    (** plan-tree path, "0", "0.1", … *)
@@ -192,24 +180,12 @@ val run_pattern :
 (** Evaluate τ with a specific engine (per-output-vertex sets): binds the
     pattern with {!Planner.compile_tau} and dispatches. *)
 
-val effective_strategy : t -> strategy -> Xqp_algebra.Pattern_graph.t -> strategy
-(** The engine {!run_pattern} will actually use for this pattern: [Auto]
-    resolved through the cost model, capability fallbacks applied
-    ({!Planner.effective}). Never returns [Auto]. *)
-
-val run :
-  t -> ?strategy:strategy -> ?deadline:float -> Xqp_algebra.Logical_plan.t ->
-  context:Xqp_xml.Document.node list -> Xqp_xml.Document.node list
-(** [run_physical] ∘ [compile_plan] (the plan executes as given; the
-    compiled form is cached by fingerprint). The result is the
-    document-ordered distinct node list of the plan's final operator. *)
-
-val query :
+val execute :
   t -> ?strategy:strategy -> ?optimize:bool -> ?use_cache:bool -> ?deadline:float ->
-  string -> Xqp_xml.Document.node list
-(** [run_physical] ∘ [compile_query] from the document root. With the
-    cache warm (default [use_cache:true]) this skips parsing, rewriting
-    and planning. *)
+  ?context:Xqp_xml.Document.node list -> source -> Xqp_xml.Document.node list
+(** {!run_physical} ∘ {!prepare}, from [context] (default: the document
+    root). The result is the document-ordered distinct node list of the
+    plan's final operator. *)
 
 val strategy_name : strategy -> string
 

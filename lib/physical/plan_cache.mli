@@ -24,7 +24,8 @@ type key = {
   optimize : bool;
   strategy : string;   (** {!Physical_plan.strategy_name} of the request *)
   doc_id : int;        (** {!Executor.id} — per-executor identity *)
-  stats_version : int; (** bumped by [Executor.refresh_statistics] *)
+  stats_version : int;
+      (** a corpus planner's merged catalog stats version; 0 otherwise *)
 }
 
 type 'a t

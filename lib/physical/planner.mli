@@ -22,24 +22,17 @@ val supports : Physical_plan.strategy -> Xqp_algebra.Pattern_graph.t -> bool
     {!Cost_model.supports} consults. [Reference], [Navigation] and [Auto]
     accept any pattern. *)
 
-val effective :
-  choose:(Xqp_algebra.Pattern_graph.t -> Cost_model.engine) ->
-  Physical_plan.strategy ->
-  Xqp_algebra.Pattern_graph.t ->
-  Physical_plan.strategy
-(** The engine that will actually run a pattern: [Auto] resolved through
-    [choose], then the fallback chain applied for patterns the requested
-    engine cannot evaluate. Never returns [Auto]. *)
-
 val compile_tau :
   ?choose:(Xqp_algebra.Pattern_graph.t -> Cost_model.engine) ->
   Statistics.t ->
   Physical_plan.strategy ->
   Xqp_algebra.Pattern_graph.t ->
   Physical_plan.tau
-(** Bind one pattern: {!effective} engine, baked-in join order / step
-    expansion / index decision, cost-model estimate. [choose] defaults to
-    [Cost_model.choose stats] (executors pass their memoized chooser). *)
+(** Bind one pattern to the engine that will actually run it — [Auto]
+    resolved through [choose], then the fallback chain for patterns the
+    requested engine cannot evaluate — with baked-in join order / step
+    expansion / index decision and cost-model estimate. [choose] defaults
+    to [Cost_model.choose stats] (executors pass their memoized chooser). *)
 
 val compile :
   ?strategy:Physical_plan.strategy ->

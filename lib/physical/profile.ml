@@ -12,37 +12,6 @@ type row = {
   io : (string * int) list;
 }
 
-let rows_of_plan stats ?(context_card = 1) plan =
-  let context_card = float_of_int context_card in
-  let rec walk path depth plan acc =
-    (* children first: rows come out in execution order *)
-    let acc =
-      match (plan : Lp.t) with
-      | Lp.Root | Lp.Context -> acc
-      | Lp.Step (base, _) | Lp.Tpm (base, _) -> walk (path ^ ".0") (depth + 1) base acc
-      | Lp.Union (a, b) ->
-        walk (path ^ ".1") (depth + 1) b (walk (path ^ ".0") (depth + 1) a acc)
-    in
-    let engine =
-      match (plan : Lp.t) with
-      | Lp.Tpm (_, pattern) ->
-        Some (Cost_model.engine_name (Cost_model.choose stats pattern))
-      | Lp.Root | Lp.Context | Lp.Step _ | Lp.Union _ -> None
-    in
-    {
-      path;
-      depth;
-      op = Lp.op_label plan;
-      engine;
-      est_rows = Cost_model.estimate_plan stats ~context_card plan;
-      actual_rows = None;
-      time_ms = None;
-      io = [];
-    }
-    :: acc
-  in
-  List.rev (walk "0" 0 plan [])
-
 (* The static half from the IR: engines and estimates are read off the
    compiled plan's annotations, never re-derived through the cost
    model — what the planner bound is what the profile reports. *)
@@ -121,6 +90,71 @@ let analyze exec ?strategy plan ~context =
     Executor.compile exec ?strategy ~context_card:(float_of_int (List.length context)) plan
   in
   analyze_physical exec physical ~context
+
+type explain = {
+  rendered : string;
+  cache : Executor.cache_status;
+  estimate : float option;
+  estimate_source : string option;
+  chosen : string;
+  physical : Physical_plan.t;
+}
+
+(* The logical half is rendered from the query text; the physical plan
+   comes from [Executor.prepare] — the cached path every query takes — so
+   the plan printed is the plan that runs and the cache outcome is this
+   call's own lookup. *)
+let explain exec ?strategy ?(optimize = true) ?use_cache ?(rewrites = false) query =
+  let module Rw = Xqp_algebra.Rewrite in
+  let buffer = Buffer.create 512 in
+  let ppf = Format.formatter_of_buffer buffer in
+  let plan = Xqp_xpath.Parser.parse query in
+  let simplified = Rw.simplify plan in
+  let optimized, fires = if optimize then Rw.optimize_traced plan else (simplified, []) in
+  Format.fprintf ppf "parsed plan:     %a@." Lp.pp simplified;
+  Format.fprintf ppf "optimized plan:  %a@." Lp.pp optimized;
+  if rewrites then begin
+    if fires = [] then Format.fprintf ppf "rewrites:        (no rule fired)@."
+    else begin
+      Format.fprintf ppf "rewrites:@.";
+      List.iter (fun f -> Format.fprintf ppf "  %a@." Rw.pp_rule_fire f) fires
+    end
+  end;
+  let estimate, estimate_source, chosen =
+    match optimized with
+    | Lp.Tpm (_, pattern) ->
+      let module Pg = Xqp_algebra.Pattern_graph in
+      Format.fprintf ppf "pattern graph:   %a@." Pg.pp pattern;
+      Format.fprintf ppf "NoK partition:   %a@." Nok_partition.pp
+        (Nok_partition.partition pattern);
+      let stats = Executor.statistics exec in
+      let est, src = Cost_model.estimate_plan_detail stats optimized in
+      let src = Statistics.source_label src in
+      Format.fprintf ppf "estimated rows:  %.1f (%s)@." est src;
+      List.iter
+        (fun engine ->
+          if Cost_model.supports pattern engine then
+            Format.fprintf ppf "  cost[%s] = %.0f@." (Cost_model.engine_name engine)
+              (Cost_model.estimate stats pattern engine))
+        Cost_model.all_engines;
+      let chosen = Cost_model.engine_name (Cost_model.choose stats pattern) in
+      Format.fprintf ppf "chosen engine:   %s@." chosen;
+      (Some est, Some src, chosen)
+    | _ ->
+      Format.fprintf ppf "(plan is not a single pattern; steps run navigationally)@.";
+      (None, None, "navigation")
+  in
+  let compiled = Executor.prepare exec ?strategy ~optimize ?use_cache (Executor.Query query) in
+  Format.fprintf ppf "plan cache:      %s@." (Executor.cache_status_label compiled.Executor.cache);
+  Format.fprintf ppf "physical plan:@.%a@." Physical_plan.pp compiled.Executor.physical;
+  {
+    rendered = Buffer.contents buffer;
+    cache = compiled.Executor.cache;
+    estimate;
+    estimate_source;
+    chosen;
+    physical = compiled.Executor.physical;
+  }
 
 let pp_table ppf rows =
   let opt_str f = function Some v -> f v | None -> "-" in

@@ -2,9 +2,9 @@
     [xqp explain --analyze].
 
     A profile is a list of {!row}s, one per plan operator, in execution
-    order (an operator's base precedes it). {!rows_of_plan} produces the
-    static half — operator labels and estimated cardinalities from the
-    cost model; {!analyze} runs the plan under the default tracer and
+    order (an operator's base precedes it). {!rows_of_physical} produces
+    the static half — operator labels, bound engines and the planner's
+    estimated cardinalities; {!analyze} runs the plan under the default tracer and
     joins the recorded spans onto those rows by operator path, adding
     actual cardinality, wall-clock time and the I/O counter deltas. *)
 
@@ -21,13 +21,6 @@ type row = {
   io : (string * int) list;   (** nonzero storage-counter deltas, e.g.
                                   [("pager.logical_reads", 410)] *)
 }
-
-val rows_of_plan :
-  Statistics.t -> ?context_card:int -> Xqp_algebra.Logical_plan.t -> row list
-(** Estimate-only rows for a {e logical} plan in execution order;
-    [engine] is the cost model's choice, [actual_rows]/[time_ms] are
-    empty and [io] is [[]]. Prefer {!rows_of_physical} when a compiled
-    plan is available. *)
 
 val rows_of_physical : Physical_plan.t -> row list
 (** Static rows read off a compiled plan: [engine] is the τ's bound
@@ -53,6 +46,28 @@ val analyze :
   Xqp_xml.Document.node list * row list
 (** {!Executor.compile} (with [context_card] from the context length)
     followed by {!analyze_physical}. *)
+
+type explain = {
+  rendered : string;  (** the human-readable report *)
+  cache : Executor.cache_status;
+      (** whether {e this} compilation hit the shared plan cache *)
+  estimate : float option;       (** estimated result rows (single-pattern plans) *)
+  estimate_source : string option;  (** provenance: ["exact"]/["bound"]/["stats"] *)
+  chosen : string;               (** cost-model engine choice, or ["navigation"] *)
+  physical : Physical_plan.t;    (** the plan a query with the same options executes *)
+}
+
+val explain :
+  Executor.t -> ?strategy:Executor.strategy -> ?optimize:bool -> ?use_cache:bool ->
+  ?rewrites:bool -> string -> explain
+(** The one explain report, behind [xqp explain] and [Session.explain]:
+    parsed and optimized plans (plus each rewrite rule that fired, when
+    [rewrites] is set), pattern graph, NoK partition, estimated rows
+    with provenance, per-engine costs and the chosen engine, then this
+    call's plan-cache outcome and the physical plan, compiled through
+    {!Executor.prepare} with the same options a query takes ([optimize]
+    default true).
+    @raise Xqp_xpath.Parser.Parse_error on malformed input. *)
 
 val pp_table : Format.formatter -> row list -> unit
 (** Render rows as an aligned table (est/actual/time/IO columns are shown

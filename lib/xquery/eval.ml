@@ -27,8 +27,9 @@ let result_string exec value =
    FLWOR binding; the plan cache (keyed by the raw plan's fingerprint)
    makes the rewrite + planning a one-time cost per distinct path. *)
 let run_path exec strategy deadline plan ~context =
-  let physical = Executor.compile_plan exec ~strategy ~optimize:true plan in
-  let nodes = Executor.run_physical exec ?deadline physical ~context in
+  let nodes =
+    Executor.execute exec ~strategy ~optimize:true ?deadline ~context (Executor.Plan plan)
+  in
   (* the virtual document node may flow out of a bare "/" *)
   List.map
     (fun id -> if id = Ops.document_context then Doc.root (Executor.doc exec) else id)

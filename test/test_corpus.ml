@@ -234,6 +234,27 @@ let test_explain_and_single_doc_unchanged () =
           | None -> Alcotest.fail "no estimate");
           Alcotest.(check (option string)) "exact source" (Some "exact") e.Session.estimate_source))
 
+(* A corpus session's [document] is the planner's placeholder: early-exit
+   answers must come from the scatter-gather run, not from it. *)
+let test_first_and_exists () =
+  with_temp_dir (fun dir ->
+      let docs = corpus_docs 3 in
+      let path = pack_docs ~dir ~shards:2 docs in
+      let session = Result.get_ok (Session.open_db path) in
+      Fun.protect
+        ~finally:(fun () -> Session.close session)
+        (fun () ->
+          List.iter
+            (fun q ->
+              let nodes = Result.get_ok (Session.query session q) in
+              Alcotest.(check bool) ("exists " ^ q) (nodes <> [])
+                (Result.get_ok (Session.exists session q));
+              Alcotest.(check (option int)) ("first " ^ q) (List.nth_opt nodes 0)
+                (Result.get_ok (Session.first session q)))
+            queries;
+          Alcotest.(check bool) "//item/name answers" true
+            (Result.get_ok (Session.exists session "//item/name"))))
+
 module Check = Xqp_analysis.Store_check
 module Diag = Xqp_analysis.Diagnostic
 
@@ -308,6 +329,7 @@ let suite =
         Alcotest.test_case "explain plans off the merged summary" `Quick
           test_explain_and_single_doc_unchanged;
         Alcotest.test_case "fsck validates catalogs and shards" `Quick test_catalog_fsck;
+        Alcotest.test_case "first and exists answer from the corpus" `Quick test_first_and_exists;
         qcheck prop_scatter_equals_serial;
       ] );
   ]

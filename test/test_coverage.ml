@@ -200,14 +200,16 @@ let test_engine_stats_records () =
   let store = Xqp_storage.Succinct_store.of_document doc in
   let _, nk = Nok.match_pattern_with_stats doc store pattern ~context in
   check_bool "nok visited" true (nk.Nok.nodes_visited > 0);
-  let books = Array.of_list (Executor.query (Executor.create doc) "//book") in
-  let titles = Array.of_list (Executor.query (Executor.create doc) "//title") in
+  let books = Array.of_list (Executor.execute (Executor.create doc) (Executor.Query "//book")) in
+  let titles = Array.of_list (Executor.execute (Executor.create doc) (Executor.Query "//title")) in
   let pairs, sj = Structural_join.join_with_stats doc Pattern_graph.Child books titles in
   check_int "sj pairs" 2 (List.length pairs);
   check_int "sj emitted" 2 sj.Structural_join.pairs_emitted;
   check_bool "sj scanned" true (sj.Structural_join.ancestors_scanned = 2);
   (* sibling join through the Following_sibling relation *)
-  let authors = Array.of_list (Executor.query (Executor.create doc) "//author") in
+  let authors =
+    Array.of_list (Executor.execute (Executor.create doc) (Executor.Query "//author"))
+  in
   let sib = Structural_join.join doc Pattern_graph.Following_sibling titles authors in
   check_int "title before authors" 3 (List.length sib)
 
@@ -287,7 +289,7 @@ let test_executor_plumbing () =
     (Executor.Reference :: Executor.Auto :: Executor.all_strategies);
   (* a mixed plan: Tpm base with a trailing parent step *)
   let plan = Rewrite.optimize (Xqp_xpath.Parser.parse "/bib/book/title/..") in
-  let result = Executor.run exec plan ~context:[ Operators.document_context ] in
+  let result = Executor.execute exec (Executor.Plan plan) in
   check_int "titles' parents are books" 2 (List.length result);
   ignore (Executor.content_index exec);
   (* Eval extras *)
@@ -346,27 +348,30 @@ let test_streaming_attr_predicate () =
   check_bool "equals reference" true (Streaming.run_string pattern source = reference)
 
 (* ------------------------------------------------------------------ *)
-(* The Xqp facade                                                      *)
+(* The session API end to end                                          *)
 (* ------------------------------------------------------------------ *)
 
 let test_facade () =
-  let db = Xqp.of_string bib_source in
-  let titles = Xqp.query db "//book/title" in
+  let module Session = Xqp.Session in
+  let get = function Ok v -> v | Error e -> Alcotest.fail (Xqp.Error.message e) in
+  let db = get (Session.of_string bib_source) in
+  let titles = get (Session.query db "//book/title") in
   check_int "query" 2 (List.length titles);
   check_bool "engine override agrees" true
-    (Xqp.query ~engine:Xqp.Physical.Executor.Nok db "//book/title" = titles);
-  check_bool "exists" true (Xqp.query_exists db "//author");
-  check_bool "not exists" false (Xqp.query_exists db "//nothing");
-  check_bool "first" true (Xqp.query_first db "//title" = List.nth_opt titles 0);
-  check_string "text" "TCP/IP Illustrated" (Xqp.text db (List.hd titles));
-  check_bool "to_xml" true (contains (Xqp.to_xml db titles) "<title>");
-  check_string "xquery" "2" (Xqp.xquery_string db "count(//book)");
-  check_bool "explain mentions engine" true (contains (Xqp.explain db "//book[author]/title") "chosen:");
-  (* save / reload roundtrip through the facade *)
+    (get (Session.query ~engine:Xqp.Physical.Executor.Nok db "//book/title") = titles);
+  check_bool "exists" true (get (Session.exists db "//author"));
+  check_bool "not exists" false (get (Session.exists db "//nothing"));
+  check_bool "first" true (get (Session.first db "//title") = List.nth_opt titles 0);
+  check_string "text" "TCP/IP Illustrated" (Session.text db (List.hd titles));
+  check_bool "to_xml" true (contains (Session.to_xml db titles) "<title>");
+  check_string "xquery" "2" (get (Session.xquery_string db "count(//book)"));
+  check_bool "explain mentions engine" true
+    (contains (get (Session.explain db "//book[author]/title")).Session.rendered "chosen engine:");
+  (* save / reload roundtrip through the session API *)
   let path = Filename.temp_file "xqp_facade" ".xqdb" in
-  Xqp.save db path;
-  let db2 = Xqp.of_file path in
-  check_int "reloaded query" 2 (List.length (Xqp.query db2 "//book/title"));
+  Session.save db path;
+  let db2 = get (Session.open_db path) in
+  check_int "reloaded query" 2 (List.length (get (Session.query db2 "//book/title")));
   Sys.remove path
 
 let suite =

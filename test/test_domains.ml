@@ -212,7 +212,7 @@ let test_executors_across_domains () =
   let queries_b = [ "/bib/book/title"; "//author//last"; "/bib//year" ] in
   let baseline doc qs =
     let exec = Executor.create doc in
-    List.map (fun q -> List.length (Executor.query exec q)) qs
+    List.map (fun q -> List.length (Executor.execute exec (Executor.Query q))) qs
   in
   let base_a = baseline doc_a queries_a in
   let base_b = baseline doc_b queries_b in
@@ -222,7 +222,7 @@ let test_executors_across_domains () =
         let counts = ref [] in
         (* repeat so later rounds hit the shared plan cache *)
         for _ = 1 to 5 do
-          counts := List.map (fun q -> List.length (Executor.query exec q)) qs
+          counts := List.map (fun q -> List.length (Executor.execute exec (Executor.Query q))) qs
         done;
         !counts)
   in

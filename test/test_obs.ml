@@ -1,6 +1,6 @@
 (* Tests for xqp_obs (json, metrics, trace, export) and its integration:
    span nesting invariants under random workloads, zero allocation while
-   disabled, Chrome trace round-trips, profile actuals vs Executor.run,
+   disabled, Chrome trace round-trips, profile actuals vs Executor.execute,
    pager reset semantics and rewrite tracing. *)
 
 open Xqp_obs
@@ -427,7 +427,7 @@ let test_analyze_matches_run () =
   List.iter
     (fun (q : Queries.query) ->
       let plan = Rewrite.optimize (Xqp_xpath.Parser.parse q.Queries.xpath) in
-      let expected = Executor.run exec plan ~context in
+      let expected = Executor.execute exec ~context (Executor.Plan plan) in
       let actual, rows = Profile.analyze exec plan ~context in
       check_bool (q.Queries.id ^ " same nodes") true (expected = actual);
       (* rows come in execution order: the last row is the whole plan *)
@@ -505,7 +505,10 @@ let test_metric_emission_from_engines () =
   let c = Metrics.counter Metrics.default "engine.navigation.nodes_visited" in
   let before = Metrics.value c in
   let exec = auction_exec () in
-  let _ = Executor.query exec ~strategy:Executor.Navigation "/site/people/person/name" in
+  let _ =
+    Executor.execute exec ~strategy:Executor.Navigation
+      (Executor.Query "/site/people/person/name")
+  in
   check_bool "navigation emitted nodes_visited" true (Metrics.value c > before)
 
 let suite =

@@ -218,7 +218,8 @@ let corpus_templates =
   ]
 
 let plan_text s q =
-  Format.asprintf "%a" Pp.pp (Executor.compile_query (Session.executor s) ~use_cache:false q)
+  Format.asprintf "%a" Pp.pp
+    (Executor.prepare (Session.executor s) ~use_cache:false (Executor.Query q)).Executor.physical
 
 let test_plans_identical () =
   with_pair (fun ~dir:_ ~path:_ parsed opened ->

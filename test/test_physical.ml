@@ -263,11 +263,13 @@ let test_executor_queries_all_strategies () =
   let exec = Executor.create doc in
   List.iter
     (fun (q, expected_count) ->
-      let reference = Executor.query exec ~strategy:Executor.Reference ~optimize:true q in
+      let reference =
+        Executor.execute exec ~strategy:Executor.Reference ~optimize:true (Executor.Query q)
+      in
       check_int (q ^ " count") expected_count (List.length reference);
       List.iter
         (fun strategy ->
-          let result = Executor.query exec ~strategy q in
+          let result = Executor.execute exec ~strategy (Executor.Query q) in
           if result <> reference then
             Alcotest.failf "%s: strategy %s disagrees (%d vs %d nodes)" q
               (Executor.strategy_name strategy) (List.length result) (List.length reference))
@@ -279,8 +281,8 @@ let test_executor_unoptimized_agrees () =
   let exec = Executor.create doc in
   List.iter
     (fun (q, _) ->
-      let opt = Executor.query exec ~optimize:true q in
-      let unopt = Executor.query exec ~optimize:false q in
+      let opt = Executor.execute exec ~optimize:true (Executor.Query q) in
+      let unopt = Executor.execute exec ~optimize:false (Executor.Query q) in
       if opt <> unopt then Alcotest.failf "%s: optimized plan changed the result" q)
     queries
 
@@ -298,7 +300,10 @@ let prop_rewrite_preserves_results =
       let plan = Xqp_xpath.Parser.parse q in
       let context = [ Operators.document_context ] in
       let naive = Navigation.eval_plan doc (Rewrite.simplify plan) ~context in
-      let optimized = Executor.run exec ~strategy:Executor.Reference (Rewrite.optimize plan) ~context in
+      let optimized =
+        Executor.execute exec ~strategy:Executor.Reference ~context
+          (Executor.Plan (Rewrite.optimize plan))
+      in
       naive = optimized)
 
 (* ------------------------------------------------------------------ *)
@@ -587,7 +592,8 @@ let prop_random_plans_all_strategies =
       let expected = Navigation.eval_plan doc (Rewrite.simplify plan) ~context in
       let optimized = Rewrite.optimize plan in
       List.for_all
-        (fun strategy -> Executor.run exec ~strategy optimized ~context = expected)
+        (fun strategy ->
+          Executor.execute exec ~strategy ~context (Executor.Plan optimized) = expected)
         (Executor.Auto :: Executor.all_strategies))
 
 let prop_pipelined_take_prefix =

@@ -1,7 +1,7 @@
 (* Tests for the physical planning layer: Planner.compile determinism,
    compiled-plan execution against the reference engine, plan-cache
-   keying (hits/misses across documents, statistics versions and the
-   optimize flag), LRU eviction, and the strategy-name round-trip. *)
+   keying (hits/misses across documents, the optimize flag and the
+   strategy), LRU eviction, and the strategy-name round-trip. *)
 
 open Xqp_xml
 open Xqp_algebra
@@ -16,6 +16,9 @@ let misses () = M.value (M.counter M.default "plan_cache.misses")
 let evictions () = M.value (M.counter M.default "plan_cache.evictions")
 
 let auction = lazy (Xqp_workload.Gen_auction.packed ~scale:400 ())
+
+let uncached_plan exec ?strategy q =
+  (Executor.prepare exec ?strategy ~use_cache:false (Executor.Query q)).Executor.physical
 
 (* run [f] with the physical sort-checker enabled; the workload queries
    compiled in this suite must all pass it *)
@@ -51,7 +54,7 @@ let test_compile_resolves_auto () =
   let exec = Executor.create (Lazy.force auction) in
   List.iter
     (fun q ->
-      let physical = Executor.compile_query exec ~use_cache:false q in
+      let physical = uncached_plan exec q in
       List.iter
         (fun (tau : Physical_plan.tau) ->
           (* tau_engine has no Auto constructor; check the strategy
@@ -88,7 +91,9 @@ let test_unsupported_explicit_strategy_falls_back () =
         (Physical_plan.engine_strategy tau.Physical_plan.engine = Physical_plan.Twigstack))
     (Physical_plan.taus physical);
   let context = [ Operators.document_context ] in
-  let reference = Executor.run exec ~strategy:Executor.Reference plan ~context in
+  let reference =
+    Executor.execute exec ~strategy:Executor.Reference ~context (Executor.Plan plan)
+  in
   check_bool "fallback result = reference" true
     (Executor.run_physical exec physical ~context = reference)
 
@@ -101,12 +106,12 @@ let test_compiled_plans_agree () =
   let context = [ Operators.document_context ] in
   List.iter
     (fun q ->
-      let reference = Executor.query exec ~strategy:Executor.Reference q in
+      let reference = Executor.execute exec ~strategy:Executor.Reference (Executor.Query q) in
       List.iter
         (fun strategy ->
-          let physical = Executor.compile_query exec ~strategy ~use_cache:false q in
+          let physical = uncached_plan exec ~strategy q in
           let via_ir = Executor.run_physical exec physical ~context in
-          let via_query = Executor.query exec ~strategy ~use_cache:false q in
+          let via_query = Executor.execute exec ~strategy ~use_cache:false (Executor.Query q) in
           check_bool
             (Printf.sprintf "compiled %s on %s = reference" (Executor.strategy_name strategy) q)
             true (via_ir = reference);
@@ -130,11 +135,11 @@ let rec has_empty (p : Physical_plan.t) =
 let test_empty_path_set_compiles_to_empty () =
   let exec = Executor.create (Lazy.force auction) in
   (* /site/people has person children, never item: no instance path *)
-  let physical = Executor.compile_query exec ~use_cache:false "/site/people/item" in
+  let physical = uncached_plan exec "/site/people/item" in
   check_bool "proven-empty query compiles to Empty" true (has_empty physical);
   check_bool "Empty executes to []" true
     (Executor.run_physical exec physical ~context:[ Operators.document_context ] = []);
-  let live = Executor.compile_query exec ~use_cache:false "/site/people/person" in
+  let live = uncached_plan exec "/site/people/person" in
   check_bool "satisfiable sibling query is not pruned" false (has_empty live)
 
 let prop_summary_bounds_sound =
@@ -157,9 +162,8 @@ let prop_summary_bounds_sound =
       List.for_all
         (fun pattern ->
           let actual =
-            Executor.run exec ~strategy:Executor.Reference
-              (Logical_plan.Tpm (Logical_plan.Context, pattern))
-              ~context
+            Executor.execute exec ~strategy:Executor.Reference ~context
+              (Executor.Plan (Logical_plan.Tpm (Logical_plan.Context, pattern)))
             |> List.sort_uniq compare |> List.length
           in
           let bound_ok =
@@ -181,9 +185,9 @@ let test_cache_same_query_hits () =
   let exec = Executor.create (Lazy.force auction) in
   let q = "//person[profile/@income > 60000]/name" in
   let h0 = hits () and m0 = misses () in
-  let p1 = Executor.compile_query exec q in
+  let p1 = (Executor.prepare exec (Executor.Query q)).Executor.physical in
   check_int "first compile misses" 1 (misses () - m0);
-  let p2 = Executor.compile_query exec q in
+  let p2 = (Executor.prepare exec (Executor.Query q)).Executor.physical in
   check_int "second compile hits" 1 (hits () - h0);
   check_int "no further miss" 1 (misses () - m0);
   check_bool "cached plan is the same plan" true (Physical_plan.equal p1 p2)
@@ -193,58 +197,28 @@ let test_cache_distinguishes_documents () =
   let exec1 = Executor.create doc and exec2 = Executor.create doc in
   let q = "//item/name" in
   let m0 = misses () in
-  ignore (Executor.compile_query exec1 q);
-  ignore (Executor.compile_query exec2 q);
+  ignore (Executor.prepare exec1 (Executor.Query q));
+  ignore (Executor.prepare exec2 (Executor.Query q));
   (* same document contents, different executor identity: both miss *)
   check_int "each executor misses once" 2 (misses () - m0)
-
-let test_cache_invalidated_by_stats_refresh () =
-  let exec = Executor.create (Lazy.force auction) in
-  let q = "//open_auction[bidder/increase > 20]/current" in
-  ignore (Executor.compile_query exec q);
-  let h0 = hits () and m0 = misses () in
-  ignore (Executor.compile_query exec q);
-  check_int "warm hit before refresh" 1 (hits () - h0);
-  let v0 = Executor.stats_version exec in
-  Executor.refresh_statistics exec;
-  check_int "stats version bumped" (v0 + 1) (Executor.stats_version exec);
-  ignore (Executor.compile_query exec q);
-  check_int "refresh invalidates the entry" 1 (misses () - m0)
-
-let test_summary_rebuild_spares_unrelated_entries () =
-  (* refresh_statistics rebuilds the path summary and bumps the stats
-     version: the refreshed executor's entries go stale, entries keyed to
-     other executors survive untouched *)
-  let doc = Lazy.force auction in
-  let exec1 = Executor.create doc and exec2 = Executor.create doc in
-  let q = "//item/name" in
-  ignore (Executor.compile_query exec1 q);
-  ignore (Executor.compile_query exec2 q);
-  Executor.refresh_statistics exec1;
-  let h0 = hits () and m0 = misses () in
-  ignore (Executor.compile_query exec1 q);
-  check_int "rebuilt summary forces a recompile" 1 (misses () - m0);
-  ignore (Executor.compile_query exec2 q);
-  check_int "unrelated executor's entry still hits" 1 (hits () - h0);
-  check_int "no extra miss for the survivor" 1 (misses () - m0)
 
 let test_cache_distinguishes_optimize_flag () =
   let exec = Executor.create (Lazy.force auction) in
   let q = "/site/people/person[address]/name" in
   let m0 = misses () in
-  ignore (Executor.compile_query exec ~optimize:true q);
-  ignore (Executor.compile_query exec ~optimize:false q);
+  ignore (Executor.prepare exec ~optimize:true (Executor.Query q));
+  ignore (Executor.prepare exec ~optimize:false (Executor.Query q));
   check_int "optimize flag is part of the key" 2 (misses () - m0);
   let m1 = misses () in
-  ignore (Executor.compile_query exec ~strategy:Executor.Nok q);
+  ignore (Executor.prepare exec ~strategy:Executor.Nok (Executor.Query q));
   check_int "strategy is part of the key" 1 (misses () - m1)
 
 let test_cache_bypass () =
   let exec = Executor.create (Lazy.force auction) in
   let q = "//description//listitem//text" in
-  ignore (Executor.compile_query exec q);
+  ignore (Executor.prepare exec (Executor.Query q));
   let h0 = hits () and m0 = misses () in
-  ignore (Executor.compile_query exec ~use_cache:false q);
+  ignore (Executor.prepare exec ~use_cache:false (Executor.Query q));
   check_int "bypass counts no hit" 0 (hits () - h0);
   check_int "bypass counts no miss" 0 (misses () - m0)
 
@@ -315,10 +289,6 @@ let suite =
       [
         Alcotest.test_case "same query hits" `Quick test_cache_same_query_hits;
         Alcotest.test_case "different documents miss" `Quick test_cache_distinguishes_documents;
-        Alcotest.test_case "statistics refresh invalidates" `Quick
-          test_cache_invalidated_by_stats_refresh;
-        Alcotest.test_case "summary rebuild spares unrelated entries" `Quick
-          test_summary_rebuild_spares_unrelated_entries;
         Alcotest.test_case "optimize flag and strategy key" `Quick
           test_cache_distinguishes_optimize_flag;
         Alcotest.test_case "use_cache:false bypasses" `Quick test_cache_bypass;

@@ -339,6 +339,53 @@ let test_keep_alive_connection () =
           check_int "one connection accepted" 1 (v "serve.accepted" - accepted0);
           check_int "three requests served" 3 (v "serve.requests" - requests0)))
 
+(* A body over the 1 MiB limit is refused with a structured 413, and a
+   malformed Content-Length with a 400; either way the connection closes
+   unread: the body bytes (here shaped like a request) and the GET after
+   them must not be answered as further requests. *)
+let test_oversized_body_refused () =
+  let session = bib_session () in
+  with_server session (fun server ->
+      let exchange content_length =
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () ->
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+            Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+            let get = Printf.sprintf "GET %s HTTP/1.1\r\nHost: l\r\n\r\n" (query_url "//book") in
+            let request =
+              Printf.sprintf "POST /query HTTP/1.1\r\nHost: l\r\nContent-Length: %s\r\n\r\n%s%s"
+                content_length get get
+            in
+            ignore (Unix.write_substring fd request 0 (String.length request));
+            let buf = Buffer.create 1024 and chunk = Bytes.create 4096 in
+            let rec recv () =
+              match Unix.read fd chunk 0 4096 with
+              | n when n > 0 ->
+                Buffer.add_subbytes buf chunk 0 n;
+                recv ()
+              | _ | (exception Unix.Unix_error _) -> ()
+            in
+            recv ();
+            let raw = Buffer.contents buf in
+            let responses =
+              String.split_on_char '\n' raw
+              |> List.filter (String.starts_with ~prefix:"HTTP/1.1 ")
+              |> List.length
+            in
+            check_int (content_length ^ ": exactly one response") 1 responses;
+            let body =
+              match String.index_opt raw '{' with
+              | Some i -> String.sub raw i (String.length raw - i)
+              | None -> ""
+            in
+            (String.sub raw 9 3, Error.code (decode_error body)))
+      in
+      check_bool "oversized: 413 payload-too-large" true
+        (exchange (string_of_int (2 * 1_048_576)) = ("413", "payload-too-large"));
+      check_bool "malformed: 400 bad-request" true (exchange "12x" = ("400", "bad-request")))
+
 let test_graceful_shutdown_drains () =
   let session = bib_session () in
   let config = { Server.default_config with Server.domains = 2 } in
@@ -614,24 +661,26 @@ let test_explain_reports_cache_and_estimate () =
       let rec go i = i + n <= m && (String.sub rendered i n = needle || go (i + 1)) in
       go 0
     in
-    has "plan cache:" && has "chosen:")
+    has "plan cache:" && has "chosen engine:")
 
-let test_legacy_facade_wrappers () =
-  let db = Xqp.of_string "<bib><book><title>T</title></book></bib>" in
-  check_int "legacy query" 1 (List.length (Xqp.query db "//title"));
-  check_bool "legacy exists" true (Xqp.query_exists db "//book");
-  check_string "legacy xquery" "1" (Xqp.xquery_string db "count(//book)");
-  (match Xqp.query db "//book[" with
-  | exception Xqp_xpath.Parser.Parse_error _ -> ()
-  | _ -> Alcotest.fail "legacy query must raise Parse_error");
-  let explained = Xqp.explain db "//book/title" in
-  check_bool "legacy explain has chosen engine" true
+let test_first_and_exists () =
+  let db = Result.get_ok (Session.of_string "<bib><book><title>T</title></book></bib>") in
+  let titles = Result.get_ok (Session.query db "//title") in
+  check_int "query" 1 (List.length titles);
+  check_bool "exists" true (Result.get_ok (Session.exists db "//book"));
+  check_bool "first" true (Result.get_ok (Session.first db "//title") = List.nth_opt titles 0);
+  check_string "xquery" "1" (Result.get_ok (Session.xquery_string db "count(//book)"));
+  (match (Session.query db "//book[", Session.first db "//book[", Session.exists db "//book[") with
+  | Error (Error.Parse _), Error (Error.Parse _), Error (Error.Parse _) -> ()
+  | _ -> Alcotest.fail "malformed queries must answer Error (Parse _)");
+  let explained = (Result.get_ok (Session.explain db "//book/title")).Session.rendered in
+  check_bool "explain has chosen engine" true
     (let has needle =
        let n = String.length needle and m = String.length explained in
        let rec go i = i + n <= m && (String.sub explained i n = needle || go (i + 1)) in
        go 0
      in
-     has "chosen:")
+     has "chosen engine:")
 
 (* --- the response schema ---------------------------------------------- *)
 
@@ -695,6 +744,7 @@ let suite =
           test_admission_rejects_when_full;
         Alcotest.test_case "keep-alive serves several requests per connection" `Quick
           test_keep_alive_connection;
+        Alcotest.test_case "oversized body refused with 413" `Quick test_oversized_body_refused;
         Alcotest.test_case "graceful shutdown drains" `Quick test_graceful_shutdown_drains;
         Alcotest.test_case "health and metrics endpoints" `Quick test_health_and_metrics;
         Alcotest.test_case "request ids echoed and distinct" `Quick test_request_id_echo;
@@ -713,7 +763,7 @@ let suite =
           test_session_run_metadata;
         Alcotest.test_case "explain reports cache and estimate provenance" `Quick
           test_explain_reports_cache_and_estimate;
-        Alcotest.test_case "legacy facade wrappers" `Quick test_legacy_facade_wrappers;
+        Alcotest.test_case "first and exists" `Quick test_first_and_exists;
       ] );
     ( "response",
       [

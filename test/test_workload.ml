@@ -85,7 +85,7 @@ let test_auction_shape_and_scale () =
     [ 1_000; 5_000; 20_000 ];
   let doc = Gen_auction.packed ~scale:5_000 () in
   let exec = Xqp_physical.Executor.create doc in
-  let count q = List.length (Xqp_physical.Executor.query exec q) in
+  let count q = List.length (Xqp_physical.Executor.execute exec (Xqp_physical.Executor.Query q)) in
   check_bool "has items" true (count "//item" > 0);
   check_bool "has people" true (count "//person" > 0);
   check_bool "has bidders" true (count "//open_auction/bidder" > 0);
@@ -100,7 +100,7 @@ let test_dblp_shape () =
   check_bool "deterministic" true (Tree.equal tree (Gen_dblp.document ~publications:100 ()));
   let doc = Document.of_tree tree in
   let exec = Xqp_physical.Executor.create doc in
-  let count q = List.length (Xqp_physical.Executor.query exec q) in
+  let count q = List.length (Xqp_physical.Executor.execute exec (Xqp_physical.Executor.Query q)) in
   check_bool "has authors" true (count "//author" >= 100);
   check_int "titles" 100 (count "//title");
   check_bool "both kinds" true (count "//article" > 0 && count "//inproceedings" > 0);
@@ -177,7 +177,10 @@ let test_queries_nonempty_results () =
   let exec = Xqp_physical.Executor.create doc in
   List.iter
     (fun q ->
-      let n = List.length (Xqp_physical.Executor.query exec q.Queries.xpath) in
+      let n =
+        List.length
+          (Xqp_physical.Executor.execute exec (Xqp_physical.Executor.Query q.Queries.xpath))
+      in
       if n = 0 then Alcotest.failf "%s returns nothing" q.Queries.id)
     (Queries.auction_paths @ Queries.auction_complexity_sweep)
 
