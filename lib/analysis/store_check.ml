@@ -43,6 +43,8 @@ let check_bytes s =
         header_err "negative count field";
       if l.Io.tag_width <> 1 && l.Io.tag_width <> 2 then header_err "tag width %d (expected 1 or 2)" l.Io.tag_width;
       if !header_ok then begin
+        if l.Io.symbol_count > 1 lsl (8 * l.Io.tag_width) then
+          header_err "%d symbols exceed what %d-byte tags address" l.Io.symbol_count l.Io.tag_width;
         if l.Io.structure_bit_len <> 2 * l.Io.node_count then
           header_err "structure is %d bits for %d nodes (expected %d)" l.Io.structure_bit_len
             l.Io.node_count (2 * l.Io.node_count);
@@ -82,9 +84,7 @@ let check_bytes s =
           end
           else
             Some
-              (Bitvector.of_packed_bytes
-                 (Bytes.of_string (String.sub s l.Io.structure_off l.Io.structure_byte_len))
-                 l.Io.structure_bit_len)
+              (Bitvector.of_packed_string s ~off:l.Io.structure_off ~len:l.Io.structure_bit_len)
         in
         (match structure with
         | None -> ()
@@ -175,9 +175,7 @@ let check_bytes s =
         let flags =
           if have l.Io.flags_off l.Io.flags_byte_len then
             Some
-              (Bitvector.of_packed_bytes
-                 (Bytes.of_string (String.sub s l.Io.flags_off l.Io.flags_byte_len))
-                 l.Io.flags_bit_len)
+              (Bitvector.of_packed_string s ~off:l.Io.flags_off ~len:l.Io.flags_bit_len)
           else begin
             report
               (D.error ~path:[ "flags" ] ~code:"layout/size" "flag section lies outside the file");

@@ -128,12 +128,14 @@ let pop32 x =
 
 let pop_word bits off = pop32 (read32 bits off) + pop32 (read32 bits (off + 4))
 
-let build b =
-  let len = b.blen in
+(* Freeze [len] bits into a fresh zero-filled payload padded to whole
+   words: [fill bits nbytes] copies the [nbytes] payload bytes in, then
+   the rank directory is computed over them. *)
+let freeze len fill =
   let nbytes = (len + 7) lsr 3 in
   let padded = ((nbytes + 7) lsr 3) lsl 3 in
   let bits = Bytes.make padded '\000' in
-  Bytes.blit b.buf 0 bits 0 nbytes;
+  fill bits nbytes;
   (* Mask the trailing bits beyond [len]: with deterministic zero padding
      the representation is canonical, which makes [equal] a word compare
      and word popcounts exact. *)
@@ -153,6 +155,8 @@ let build b =
   done;
   super.(nsuper) <- !running;
   { bits; len; super; sub; total = !running }
+
+let build b = freeze b.blen (fun bits nbytes -> Bytes.blit b.buf 0 bits 0 nbytes)
 
 let of_bools bools =
   let b = builder () in
@@ -288,15 +292,10 @@ let sub t off len =
   append_slice b t off len;
   build b
 
-let to_packed_bytes t = (Bytes.sub t.bits 0 ((t.len + 7) lsr 3), t.len)
-
-let of_packed_bytes bytes len =
-  if len < 0 || len > 8 * Bytes.length bytes then invalid_arg "Bitvector.of_packed_bytes";
-  let b = builder () in
-  ensure b (len + 8);
-  Bytes.blit bytes 0 b.buf 0 (min (Bytes.length bytes) ((len + 7) / 8));
-  b.blen <- len;
-  build b
+let of_packed_string s ~off ~len =
+  if len < 0 || off < 0 || off + ((len + 7) lsr 3) > String.length s then
+    invalid_arg "Bitvector.of_packed_string";
+  freeze len (fun bits nbytes -> Bytes.blit_string s off bits 0 nbytes)
 
 (* The representation is canonical (masked tail, zero padding, length-
    determined byte count), so equality is a word-wise payload compare. *)

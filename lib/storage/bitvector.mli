@@ -78,10 +78,8 @@ val sub : t -> int -> int -> t
 
 val equal : t -> t -> bool
 
-val to_packed_bytes : t -> Bytes.t * int
-(** [(bytes, len)]: the LSB-first payload (copied) and the bit length —
-    the serialization form. *)
-
-val of_packed_bytes : Bytes.t -> int -> t
-(** Rebuild from {!to_packed_bytes} output (rank directory recomputed).
-    @raise Invalid_argument if [len] exceeds the byte capacity. *)
+val of_packed_string : string -> off:int -> len:int -> t
+(** [of_packed_string s ~off ~len] reads [len] bits from the LSB-first
+    payload bytes of [s] starting at byte [off] — the serialization form —
+    with one copy (rank directory recomputed).
+    @raise Invalid_argument if the bytes run past the end of [s]. *)

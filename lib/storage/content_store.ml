@@ -13,6 +13,17 @@ let add b s =
 let build b =
   { blob = Buffer.contents b.buf; offsets = Array.of_list (List.rev b.rev_offsets) }
 
+let of_sections ~blob ~offsets =
+  let count = Array.length offsets - 1 in
+  if count < 0 || offsets.(0) <> 0 then invalid_arg "first offset is not 0";
+  for id = 0 to count - 1 do
+    if offsets.(id + 1) < offsets.(id) then invalid_arg "offsets decrease"
+  done;
+  if offsets.(count) <> String.length blob then invalid_arg "last offset does not close the blob";
+  { blob; offsets }
+
+let blob t = t.blob
+let offsets t = t.offsets
 let count t = Array.length t.offsets - 1
 
 let get t id =

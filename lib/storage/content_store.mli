@@ -15,6 +15,18 @@ val add : builder -> string -> int
 (** Append a string; returns its content id (dense, starting at 0). *)
 
 val build : builder -> t
+
+val of_sections : blob:string -> offsets:int array -> t
+(** Adopt a serialized table as is: [offsets] holds [count + 1] entries,
+    entry [i] to [i + 1] delimiting id [i] in [blob].
+    @raise Invalid_argument (naming the fault) unless the first offset is
+    0, offsets never decrease and the last one is the blob length. *)
+
+val blob : t -> string
+val offsets : t -> int array
+(** The table's own sections ({!of_sections}' inverse), shared: do not
+    mutate. *)
+
 val get : t -> int -> string
 (** @raise Invalid_argument on an unknown id. *)
 

@@ -28,15 +28,15 @@ let flag_bit t i = flag_byte t (i lsr 3) land (1 lsl (i land 7)) <> 0
 
 let open_store ?page_size ?pool_pages path =
   let pool = Buffer_pool.open_file ?page_size ?capacity:pool_pages path in
-  let layout = Store_io.read_layout pool path in
-  let symbols =
-    Array.init layout.Store_io.symbol_count (fun i ->
-        let base = layout.Store_io.symbol_offsets_off in
-        let start = Buffer_pool.read_i64 pool (base + (8 * i)) in
-        let stop = Buffer_pool.read_i64 pool (base + (8 * (i + 1))) in
-        Buffer_pool.read_string pool
-          ~off:(layout.Store_io.symbol_blob_off + start)
-          ~len:(stop - start))
+  let layout, symbols =
+    try
+      let layout = Store_io.read_layout pool path in
+      ( layout,
+        Store_io.read_symbols ~path ~read_i64:(Buffer_pool.read_i64 pool)
+          ~read_string:(Buffer_pool.read_string pool) layout )
+    with e ->
+      Buffer_pool.close pool;
+      raise e
   in
   let by_name = Hashtbl.create (Array.length symbols) in
   Array.iteri (fun i name -> Hashtbl.replace by_name name i) symbols;

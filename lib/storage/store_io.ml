@@ -7,7 +7,7 @@ let version = 4
      magic (8 bytes)          "XQPSTORE"
      version                  i64
      node_count n             i64
-     tag_width w              i64 (1 or 2)
+     tag_width w              i64 (1 up to 256 symbols, else 2)
      structure_bit_len        i64 (= 2n)
      structure_byte_len       i64
      flags_bit_len            i64 (= n)
@@ -111,108 +111,84 @@ let layout_of_fields ~node_count ~tag_width ~structure_bit_len ~structure_byte_l
     psum_off;
   }
 
-(* Rebuild the path summary from the raw sections — a single pass over the
-   balanced-parentheses bits driving the builder with the store labels. Used
-   by [save] (to serialize it) and by [load] (to cross-check the serialized
-   copy, like the excess directory). *)
-let summary_of_raw (raw : Succinct_store.raw) =
+(* The path summary from one walk over the store's structure bits and
+   tags, driving the builder with the store labels. Used by [to_bytes] (to
+   serialize it) and by [load] (to cross-check the serialized copy, like
+   the excess directory). *)
+let summary_of_store store =
+  let symtab = Succinct_store.symtab store in
+  let labels = Array.init (Xqp_xml.Symtab.cardinal symtab) (Xqp_xml.Symtab.name symtab) in
   let b = Path_summary.Builder.create () in
-  let bits = Bitvector.length raw.Succinct_store.structure in
-  let rank = ref 0 in
-  for i = 0 to bits - 1 do
-    if Bitvector.get raw.Succinct_store.structure i then begin
-      Path_summary.Builder.open_node b
-        raw.Succinct_store.symbols.(raw.Succinct_store.tag_ids.(!rank));
-      incr rank
-    end
-    else Path_summary.Builder.close_node b
-  done;
+  Succinct_store.scan store
+    ~open_node:(fun _ tag -> Path_summary.Builder.open_node b labels.(tag))
+    ~close_node:(fun () -> Path_summary.Builder.close_node b);
   Path_summary.Builder.finish b
 
-let summary_of_store store = summary_of_raw (Succinct_store.to_raw store)
+let summary_rows store =
+  let symtab = Succinct_store.symtab store in
+  Path_summary.to_rows (summary_of_store store) ~label_id:(fun label ->
+      match Xqp_xml.Symtab.find_opt symtab label with Some id -> id | None -> raise Not_found)
 
 (* --- writing ----------------------------------------------------------- *)
 
-let buf_i64 buf v =
-  for shift = 0 to 7 do
-    Buffer.add_char buf (Char.chr ((v lsr (8 * shift)) land 0xFF))
-  done
+let buf_i64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
+let packed_len bits = (Bitvector.length bits + 7) / 8
 
-let buf_i16 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF))
+(* A string table: its offsets, then its blob. *)
+let buf_table buf table =
+  Array.iter (buf_i64 buf) (Content_store.offsets table);
+  Buffer.add_string buf (Content_store.blob table)
 
-let blob_of arr =
-  let buffer = Buffer.create 256 in
-  let offsets = Array.make (Array.length arr + 1) 0 in
-  Array.iteri
-    (fun i s ->
-      offsets.(i) <- Buffer.length buffer;
-      Buffer.add_string buffer s)
-    arr;
-  offsets.(Array.length arr) <- Buffer.length buffer;
-  (offsets, Buffer.contents buffer)
+let symbol_table symtab =
+  let b = Content_store.builder () in
+  Xqp_xml.Symtab.iter symtab (fun _ name -> ignore (Content_store.add b name));
+  Content_store.build b
 
+(* The store's own sections, written as it holds them. *)
 let to_bytes store =
-  let raw = Succinct_store.to_raw store in
-  let n = Array.length raw.Succinct_store.tag_ids in
-  let symbol_count = Array.length raw.Succinct_store.symbols in
-  let tag_width = if symbol_count <= 256 then 1 else 2 in
-  let structure_bytes, structure_bit_len =
-    Bitvector.to_packed_bytes raw.Succinct_store.structure
-  in
-  let flags_bytes, flags_bit_len = Bitvector.to_packed_bytes raw.Succinct_store.content_flags in
-  let symbol_offsets, symbol_blob = blob_of raw.Succinct_store.symbols in
-  let content_offsets, content_blob = blob_of raw.Succinct_store.contents in
-  let dir =
-    Excess_dir.create ~len:structure_bit_len ~byte:(fun i ->
-        Char.code (Bytes.get structure_bytes i))
-  in
-  let blk = Excess_dir.blocks dir in
-  let dir_block_count = dir_blocks_for structure_bit_len in
-  let flag_sample_count = flag_samples_for flags_bit_len in
-  let summary = summary_of_raw raw in
-  let label_ids = Hashtbl.create (max 16 symbol_count) in
-  Array.iteri (fun i s -> Hashtbl.replace label_ids s i) raw.Succinct_store.symbols;
-  let psum_rows = Path_summary.to_rows summary ~label_id:(Hashtbl.find label_ids) in
-  let buf = Buffer.create (4096 + (Bytes.length structure_bytes * 4)) in
+  let bp = Succinct_store.structure store in
+  let structure = Balanced_parens.bits bp in
+  let flags = Succinct_store.content_flags store in
+  let tags = Succinct_store.tag_bytes store in
+  let symbols = symbol_table (Succinct_store.symtab store) in
+  let contents = Succinct_store.contents store in
+  let blk = Excess_dir.blocks (Balanced_parens.directory bp) in
+  let dir_block_count = dir_blocks_for (Bitvector.length structure) in
+  let flag_sample_count = flag_samples_for (Bitvector.length flags) in
+  let psum_rows = summary_rows store in
+  let buf = Buffer.create (4096 + (packed_len structure * 4)) in
   Buffer.add_string buf magic;
-  buf_i64 buf version;
-  buf_i64 buf n;
-  buf_i64 buf tag_width;
-  buf_i64 buf structure_bit_len;
-  buf_i64 buf (Bytes.length structure_bytes);
-  buf_i64 buf flags_bit_len;
-  buf_i64 buf (Bytes.length flags_bytes);
-  buf_i64 buf symbol_count;
-  buf_i64 buf (String.length symbol_blob);
-  buf_i64 buf (Array.length raw.Succinct_store.contents);
-  buf_i64 buf (String.length content_blob);
-  buf_i64 buf dir_block_count;
-  buf_i64 buf flag_sample_count;
-  buf_i64 buf (Array.length psum_rows);
-  Buffer.add_bytes buf structure_bytes;
-  (* tag section *)
-  Array.iter
-    (fun tag ->
-      Buffer.add_char buf (Char.chr (tag land 0xFF));
-      if tag_width = 2 then Buffer.add_char buf (Char.chr ((tag lsr 8) land 0xFF)))
-    raw.Succinct_store.tag_ids;
-  Buffer.add_bytes buf flags_bytes;
-  Array.iter (buf_i64 buf) symbol_offsets;
-  Buffer.add_string buf symbol_blob;
-  Array.iter (buf_i64 buf) content_offsets;
-  Buffer.add_string buf content_blob;
+  List.iter (buf_i64 buf)
+    [
+      version;
+      Succinct_store.node_count store;
+      Succinct_store.tag_width store;
+      Bitvector.length structure;
+      packed_len structure;
+      Bitvector.length flags;
+      packed_len flags;
+      Content_store.count symbols;
+      String.length (Content_store.blob symbols);
+      Content_store.count contents;
+      String.length (Content_store.blob contents);
+      dir_block_count;
+      flag_sample_count;
+      Array.length psum_rows;
+    ];
+  Buffer.add_subbytes buf (Bitvector.raw_bytes structure) 0 (packed_len structure);
+  Buffer.add_bytes buf tags;
+  Buffer.add_subbytes buf (Bitvector.raw_bytes flags) 0 (packed_len flags);
+  buf_table buf symbols;
+  buf_table buf contents;
   for b = 0 to dir_block_count - 1 do
-    buf_i16 buf blk.Excess_dir.delta.(b);
-    buf_i16 buf blk.Excess_dir.fmin.(b);
-    buf_i16 buf blk.Excess_dir.fmax.(b);
-    buf_i16 buf blk.Excess_dir.bmin.(b);
-    buf_i16 buf blk.Excess_dir.bmax.(b)
+    Buffer.add_int16_le buf blk.Excess_dir.delta.(b);
+    Buffer.add_int16_le buf blk.Excess_dir.fmin.(b);
+    Buffer.add_int16_le buf blk.Excess_dir.fmax.(b);
+    Buffer.add_int16_le buf blk.Excess_dir.bmin.(b);
+    Buffer.add_int16_le buf blk.Excess_dir.bmax.(b)
   done;
   for s = 0 to flag_sample_count - 1 do
-    let boundary = min flags_bit_len (s * Excess_dir.block_bits) in
-    buf_i64 buf (Bitvector.rank1 raw.Succinct_store.content_flags boundary)
+    buf_i64 buf (Bitvector.rank1 flags (min (Bitvector.length flags) (s * Excess_dir.block_bits)))
   done;
   Array.iter
     (fun r ->
@@ -233,36 +209,6 @@ let save store path =
 
 let corrupt path what = failwith (Printf.sprintf "%s: corrupt store file (%s)" path what)
 
-let read_layout_from read_i64 ~path ~total_size =
-  let node_count = read_i64 8 in
-  let tag_width = read_i64 16 in
-  let structure_bit_len = read_i64 24 in
-  let structure_byte_len = read_i64 32 in
-  let flags_bit_len = read_i64 40 in
-  let flags_byte_len = read_i64 48 in
-  let symbol_count = read_i64 56 in
-  let symbol_blob_len = read_i64 64 in
-  let content_count = read_i64 72 in
-  let content_blob_len = read_i64 80 in
-  let dir_block_count = read_i64 88 in
-  let flag_sample_count = read_i64 96 in
-  let psum_count = read_i64 104 in
-  if node_count < 0 || symbol_count < 0 || content_count < 0 then corrupt path "negative count";
-  if tag_width <> 1 && tag_width <> 2 then corrupt path "bad tag width";
-  if structure_bit_len <> 2 * node_count then corrupt path "structure length";
-  if flags_bit_len <> node_count then corrupt path "flag length";
-  if dir_block_count <> dir_blocks_for structure_bit_len then corrupt path "directory size";
-  if flag_sample_count <> flag_samples_for flags_bit_len then corrupt path "flag sample count";
-  if psum_count < 0 || psum_count > node_count then corrupt path "summary count";
-  let layout =
-    layout_of_fields ~node_count ~tag_width ~structure_bit_len ~structure_byte_len ~flags_bit_len
-      ~flags_byte_len ~symbol_count ~symbol_blob_len ~content_count ~content_blob_len
-      ~dir_block_count ~flag_sample_count ~psum_count
-  in
-  let expected = layout.psum_off + (psum_row_bytes * psum_count) in
-  if expected <> total_size then corrupt path "size mismatch";
-  layout
-
 (* Layout straight from the header fields, with no consistency checks:
    the fsck pass wants to address sections of a possibly-corrupt file and
    report every inconsistency itself rather than fail on the first. *)
@@ -272,6 +218,42 @@ let layout_of_header ~read_i64 =
     ~flags_bit_len:(read_i64 48) ~flags_byte_len:(read_i64 56) ~symbol_count:(read_i64 64)
     ~symbol_blob_len:(read_i64 72) ~content_count:(read_i64 80) ~content_blob_len:(read_i64 88)
     ~dir_block_count:(read_i64 96) ~flag_sample_count:(read_i64 104) ~psum_count:(read_i64 112)
+
+(* Magic, version and the header's layout, checked: afterwards every
+   section lies inside the file. The blob lengths are recovered exactly
+   from the offsets, even if the sums wrapped. *)
+let checked_layout ~path ~total_size ~read_i64 ~read_string =
+  if total_size < header_bytes then corrupt path "too small";
+  if not (String.equal (read_string ~off:0 ~len:8) magic) then corrupt path "bad magic";
+  let file_version = read_i64 8 in
+  if file_version <> version then
+    failwith
+      (Printf.sprintf "%s: unsupported store version %d (expected %d)" path file_version version);
+  let l = layout_of_header ~read_i64 in
+  let symbol_blob_len = l.content_offsets_off - l.symbol_blob_off in
+  let content_blob_len = l.dir_off - l.content_blob_off in
+  if l.node_count < 0 || l.symbol_count < 0 || l.content_count < 0 then
+    corrupt path "negative count";
+  if symbol_blob_len < 0 || content_blob_len < 0 then corrupt path "negative blob length";
+  (* No field can exceed the file, and bounding them first keeps the
+     offset sums from overflowing. *)
+  if
+    List.exists (fun v -> v > total_size)
+      [ l.node_count; l.symbol_count; l.content_count; symbol_blob_len; content_blob_len ]
+  then corrupt path "size mismatch";
+  if l.tag_width <> 1 && l.tag_width <> 2 then corrupt path "bad tag width";
+  if l.symbol_count > 1 lsl (8 * l.tag_width) then corrupt path "symbol count exceeds tag width";
+  if l.structure_bit_len <> 2 * l.node_count then corrupt path "structure length";
+  if l.structure_byte_len <> (l.structure_bit_len + 7) / 8 then
+    corrupt path "structure byte length";
+  if l.flags_bit_len <> l.node_count then corrupt path "flag length";
+  if l.flags_byte_len <> (l.flags_bit_len + 7) / 8 then corrupt path "flag byte length";
+  if l.dir_block_count <> dir_blocks_for l.structure_bit_len then corrupt path "directory size";
+  if l.flag_sample_count <> flag_samples_for l.flags_bit_len then
+    corrupt path "flag sample count";
+  if l.psum_count < 0 || l.psum_count > l.node_count then corrupt path "summary count";
+  if l.psum_off + (psum_row_bytes * l.psum_count) <> total_size then corrupt path "size mismatch";
+  l
 
 let sign16 v = if v land 0x8000 <> 0 then v - 0x10000 else v
 
@@ -292,6 +274,41 @@ let read_dir_blocks ~get_byte ~dir_off ~dir_block_count =
 
 (* --- whole-file load (in-memory store) --------------------------------- *)
 
+let substring image ~off ~len = String.sub image off len
+
+let read_header ~path image =
+  let read_i64 off = Int64.to_int (String.get_int64_le image off) in
+  ( checked_layout ~path ~total_size:(String.length image) ~read_i64
+      ~read_string:(substring image),
+    read_i64 )
+
+(* A string table adopted with one copy of its blob; its offsets must
+   stay inside that blob, not merely inside the file. *)
+let read_table ~path ~what ~read_i64 ~read_string ~offsets_off ~blob_off ~blob_end ~count =
+  let offsets = Array.init (count + 1) (fun i -> read_i64 (offsets_off + (8 * i))) in
+  let blob = read_string ~off:blob_off ~len:(blob_end - blob_off) in
+  match Content_store.of_sections ~blob ~offsets with
+  | table -> table
+  | exception Invalid_argument reason -> corrupt path (what ^ " table: " ^ reason)
+
+let read_symbols ~path ~read_i64 ~read_string layout =
+  let table =
+    read_table ~path ~what:"symbol" ~read_i64 ~read_string ~offsets_off:layout.symbol_offsets_off
+      ~blob_off:layout.symbol_blob_off ~blob_end:layout.content_offsets_off
+      ~count:layout.symbol_count
+  in
+  Array.init layout.symbol_count (Content_store.get table)
+
+let read_summary_rows layout read_i64 =
+  Array.init layout.psum_count (fun i ->
+      let base = layout.psum_off + (psum_row_bytes * i) in
+      {
+        Path_summary.r_parent = read_i64 base;
+        r_label = read_i64 (base + 8);
+        r_count = read_i64 (base + 16);
+        r_flags = read_i64 (base + 24);
+      })
+
 (* The O(doc) recompute-and-compare cross-checks (excess directory, path
    summary) used to run on every open, which multiplies painfully across a
    corpus of shards. Opens now trust the packed sections by default; the
@@ -302,116 +319,77 @@ let verify_default () =
   | Some ("" | "0") | None -> false
   | Some _ -> true
 
-let load_bytes ?pager ?verify ~path contents_of_file =
+(* Each section adopted with one copy: structure and flag bytes into bit
+   vectors, tag bytes as they are, the content blob and its offsets into a
+   content store. *)
+let load_bytes ?pager ?verify ~path image =
   let verify = match verify with Some v -> v | None -> verify_default () in
-  (fun () ->
-      let total_size = String.length contents_of_file in
-      if total_size < header_bytes then corrupt path "too small";
-      if not (String.equal (String.sub contents_of_file 0 8) magic) then corrupt path "bad magic";
-      let read_i64 off =
-        let v = ref 0 in
-        for shift = 0 to 7 do
-          v := !v lor (Char.code contents_of_file.[off + shift] lsl (8 * shift))
-        done;
-        !v
-      in
-      let file_version = read_i64 8 in
-      if file_version <> version then
-        failwith
-          (Printf.sprintf "%s: unsupported store version %d (expected %d)" path file_version
-             version);
-      let layout = read_layout_from (fun off -> read_i64 (off + 8)) ~path ~total_size in
-      let section off len =
-        if off < 0 || len < 0 || off + len > total_size then corrupt path "section bounds";
-        String.sub contents_of_file off len
-      in
-      let structure =
-        Bitvector.of_packed_bytes
-          (Bytes.of_string (section layout.structure_off layout.structure_byte_len))
-          layout.structure_bit_len
-      in
-      (* Cross-check the serialized directories against freshly computed
-         ones when verifying: a corrupted directory would misnavigate a
-         paged reader. fsck always runs this check. *)
-      if verify then begin
-        let stored =
-          read_dir_blocks
-            ~get_byte:(fun off -> Char.code contents_of_file.[off])
-            ~dir_off:layout.dir_off ~dir_block_count:layout.dir_block_count
-        in
-        let fresh =
-          Excess_dir.blocks
-            (Excess_dir.create ~len:layout.structure_bit_len ~byte:(Bitvector.byte structure))
-        in
-        if
-          not
-            (stored.Excess_dir.delta = fresh.Excess_dir.delta
-            && stored.Excess_dir.fmin = fresh.Excess_dir.fmin
-            && stored.Excess_dir.fmax = fresh.Excess_dir.fmax
-            && stored.Excess_dir.bmin = fresh.Excess_dir.bmin
-            && stored.Excess_dir.bmax = fresh.Excess_dir.bmax)
-        then corrupt path "excess directory mismatch"
-      end;
-      let tag_ids =
-        Array.init layout.node_count (fun rank ->
-            let off = layout.tags_off + (rank * layout.tag_width) in
-            let lo = Char.code contents_of_file.[off] in
-            if layout.tag_width = 1 then lo
-            else lo lor (Char.code contents_of_file.[off + 1] lsl 8))
-      in
-      let content_flags =
-        Bitvector.of_packed_bytes
-          (Bytes.of_string (section layout.flags_off layout.flags_byte_len))
-          layout.flags_bit_len
-      in
-      for s = 0 to layout.flag_sample_count - 1 do
-        let boundary = min layout.flags_bit_len (s * Excess_dir.block_bits) in
-        if read_i64 (layout.flag_samples_off + (8 * s)) <> Bitvector.rank1 content_flags boundary
-        then corrupt path "flag rank sample mismatch"
-      done;
-      let strings ~offsets_off ~blob_off ~count =
-        Array.init count (fun i ->
-            let start = read_i64 (offsets_off + (8 * i)) in
-            let stop = read_i64 (offsets_off + (8 * (i + 1))) in
-            if stop < start then corrupt path "offset order";
-            section (blob_off + start) (stop - start))
-      in
-      let symbols =
-        strings ~offsets_off:layout.symbol_offsets_off ~blob_off:layout.symbol_blob_off
-          ~count:layout.symbol_count
-      in
-      let contents =
-        strings ~offsets_off:layout.content_offsets_off ~blob_off:layout.content_blob_off
-          ~count:layout.content_count
-      in
-      let raw = { Succinct_store.structure; tag_ids; symbols; content_flags; contents } in
-      (* When verifying, cross-check the serialized path summary against a
-         recomputed one, like the excess directory: a stale or corrupted
-         synopsis must not silently feed the planner wrong cardinalities. *)
-      if verify then begin
-        let stored_rows =
-          Array.init layout.psum_count (fun i ->
-              let base = layout.psum_off + (psum_row_bytes * i) in
-              {
-                Path_summary.r_parent = read_i64 base;
-                r_label = read_i64 (base + 8);
-                r_count = read_i64 (base + 16);
-                r_flags = read_i64 (base + 24);
-              })
-        in
-        let label_ids = Hashtbl.create (max 16 layout.symbol_count) in
-        Array.iteri (fun i s -> Hashtbl.replace label_ids s i) symbols;
-        let fresh_rows =
-          match Path_summary.to_rows (summary_of_raw raw) ~label_id:(Hashtbl.find label_ids) with
-          | rows -> rows
-          | exception Failure _ | exception Not_found -> corrupt path "path summary rebuild"
-        in
-        if stored_rows <> fresh_rows then corrupt path "path summary mismatch"
-      end;
-      match Succinct_store.of_raw ?pager raw with
-      | store -> store
-      | exception Invalid_argument reason -> corrupt path reason)
-    ()
+  let layout, read_i64 = read_header ~path image in
+  let structure =
+    Bitvector.of_packed_string image ~off:layout.structure_off ~len:layout.structure_bit_len
+  in
+  (* Cross-check the serialized directories against freshly computed
+     ones when verifying: a corrupted directory would misnavigate a
+     paged reader. fsck always runs this check. *)
+  if verify then begin
+    let stored =
+      read_dir_blocks
+        ~get_byte:(fun off -> Char.code image.[off])
+        ~dir_off:layout.dir_off ~dir_block_count:layout.dir_block_count
+    in
+    let fresh =
+      Excess_dir.blocks
+        (Excess_dir.create ~len:layout.structure_bit_len ~byte:(Bitvector.byte structure))
+    in
+    if
+      not
+        (stored.Excess_dir.delta = fresh.Excess_dir.delta
+        && stored.Excess_dir.fmin = fresh.Excess_dir.fmin
+        && stored.Excess_dir.fmax = fresh.Excess_dir.fmax
+        && stored.Excess_dir.bmin = fresh.Excess_dir.bmin
+        && stored.Excess_dir.bmax = fresh.Excess_dir.bmax)
+    then corrupt path "excess directory mismatch"
+  end;
+  let tags = Bytes.create (layout.node_count * layout.tag_width) in
+  Bytes.blit_string image layout.tags_off tags 0 (Bytes.length tags);
+  let content_flags =
+    Bitvector.of_packed_string image ~off:layout.flags_off ~len:layout.flags_bit_len
+  in
+  for s = 0 to layout.flag_sample_count - 1 do
+    let boundary = min layout.flags_bit_len (s * Excess_dir.block_bits) in
+    if read_i64 (layout.flag_samples_off + (8 * s)) <> Bitvector.rank1 content_flags boundary
+    then corrupt path "flag rank sample mismatch"
+  done;
+  let read_string = substring image in
+  let symtab = Xqp_xml.Symtab.create () in
+  Array.iter
+    (fun name -> ignore (Xqp_xml.Symtab.intern symtab name))
+    (read_symbols ~path ~read_i64 ~read_string layout);
+  if Xqp_xml.Symtab.cardinal symtab <> layout.symbol_count then corrupt path "duplicate symbol";
+  let contents =
+    read_table ~path ~what:"content" ~read_i64 ~read_string ~offsets_off:layout.content_offsets_off
+      ~blob_off:layout.content_blob_off ~blob_end:layout.dir_off ~count:layout.content_count
+  in
+  let store =
+    match
+      Succinct_store.of_sections ~pager ~structure ~symtab ~tags ~tag_width:layout.tag_width
+        ~content_flags ~contents
+    with
+    | store -> store
+    | exception Invalid_argument reason -> corrupt path reason
+  in
+  (* When verifying, cross-check the serialized path summary against a
+     recomputed one, like the excess directory: a stale or corrupted
+     synopsis must not silently feed the planner wrong cardinalities. *)
+  if verify then begin
+    let fresh_rows =
+      match summary_rows store with
+      | rows -> rows
+      | exception Failure _ | exception Not_found -> corrupt path "path summary rebuild"
+    in
+    if read_summary_rows layout read_i64 <> fresh_rows then corrupt path "path summary mismatch"
+  end;
+  store
 
 let read_file path =
   let ic = open_in_bin path in
@@ -426,58 +404,18 @@ let load ?pager ?verify path = load_bytes ?pager ?verify ~path (read_file path)
 (* Parse just the header, symbol table and path-summary rows of a store
    image — the per-shard synopsis a catalog needs, without materializing
    (or even fully validating) the store. O(symbols + summary). *)
-let packed_summary ~path contents_of_file =
-  let total_size = String.length contents_of_file in
-  if total_size < header_bytes then corrupt path "too small";
-  if not (String.equal (String.sub contents_of_file 0 8) magic) then corrupt path "bad magic";
-  let read_i64 off =
-    let v = ref 0 in
-    for shift = 0 to 7 do
-      v := !v lor (Char.code contents_of_file.[off + shift] lsl (8 * shift))
-    done;
-    !v
-  in
-  let file_version = read_i64 8 in
-  if file_version <> version then
-    failwith
-      (Printf.sprintf "%s: unsupported store version %d (expected %d)" path file_version version);
-  let layout = read_layout_from (fun off -> read_i64 (off + 8)) ~path ~total_size in
-  let symbols =
-    Array.init layout.symbol_count (fun i ->
-        let start = read_i64 (layout.symbol_offsets_off + (8 * i)) in
-        let stop = read_i64 (layout.symbol_offsets_off + (8 * (i + 1))) in
-        if stop < start || layout.symbol_blob_off + stop > total_size then
-          corrupt path "offset order";
-        String.sub contents_of_file (layout.symbol_blob_off + start) (stop - start))
-  in
-  let rows =
-    Array.init layout.psum_count (fun i ->
-        let base = layout.psum_off + (psum_row_bytes * i) in
-        {
-          Path_summary.r_parent = read_i64 base;
-          r_label = read_i64 (base + 8);
-          r_count = read_i64 (base + 16);
-          r_flags = read_i64 (base + 24);
-        })
-  in
+let packed_summary ~path image =
+  let layout, read_i64 = read_header ~path image in
+  let symbols = read_symbols ~path ~read_i64 ~read_string:(substring image) layout in
   let label_of id =
-    if id < 0 || id >= Array.length symbols then corrupt path "summary label id"
-    else symbols.(id)
+    if id < 0 || id >= layout.symbol_count then corrupt path "summary label id" else symbols.(id)
   in
-  match Path_summary.of_rows rows ~label_of with
+  match Path_summary.of_rows (read_summary_rows layout read_i64) ~label_of with
   | summary -> summary
   | exception Failure _ -> corrupt path "path summary table"
 
 (* --- header access for the paged reader -------------------------------- *)
 
 let read_layout pool path =
-  if Buffer_pool.file_size pool < header_bytes then corrupt path "too small";
-  if not (String.equal (Buffer_pool.read_string pool ~off:0 ~len:8) magic) then
-    corrupt path "bad magic";
-  let file_version = Buffer_pool.read_i64 pool 8 in
-  if file_version <> version then
-    failwith
-      (Printf.sprintf "%s: unsupported store version %d (expected %d)" path file_version version);
-  read_layout_from
-    (fun off -> Buffer_pool.read_i64 pool (off + 8))
-    ~path ~total_size:(Buffer_pool.file_size pool)
+  checked_layout ~path ~total_size:(Buffer_pool.file_size pool)
+    ~read_i64:(Buffer_pool.read_i64 pool) ~read_string:(Buffer_pool.read_string pool)

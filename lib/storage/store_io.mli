@@ -1,11 +1,21 @@
 (** Binary persistence for the succinct store.
 
     The on-disk layout mirrors the in-memory separation (§4.2): one
-    length-prefixed section per sequence — structure bits, tag sequence,
-    symbol table, has-content bits, content blob — so a future mmap-style
-    reader could fault in sections independently. Integers are 64-bit
-    little-endian; the file starts with a magic string and a format
-    version.
+    section per sequence — structure bits, tag sequence, has-content bits,
+    symbol table, content table — at offsets computed from a fixed header,
+    so {!Paged_store} faults sections in independently. {!to_bytes} writes
+    each section as the store holds it (tags at the store's width, the
+    content store's own blob and offsets), and {!load_bytes} adopts each
+    with one copy. Integers are 64-bit little-endian; the file starts with
+    a magic string and a format version.
+
+    Every load checks what it adopts: a consistent header (a tag width
+    that addresses every symbol, byte lengths that pack the bit lengths,
+    sections that exactly fill the file), string-table offsets bounded by
+    their own blob (first 0, non-decreasing, last = blob length), distinct
+    symbols, the flag rank samples, 2 structure bits per node, a flag
+    popcount equal to the content count, and tag ids below the symbol
+    count. Any violation is a [Failure "<path>: corrupt store file (…)"].
 
     Since v3 the per-block excess directory of the structure bits and
     rank1 samples of the has-content bits are serialized too (trailing
@@ -45,7 +55,8 @@ val load : ?pager:Pager.t -> ?verify:bool -> string -> Succinct_store.t
     the O(doc) excess-directory and path-summary recompute-and-compare
     cross-checks back on.
     @raise Sys_error on I/O failure.
-    @raise Failure on a bad magic, version or truncated file. *)
+    @raise Failure on a bad magic or version, or any corruption listed
+    above. *)
 
 val load_bytes :
   ?pager:Pager.t -> ?verify:bool -> path:string -> string -> Succinct_store.t
@@ -94,9 +105,9 @@ val header_bytes : int
 val psum_row_bytes : int
 
 val summary_of_store : Succinct_store.t -> Path_summary.t
-(** Recompute the path summary from the store's raw sections — one pass
-    over the balanced-parentheses bits. This is what [save] serializes and
-    what [load] checks the serialized section against. *)
+(** Recompute the path summary in one walk over the store's structure
+    bits and tags ({!Succinct_store.scan}). This is what [save]
+    serializes and what [load] checks the serialized section against. *)
 
 val layout_of_header : read_i64:(int -> int) -> layout
 (** Compute the section directory straight from the 13 header fields
@@ -108,6 +119,17 @@ val read_dir_blocks :
   get_byte:(int -> int) -> dir_off:int -> dir_block_count:int -> Excess_dir.blocks
 (** Decode the serialized structure excess directory through an arbitrary
     byte reader (used with a {!Buffer_pool} by {!Paged_store}). *)
+
+val read_symbols :
+  path:string ->
+  read_i64:(int -> int) ->
+  read_string:(off:int -> len:int -> string) ->
+  layout ->
+  string array
+(** The symbol table, read through arbitrary accessors (absolute file
+    offsets; a {!Buffer_pool} for {!Paged_store}).
+    @raise Failure (corrupt store file) unless its offsets stay inside
+    its own blob. *)
 
 val read_layout : Buffer_pool.t -> string -> layout
 (** Validate the header through the pool and return the directory.

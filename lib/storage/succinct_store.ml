@@ -20,32 +20,34 @@ type t = {
   pager : Pager.t option;
 }
 
-let tag_width_for symbols = if symbols <= 256 then 1 else 2
+(* Tags are 1 or 2 bytes wide, so a store holds at most 65,536 labels. *)
+let max_symbols = 0x10000
+
+let too_many_labels symbols =
+  failwith
+    (Printf.sprintf "Succinct_store: %d distinct labels exceed the %d-label limit" symbols
+       max_symbols)
+
+let tag_width_for symbols =
+  if symbols > max_symbols then too_many_labels symbols;
+  if symbols <= 256 then 1 else 2
+
+let get_tag tags width rank =
+  let off = rank * width in
+  if width = 1 then Char.code (Bytes.unsafe_get tags off)
+  else Char.code (Bytes.unsafe_get tags off) lor (Char.code (Bytes.unsafe_get tags (off + 1)) lsl 8)
 
 let read_tag t rank =
-  let off = rank * t.tag_width in
   (match t.pager with
-  | Some pager -> Pager.read pager ~region:Pager.region_tags ~off ~len:t.tag_width
+  | Some pager ->
+    Pager.read pager ~region:Pager.region_tags ~off:(rank * t.tag_width) ~len:t.tag_width
   | None -> ());
-  if t.tag_width = 1 then Char.code (Bytes.unsafe_get t.tags off)
-  else Char.code (Bytes.unsafe_get t.tags off) lor (Char.code (Bytes.unsafe_get t.tags (off + 1)) lsl 8)
+  get_tag t.tags t.tag_width rank
 
 let write_tag tags width rank tag =
   let off = rank * width in
   Bytes.unsafe_set tags off (Char.unsafe_chr (tag land 0xFF));
   if width = 2 then Bytes.unsafe_set tags (off + 1) (Char.unsafe_chr ((tag lsr 8) land 0xFF))
-
-(* Label strings for the store symbol table. *)
-let label_of_tree = function
-  | Xml.Tree.Element e -> e.name
-  | Xml.Tree.Text _ -> "#text"
-  | Xml.Tree.Comment _ -> "#comment"
-  | Xml.Tree.Pi (target, _) -> "?" ^ target
-
-let own_content_of_tree = function
-  | Xml.Tree.Element _ -> None
-  | Xml.Tree.Text s | Xml.Tree.Comment s -> Some s
-  | Xml.Tree.Pi (_, body) -> Some body
 
 let kind_of_label label =
   if String.length label = 0 then Element
@@ -56,70 +58,77 @@ let kind_of_label label =
     | '#' -> if String.equal label "#text" then Text else Comment
     | _ -> Element
 
-(* Flat pre-order emission shared by the two constructors: the caller
-   supplies an [emit] iterator producing (label, content option, children
-   thunk) in pre-order; we avoid recursion depth issues with an explicit
-   stack over Tree values. *)
-let build_from_tree ?pager tree =
+(* One pre-order loop over the document arrays. Each node emits its open
+   bit, tag, content flag and own content; after it, one close bit per
+   subtree ending there — the node's level + 1 minus the next node's level.
+   Store labels are interned on first occurrence (memoized per kind and
+   document name), and the tag bytes widen to 2 once the 257th label
+   appears. *)
+let of_document ?pager doc =
+  let module D = Xml.Document in
+  let n = D.node_count doc in
   let symtab = Xml.Symtab.create () in
   let bits = Bitvector.builder () in
-  let content_builder = Content_store.builder () in
   let has_content = Bitvector.builder () in
-  let rev_tags = ref [] in
-  let n = ref 0 in
-  let emit_node label content =
+  let content_builder = Content_store.builder () in
+  let tags = ref (Bytes.make n '\000') and width = ref 1 in
+  let memo = Array.make ((3 * Xml.Symtab.cardinal (D.symtab doc)) + 2) (-1) in
+  let slot id =
+    match D.kind doc id with
+    | D.Text -> 0
+    | D.Comment -> 1
+    | D.Element -> 2 + (3 * D.name_id doc id)
+    | D.Attribute -> 3 + (3 * D.name_id doc id)
+    | D.Pi -> 4 + (3 * D.name_id doc id)
+  in
+  let label id =
+    match D.kind doc id with
+    | D.Element -> D.name doc id
+    | D.Attribute -> "@" ^ D.name doc id
+    | D.Pi -> "?" ^ D.name doc id
+    | D.Text -> "#text"
+    | D.Comment -> "#comment"
+  in
+  let symbol id =
+    let s = slot id in
+    if memo.(s) >= 0 then memo.(s)
+    else begin
+      let sym = Xml.Symtab.intern symtab (label id) in
+      if sym = 256 then begin
+        let wide = Bytes.make (2 * n) '\000' in
+        for r = 0 to n - 1 do
+          Bytes.set_uint16_le wide (2 * r) (Bytes.get_uint8 !tags r)
+        done;
+        tags := wide;
+        width := 2
+      end;
+      if sym >= max_symbols then too_many_labels (sym + 1);
+      memo.(s) <- sym;
+      sym
+    end
+  in
+  for id = 0 to n - 1 do
     Bitvector.push bits true;
-    rev_tags := Xml.Symtab.intern symtab label :: !rev_tags;
-    (match content with
-    | Some s ->
+    write_tag !tags !width id (symbol id);
+    (match D.kind doc id with
+    | D.Element -> Bitvector.push has_content false
+    | D.Attribute | D.Text | D.Comment | D.Pi ->
       Bitvector.push has_content true;
-      ignore (Content_store.add content_builder s)
-    | None -> Bitvector.push has_content false);
-    incr n
-  in
-  (* Work items: either visit a subtree or emit a close paren. *)
-  let rec walk item stack =
-    match item with
-    | `Close ->
-      Bitvector.push bits false;
-      continue stack
-    | `Attr (name, value) ->
-      emit_node ("@" ^ name) (Some value);
-      Bitvector.push bits false;
-      continue stack
-    | `Tree node ->
-      emit_node (label_of_tree node) (own_content_of_tree node);
-      let children =
-        match node with
-        | Xml.Tree.Element e ->
-          List.map (fun (k, v) -> `Attr (k, v)) e.attrs
-          @ List.map (fun c -> `Tree c) e.children
-        | Xml.Tree.Text _ | Xml.Tree.Comment _ | Xml.Tree.Pi _ -> []
-      in
-      continue (children @ (`Close :: stack))
-  and continue = function
-    | [] -> ()
-    | item :: rest -> walk item rest
-  in
-  walk (`Tree tree) [];
-  let symbols = Xml.Symtab.cardinal symtab in
-  let width = tag_width_for symbols in
-  let tags = Bytes.make (!n * width) '\000' in
-  List.iteri
-    (fun i tag -> write_tag tags width (!n - 1 - i) tag)
-    !rev_tags;
+      ignore (Content_store.add content_builder (D.content doc id)));
+    let next_level = if id + 1 < n then D.level doc (id + 1) else 0 in
+    Bitvector.push_many bits false (D.level doc id + 1 - next_level)
+  done;
   {
     bp = Balanced_parens.of_bitvector (Bitvector.build bits);
     symtab;
-    tags;
-    tag_width = width;
+    tags = !tags;
+    tag_width = !width;
     has_content = Bitvector.build has_content;
     contents = Content_store.build content_builder;
     pager;
   }
 
-let of_tree ?pager tree = build_from_tree ?pager tree
-let of_document ?pager doc = build_from_tree ?pager (Xml.Document.to_tree doc (Xml.Document.root doc))
+let of_tree ?pager tree = of_document ?pager (Xml.Document.of_tree tree)
 
 let node_count t = Balanced_parens.node_count t.bp
 let symtab t = t.symtab
@@ -211,41 +220,27 @@ let text_content t pos =
     done;
     Buffer.contents buffer
 
-let to_tree t =
-  let rec build pos =
-    let label = tag_name t pos in
-    match kind_of_label label with
-    | Text -> Xml.Tree.Text (content t pos)
-    | Comment -> Xml.Tree.Comment (content t pos)
-    | Pi -> Xml.Tree.Pi (String.sub label 1 (String.length label - 1), content t pos)
-    | Attribute -> invalid_arg "Succinct_store.to_tree: attribute outside element"
-    | Element ->
-      let rec collect child attrs kids =
-        match child with
-        | None -> (List.rev attrs, List.rev kids)
-        | Some c -> (
-          match kind_of t c with
-          | Attribute ->
-            let name = String.sub (tag_name t c) 1 (String.length (tag_name t c) - 1) in
-            collect (Balanced_parens.next_sibling t.bp c) ((name, content t c) :: attrs) kids
-          | Element | Text | Comment | Pi ->
-            collect (Balanced_parens.next_sibling t.bp c) attrs (build c :: kids))
-      in
-      let attrs, kids = collect (Balanced_parens.first_child t.bp pos) [] [] in
-      Xml.Tree.Element { name = label; attrs; children = kids }
-  in
-  build (root t)
+(* One left-to-right pass over the structure bits: open parens enter the
+   next pre-order rank, close parens leave it. Tags are read sequentially
+   and without pager accounting — materialization and serialization are
+   not query I/O. *)
+let scan t ~open_node ~close_node =
+  let rank = ref 0 in
+  for pos = 0 to Balanced_parens.length t.bp - 1 do
+    if Balanced_parens.is_open t.bp pos then begin
+      open_node !rank (get_tag t.tags t.tag_width !rank);
+      incr rank
+    end
+    else close_node ()
+  done
 
-(* The DOM straight from one left-to-right scan of the structure bits:
-   open parens enter the next pre-order rank, close parens leave it. Tags
-   and contents are read sequentially (no rank1 per node) and without
-   pager accounting — materialization is not query I/O. Store symbols
-   map to document symbols on first occurrence, in pre-order, so the
-   document's symbol table matches {!Document.of_tree}'s. *)
+(* The DOM straight from {!scan}, contents read sequentially (no rank1 per
+   node). Store symbols map to document symbols on first occurrence, in
+   pre-order, so the document's symbol table matches
+   {!Document.of_tree}'s. *)
 let to_document t =
   let module B = Xml.Document.Builder in
-  let n = node_count t in
-  let b = B.create n in
+  let b = B.create (node_count t) in
   let nsym = Xml.Symtab.cardinal t.symtab in
   let labels = Array.init nsym (Xml.Symtab.name t.symtab) in
   let kinds =
@@ -276,29 +271,22 @@ let to_document t =
       id
     end
   in
-  let rank = ref 0 and content_id = ref 0 in
-  for pos = 0 to Balanced_parens.length t.bp - 1 do
-    if Balanced_parens.is_open t.bp pos then begin
-      let r = !rank in
-      let off = r * t.tag_width in
-      let sym =
-        if t.tag_width = 1 then Char.code (Bytes.get t.tags off)
-        else Char.code (Bytes.get t.tags off) lor (Char.code (Bytes.get t.tags (off + 1)) lsl 8)
-      in
+  let content_id = ref 0 in
+  scan t
+    ~open_node:(fun rank sym ->
       let content =
-        if Bitvector.get t.has_content r then begin
+        if Bitvector.get t.has_content rank then begin
           let s = Content_store.get t.contents !content_id in
           incr content_id;
           s
         end
         else ""
       in
-      B.open_node b kinds.(sym) ~name:(name_of sym) content;
-      rank := r + 1
-    end
-    else B.close_node b
-  done;
+      B.open_node b kinds.(sym) ~name:(name_of sym) content)
+    ~close_node:(fun () -> B.close_node b);
   B.finish b
+
+let to_tree t = Xml.Document.to_tree (to_document t) 0
 
 let footprint t =
   {
@@ -316,15 +304,9 @@ let pp_footprint ppf f =
 
 (* --- Updates ------------------------------------------------------- *)
 
-(* Rebuild helper: produce the (bits, labels, contents) triple of a fragment
-   without constructing a store. *)
-let linearize_fragment fragment =
-  let sub = build_from_tree fragment in
-  sub
-
 let splice_range t ~first_rank ~node_count_removed ~bit_off ~bit_len fragment =
   (* fragment = None means pure deletion. *)
-  let frag = Option.map linearize_fragment fragment in
+  let frag = Option.map of_tree fragment in
   let frag_bits = match frag with Some f -> Balanced_parens.bits f.bp | None -> Bitvector.of_bools [] in
   let frag_nodes = match frag with Some f -> node_count f | None -> 0 in
   (* Structure bits: one splice, reusing directory blocks before the edit. *)
@@ -353,12 +335,7 @@ let splice_range t ~first_rank ~node_count_removed ~bit_off ~bit_len fragment =
   let width = tag_width_for (Xml.Symtab.cardinal t.symtab) in
   let tags = Bytes.make (n_new * width) '\000' in
   let copy_tag ~src_rank ~dst_rank =
-    let tag =
-      let off = src_rank * t.tag_width in
-      if t.tag_width = 1 then Char.code (Bytes.get t.tags off)
-      else Char.code (Bytes.get t.tags off) lor (Char.code (Bytes.get t.tags (off + 1)) lsl 8)
-    in
-    write_tag tags width dst_rank tag
+    write_tag tags width dst_rank (get_tag t.tags t.tag_width src_rank)
   in
   for r = 0 to first_rank - 1 do
     copy_tag ~src_rank:r ~dst_rank:r
@@ -416,56 +393,36 @@ let delete_subtree t pos =
   splice_range t ~first_rank:(preorder_rank t pos)
     ~node_count_removed:(subtree_size t pos) ~bit_off:pos ~bit_len:(close - pos + 1) None
 
-type raw = {
-  structure : Bitvector.t;
-  tag_ids : int array;
-  symbols : string array;
-  content_flags : Bitvector.t;
-  contents : string array;
-}
-
-let to_raw t =
-  let n = node_count t in
-  let tag_ids = Array.init n (fun rank -> read_tag t rank) in
-  let symbols = Array.init (Xml.Symtab.cardinal t.symtab) (Xml.Symtab.name t.symtab) in
-  let contents = Array.init (Content_store.count t.contents) (Content_store.get t.contents) in
-  {
-    structure = Balanced_parens.bits t.bp;
-    tag_ids;
-    symbols;
-    content_flags = t.has_content;
-    contents;
-  }
-
-let of_raw ?pager raw =
-  let n = Array.length raw.tag_ids in
-  if Bitvector.length raw.structure <> 2 * n then
-    invalid_arg "Succinct_store.of_raw: structure/tag length mismatch";
-  if Bitvector.length raw.content_flags <> n then
-    invalid_arg "Succinct_store.of_raw: content-flag length mismatch";
-  if Bitvector.pop_count raw.content_flags <> Array.length raw.contents then
-    invalid_arg "Succinct_store.of_raw: content count mismatch";
-  let symtab = Xml.Symtab.create () in
-  Array.iter (fun name -> ignore (Xml.Symtab.intern symtab name)) raw.symbols;
-  let nsym = Xml.Symtab.cardinal symtab in
-  Array.iter
-    (fun tag -> if tag < 0 || tag >= nsym then invalid_arg "Succinct_store.of_raw: bad tag id")
-    raw.tag_ids;
-  let width = tag_width_for nsym in
-  let tags = Bytes.make (n * width) '\000' in
-  Array.iteri (fun rank tag -> write_tag tags width rank tag) raw.tag_ids;
-  let content_builder = Content_store.builder () in
-  Array.iter (fun s -> ignore (Content_store.add content_builder s)) raw.contents;
-  {
-    bp = Balanced_parens.of_bitvector raw.structure;
-    symtab;
-    tags;
-    tag_width = width;
-    has_content = raw.content_flags;
-    contents = Content_store.build content_builder;
-    pager;
-  }
-
 let insert_before t pos fragment =
   splice_range t ~first_rank:(preorder_rank t pos) ~node_count_removed:0 ~bit_off:pos ~bit_len:0
     (Some fragment)
+
+(* --- Sections ------------------------------------------------------ *)
+
+let structure t = t.bp
+let tag_bytes t = t.tags
+let tag_width t = t.tag_width
+let content_flags t = t.has_content
+let contents t = t.contents
+
+let of_sections ~pager ~structure ~symtab ~tags ~tag_width ~content_flags ~contents =
+  let n = Bitvector.length content_flags in
+  let nsym = Xml.Symtab.cardinal symtab in
+  if tag_width <> 1 && tag_width <> 2 then invalid_arg "bad tag width";
+  if nsym > 1 lsl (8 * tag_width) then invalid_arg "symbol count exceeds tag width";
+  if Bitvector.length structure <> 2 * n then invalid_arg "structure/flag length mismatch";
+  if Bytes.length tags <> n * tag_width then invalid_arg "tag section length mismatch";
+  if Bitvector.pop_count content_flags <> Content_store.count contents then
+    invalid_arg "content count mismatch";
+  for rank = 0 to n - 1 do
+    if get_tag tags tag_width rank >= nsym then invalid_arg "bad tag id"
+  done;
+  {
+    bp = Balanced_parens.of_bitvector structure;
+    symtab;
+    tags;
+    tag_width;
+    has_content = content_flags;
+    contents;
+    pager;
+  }

@@ -35,19 +35,23 @@ type footprint = {
 }
 
 val of_document : ?pager:Pager.t -> Xqp_xml.Document.t -> t
-(** Linearize a packed document. When [pager] is given, every subsequent
-    navigation and content access is run through it for I/O accounting. *)
+(** Linearize a packed document in one pre-order loop over its arrays.
+    When [pager] is given, every subsequent navigation and content access
+    is run through it for I/O accounting.
+    @raise Failure if the document needs more than 65,536 distinct store
+    labels (the reach of a 2-byte tag). *)
 
 val of_tree : ?pager:Pager.t -> Xqp_xml.Tree.t -> t
-
-val to_tree : t -> Xqp_xml.Tree.t
-(** Rebuild the algebraic document (inverse of {!of_tree} up to nothing —
-    the encoding is lossless). *)
+(** [of_document (Document.of_tree tree)]. *)
 
 val to_document : t -> Xqp_xml.Document.t
 (** The packed document, built straight from one pre-order scan of the
-    store through {!Xqp_xml.Document.Builder} — equal to
-    [Document.of_tree (to_tree t)] without the intermediate tree. *)
+    store through {!Xqp_xml.Document.Builder} (no pager accounting). The
+    encoding is lossless: [to_document (of_document d)] has [d]'s nodes,
+    names and contents. *)
+
+val to_tree : t -> Xqp_xml.Tree.t
+(** [Document.to_tree (to_document t)] at the root. *)
 
 val node_count : t -> int
 val symtab : t -> Xqp_xml.Symtab.t
@@ -114,19 +118,42 @@ val insert_before : t -> node -> Xqp_xml.Tree.t -> t
 
 val pager : t -> Pager.t option
 
-(** {2 Raw sections}
+(** {2 Sections}
 
-    The serialization view used by {!Store_io}: the five independent
-    sequences of the scheme. Directories are rebuilt by {!of_raw}. *)
+    The sequences of the scheme as the store holds them — what
+    {!Store_io} writes and adopts. Shared, not copied: do not mutate. *)
 
-type raw = {
-  structure : Bitvector.t;      (** balanced parentheses, pre-order *)
-  tag_ids : int array;          (** per pre-order rank *)
-  symbols : string array;       (** symbol id → label *)
-  content_flags : Bitvector.t;  (** has-content, per pre-order rank *)
-  contents : string array;      (** content id → text *)
-}
+val structure : t -> Balanced_parens.t
+(** Balanced parentheses in pre-order, with their excess directory. *)
 
-val to_raw : t -> raw
-val of_raw : ?pager:Pager.t -> raw -> t
-(** @raise Invalid_argument on inconsistent section lengths. *)
+val tag_bytes : t -> Bytes.t
+(** {!tag_width} little-endian bytes per pre-order rank. *)
+
+val tag_width : t -> int
+(** 1 up to 256 labels, else 2. *)
+
+val content_flags : t -> Bitvector.t
+(** Has-content bit per pre-order rank. *)
+
+val contents : t -> Content_store.t
+(** Own contents of the flagged nodes, in pre-order. *)
+
+val scan : t -> open_node:(int -> int -> unit) -> close_node:(unit -> unit) -> unit
+(** One left-to-right pass over the structure bits: [open_node rank tag]
+    per open parenthesis, [close_node ()] per close. No pager
+    accounting. *)
+
+val of_sections :
+  pager:Pager.t option ->
+  structure:Bitvector.t ->
+  symtab:Xqp_xml.Symtab.t ->
+  tags:Bytes.t ->
+  tag_width:int ->
+  content_flags:Bitvector.t ->
+  contents:Content_store.t ->
+  t
+(** Adopt the sections (the excess directory is rebuilt).
+    @raise Invalid_argument (naming the fault) unless the tag width is 1
+    or 2 and addresses every symbol, the structure holds 2 bits and the
+    tags [tag_width] bytes per flag bit, the flags' popcount is the
+    content count, and every tag id is below the symbol count. *)

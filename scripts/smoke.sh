@@ -1,5 +1,6 @@
 #!/bin/sh
-# End-to-end smoke test of the xqp CLI: generate -> validate -> index ->
+# End-to-end smoke test of the xqp CLI: generate -> validate -> index (twice,
+# and again from the .xqdb, all byte-identical) ->
 # query (xml and .xqdb) -> pages -> explain -> xquery. Exits non-zero on
 # any mismatch.
 set -e
@@ -11,6 +12,14 @@ run() { dune exec --no-print-directory bin/xqp.exe -- "$@"; }
 run generate bib:25 -o "$dir/bib.xml" > /dev/null
 run validate "$dir/bib.xml" | grep -q "well-formed"
 run index -f "$dir/bib.xml" -o "$dir/bib.xqdb" > /dev/null
+
+# packing is deterministic: the same XML indexes to the same bytes, and
+# re-indexing the .xqdb (the opened store is adopted, not rebuilt)
+# reproduces it byte for byte
+run index -f "$dir/bib.xml" -o "$dir/bib2.xqdb" > /dev/null
+cmp "$dir/bib.xqdb" "$dir/bib2.xqdb" || { echo "indexing the same XML twice differs"; exit 1; }
+run index -f "$dir/bib.xqdb" -o "$dir/bib3.xqdb" > /dev/null
+cmp "$dir/bib.xqdb" "$dir/bib3.xqdb" || { echo "re-indexing the .xqdb differs"; exit 1; }
 
 xml_count=$(run query -f "$dir/bib.xml" "//book[price > 50]/title" | tail -1)
 db_count=$(run query -f "$dir/bib.xqdb" "//book[price > 50]/title" | tail -1)

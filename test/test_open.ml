@@ -314,6 +314,156 @@ let test_tampered_shard () =
         ~finally:(fun () -> Session.close session)
         (fun () -> expect_io "shard count" (Session.query session "//item/name")))
 
+(* --- the image format ------------------------------------------------- *)
+
+(* Digests of known-good images: any change to the writer, the label
+   interning order or the tag width shows here. [wide_tree] has 303
+   labels, so 2-byte tags. *)
+let small_tree =
+  Tree.elt ~attrs:[ ("id", "r1"); ("lang", "en") ] "root"
+    [
+      Tree.Comment " head ";
+      Tree.Pi ("xml-stylesheet", "href=\"s.css\"");
+      Tree.elt ~attrs:[ ("k", "v") ] "a" [ Tree.text "one"; Tree.elt "b" []; Tree.text "two" ];
+      Tree.Pi ("id", "");
+      Tree.elt "id" [ Tree.Comment "" ];
+    ]
+
+let wide_tree =
+  Tree.elt "root"
+    (List.init 300 (fun i ->
+         Tree.elt ~attrs:[ ("n", string_of_int i) ] ("k" ^ string_of_int i) [ Tree.text "t" ]))
+
+let test_golden_images () =
+  let digest doc = Digest.to_hex (Digest.string (Store_io.to_bytes (Store.of_document doc))) in
+  List.iter
+    (fun (what, doc, expected) -> Alcotest.(check string) what expected (digest (Lazy.force doc)))
+    [
+      ( "auction seed 1 scale 2000",
+        lazy (Xqp_workload.Gen_auction.packed ~seed:1 ~scale:2000 ()),
+        "1a12fc21ec04cf46a0d361bc402d8c22" );
+      ( "bib seed 1, 200 books",
+        lazy (Xqp_workload.Gen_bib.packed ~seed:1 ~books:200 ()),
+        "ec4e8d6c7593cff6313a313a4d8cd540" );
+      ( "attributes, comments, PIs",
+        lazy (Doc.of_tree small_tree),
+        "973b10cf39dde33cdd6a9c45e1d413a5" );
+      ("2-byte tags", lazy (Doc.of_tree wide_tree), "1528cd6685521e23f080c1db9aeb11b8");
+    ]
+
+let prop_image_roundtrip =
+  QCheck2.Test.make ~name:"image -> store -> image, and via the DOM, byte for byte" ~count:200
+    gen_tree (fun tree ->
+      let image = packed_image tree in
+      let load ?verify () = Store_io.load_bytes ?verify ~path:"p.xqdb" image in
+      String.equal image (Store_io.to_bytes (load ~verify:true ()))
+      && String.equal image
+           (Store_io.to_bytes (Store.of_document (Store.to_document (load ())))))
+
+(* --- load-time checks ---------------------------------------------------- *)
+
+let set_i64 s off v =
+  let b = Bytes.of_string s in
+  Bytes.set_int64_le b off (Int64.of_int v);
+  Bytes.to_string b
+
+let get_i64 s off = Int64.to_int (String.get_int64_le s off)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec from i = i + n <= String.length s && (String.sub s i n = sub || from (i + 1)) in
+  from 0
+
+(* Each corruption must fail the load as a corrupt store and the open as
+   an I/O error. *)
+let expect_corrupt what image =
+  (match Store_io.load_bytes ~path:"t.xqdb" image with
+  | _ -> Alcotest.failf "%s: load accepted" what
+  | exception Failure m ->
+    if not (contains m "corrupt store file") then
+      Alcotest.failf "%s: unexpected failure %s" what m);
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "t.xqdb" in
+      write path image;
+      expect_io what (Session.open_db path))
+
+let test_load_checks () =
+  let image = packed_image small_tree in
+  let l = layout image in
+  let n = l.Store_io.node_count in
+  Alcotest.(check bool) "small enough for one flag block" true (n < 256);
+  (* header fields: offsets inside the fixed header *)
+  expect_corrupt "structure length" (set_i64 image 32 (2 * n + 2));
+  expect_corrupt "flag length" (set_i64 image 48 (n + 1));
+  expect_corrupt "tag id" (edit_byte image (l.Store_io.tags_off + 2) (fun _ -> 0xff));
+  expect_corrupt "flag rank sample" (edit_byte image l.Store_io.flag_samples_off bump);
+  (* set the root's flag (an element has no content) and bump the total
+     sample to match: only the popcount = content count check is left *)
+  let last_sample = l.Store_io.flag_samples_off + (8 * (l.Store_io.flag_sample_count - 1)) in
+  expect_corrupt "popcount"
+    (set_i64 (edit_byte image l.Store_io.flags_off (fun c -> c lor 1)) last_sample
+       (get_i64 image last_sample + 1))
+
+(* String tables: offsets must stay inside the table's own blob. Bounded
+   by the file alone, a raised last symbol offset would read the content
+   offsets that follow as part of the last label. *)
+let test_string_table_bounds () =
+  let image = packed_image small_tree in
+  let l = layout image in
+  let last ~offsets_off ~count = offsets_off + (8 * count) in
+  let sym_last = last ~offsets_off:l.Store_io.symbol_offsets_off ~count:l.Store_io.symbol_count in
+  let content_last =
+    last ~offsets_off:l.Store_io.content_offsets_off ~count:l.Store_io.content_count
+  in
+  let raised off k = set_i64 image off (get_i64 image off + k) in
+  expect_corrupt "last symbol offset + 6" (raised sym_last 6);
+  expect_corrupt "last symbol offset - 1" (raised sym_last (-1));
+  expect_corrupt "first symbol offset" (raised l.Store_io.symbol_offsets_off 1);
+  expect_corrupt "symbol offsets decrease"
+    (set_i64 image (sym_last - 8) (get_i64 image sym_last + 1));
+  expect_corrupt "last content offset + 6" (raised content_last 6);
+  expect_corrupt "first content offset" (raised l.Store_io.content_offsets_off 1);
+  (match Store_io.packed_summary ~path:"t.xqdb" (raised sym_last 6) with
+  | _ -> Alcotest.fail "packed_summary accepted a symbol offset past its blob"
+  | exception Failure _ -> ());
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "t.xqdb" in
+      write path (raised sym_last 6);
+      match Xqp_storage.Paged_store.open_store path with
+      | paged ->
+        Xqp_storage.Paged_store.close paged;
+        Alcotest.fail "paged open accepted a symbol offset past its blob"
+      | exception Failure _ -> ())
+
+(* Tags are at most 2 bytes: a 65,537th label fails the build instead of
+   wrapping to another label's id, and a header whose symbols outnumber
+   what its tag width addresses fails the load. *)
+let test_label_limit () =
+  let many = Tree.elt "root" (List.init 70_000 (fun i -> Tree.elt ("k" ^ string_of_int i) [])) in
+  (match Store.of_tree many with
+  | _ -> Alcotest.fail "70,001 labels packed"
+  | exception Failure m ->
+    Alcotest.(check bool) ("names the limit: " ^ m) true (contains m "65536"));
+  (* the 300-symbol image with its tags narrowed to 1 byte: every section
+     is consistent with the header except the symbol count *)
+  let wide = packed_image wide_tree in
+  let l = layout wide in
+  let n = l.Store_io.node_count in
+  let narrow_tags = String.init n (fun r -> wide.[l.Store_io.tags_off + (2 * r)]) in
+  let narrowed =
+    String.concat ""
+      [
+        String.sub (set_i64 wide 24 1) 0 l.Store_io.tags_off;
+        narrow_tags;
+        String.sub wide l.Store_io.flags_off (String.length wide - l.Store_io.flags_off);
+      ]
+  in
+  expect_corrupt "300 symbols at tag width 1" narrowed;
+  Alcotest.(check bool) "fsck reports the header" true
+    (List.exists
+       (fun d -> d.Xqp_analysis.Diagnostic.code = "layout/header")
+       (Xqp_analysis.Store_check.check_bytes narrowed))
+
 let suite =
   [
     ( "open",
@@ -327,5 +477,12 @@ let suite =
           test_save_roundtrip_and_answers;
         Alcotest.test_case "tampered summary count: io error" `Quick test_tampered_store;
         Alcotest.test_case "tampered shard summary: io error" `Quick test_tampered_shard;
+        Alcotest.test_case "image bytes pinned (golden digests)" `Quick test_golden_images;
+        qcheck prop_image_roundtrip;
+        Alcotest.test_case "load-time checks: corrupt store, io error" `Quick test_load_checks;
+        Alcotest.test_case "string table offsets bounded by their blob" `Quick
+          test_string_table_bounds;
+        Alcotest.test_case "label limit: build fails, wide header rejected" `Quick
+          test_label_limit;
       ] );
   ]

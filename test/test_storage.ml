@@ -535,7 +535,8 @@ let test_store_pager_accounting () =
   let pager = Pager.create ~page_size:64 () in
   let tree = Xml_parser.parse_string sample_source in
   let store = Succinct_store.of_tree ~pager tree in
-  ignore (Succinct_store.to_tree store);
+  Succinct_store.iter_nodes store (fun pos ->
+      ignore (Succinct_store.tag_name store pos, Succinct_store.content store pos));
   let s = Pager.stats pager in
   check_bool "reads recorded" true (s.Pager.logical_reads > 0)
 
@@ -615,7 +616,7 @@ let test_store_io_roundtrip () =
   (* a pager can be attached at load time *)
   let pager = Pager.create () in
   let with_pager = Store_io.load ~pager temp_store_path in
-  ignore (Succinct_store.to_tree with_pager);
+  ignore (Succinct_store.text_content with_pager (Succinct_store.root with_pager));
   check_bool "pager wired" true ((Pager.stats pager).Pager.logical_reads > 0)
 
 let test_store_io_errors () =
@@ -862,8 +863,7 @@ let prop_paged_navigation_matches =
       let store = Succinct_store.of_tree tree in
       Store_io.save store temp_store_path;
       let paged = Paged_store.open_store ~page_size:64 ~pool_pages:8 temp_store_path in
-      let raw = Succinct_store.to_raw store in
-      let bp = Balanced_parens.of_bitvector raw.Succinct_store.structure in
+      let bp = Succinct_store.structure store in
       let n = Succinct_store.node_count store in
       let ok = ref true in
       for rank = 0 to n - 1 do
