@@ -1296,24 +1296,6 @@ let qmet_run ~scale =
         Printf.printf "  %-4s %-10s %8d %10.3f %10d %8d %7.1f%%\n" q.Workload.Queries.id engine
           (List.length result) time_ms ps.Xqp_storage.Pager.logical_reads
           ps.Xqp_storage.Pager.physical_reads (100.0 *. hit_rate);
-        let row_obj (r : Profile.row) =
-          J.Obj
-            ([
-               ("path", J.Str r.Profile.path);
-               ("op", J.Str r.Profile.op);
-               ("est_rows", J.Num r.Profile.est_rows);
-             ]
-            @ (match r.Profile.engine with Some e -> [ ("engine", J.Str e) ] | None -> [])
-            @ (match r.Profile.actual_rows with
-              | Some n -> [ ("actual_rows", J.Num (float_of_int n)) ]
-              | None -> [])
-            @ (match r.Profile.time_ms with Some t -> [ ("time_ms", J.Num t) ] | None -> [])
-            @
-            match r.Profile.io with
-            | [] -> []
-            | io ->
-              [ ("io", J.Obj (List.map (fun (k, v) -> (k, J.Num (float_of_int v))) io)) ])
-        in
         J.Obj
           [
             ("id", J.Str q.Workload.Queries.id);
@@ -1329,7 +1311,7 @@ let qmet_run ~scale =
                   ("hits", J.Num (float_of_int ps.Xqp_storage.Pager.hits));
                   ("hit_rate", J.Num hit_rate);
                 ] );
-            ("operators", J.Arr (List.map row_obj rows));
+            ("operators", J.Arr (List.map Xqp_obs.Op_row.to_json rows));
           ])
       queries
   in
@@ -2129,12 +2111,15 @@ let obsrec_run ~scale =
         cap_ops =
           List.init 4 (fun i ->
               {
-                Fr.op_path = Printf.sprintf "0.%d" i;
-                op_label = "tau(3v)";
-                op_engine = Some "twigstack";
-                op_est_rows = 120.0;
-                op_actual_rows = 118;
-                op_ms = 0.4;
+                Xqp_obs.Op_row.path = Printf.sprintf "0.%d" i;
+                depth = 1;
+                op = "tau(3v)";
+                engine = Some "twigstack";
+                est_rows = 120.0;
+                actual_rows = Some 118;
+                time_ms = Some 0.4;
+                q_error = Some (Xqp_obs.Op_row.q_error 120.0 118);
+                io = [];
               });
         cap_events = [];
         cap_wall = Unix.gettimeofday ();

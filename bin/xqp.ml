@@ -134,21 +134,8 @@ let run_query_traced session strategy no_cache xquery_mode json deadline_ms limi
   let print_profile ops =
     Format.fprintf profile_ppf "@.request trace:@.%a@." Xqp_obs.Export.pp_profile_tree
       (Tr.events tr);
-    if ops <> [] then begin
-      Format.fprintf profile_ppf "operators (actual vs estimated):@.";
-      Format.fprintf profile_ppf "  %-8s %-28s %-12s %10s %10s %8s %9s@." "path" "op" "engine"
-        "est" "actual" "q-err" "ms";
-      List.iter
-        (fun (o : Executor.op_stat) ->
-          Format.fprintf profile_ppf "  %-8s %-28s %-12s %10.1f %10d %8.2f %9.3f@."
-            o.Executor.os_path o.Executor.os_op
-            (Option.value ~default:"-" o.Executor.os_engine)
-            o.Executor.os_est o.Executor.os_actual o.Executor.os_q o.Executor.os_ms)
-        (List.sort
-           (fun (a : Executor.op_stat) (b : Executor.op_stat) ->
-             compare a.Executor.os_path b.Executor.os_path)
-           ops)
-    end
+    if ops <> [] then
+      Format.fprintf profile_ppf "operators (actual vs estimated):@.%a" Xqp_obs.Op_row.pp_table ops
   in
   if xquery_mode then (
     match Xqp.Session.run_xquery_profiled ~engine:strategy ?deadline_ms ~trace:tr session query with
@@ -524,38 +511,42 @@ let workload_xpath_queries () =
     (fun (q : Xqp_workload.Queries.query) -> (q.Xqp_workload.Queries.id, q.Xqp_workload.Queries.xpath))
     (Xqp_workload.Queries.auction_paths @ Xqp_workload.Queries.auction_complexity_sweep)
 
+(* Prints one report; returns the spans an --analyze run recorded. *)
 let explain_one exec ?session ~strategy ~analyze ~rewrites ~use_cache query =
   let explained = Profile.explain exec ~strategy ~rewrites ~use_cache query in
   Format.printf "%s" explained.Profile.rendered;
   let physical = explained.Profile.physical in
   let context = [ Operators.document_context ] in
+  let print_rows = Format.printf "operators:@.%a" Xqp_obs.Op_row.pp_table in
   match session with
   | Some s ->
     (* Corpus catalog: the exec above is the merged-summary planner, whose
        document is a stub — execute through the session so the result line
        reflects the scatter-gather merge across shards. Per-operator
-       actuals are per-shard and not surfaced here. *)
+       actuals across the corpus come from `query --request-trace`. *)
     (match Xqp.Session.run ~use_cache s query with
     | Ok r ->
-      Format.printf "operators:@.%a" Profile.pp_table (Profile.rows_of_physical physical);
+      print_rows (Profile.rows_of_physical physical);
       Format.printf "result:          %d nodes in %.1f ms (scatter-gather, engine=%s)@."
-        (List.length r.Xqp.Session.nodes) r.Xqp.Session.time_ms r.Xqp.Session.engine
+        (List.length r.Xqp.Session.nodes) r.Xqp.Session.time_ms r.Xqp.Session.engine;
+      []
     | Error e -> failwith (Xqp.Error.message e))
   | None ->
   if analyze then begin
     let t0 = Sys.time () in
-    let result, rows = Profile.analyze_physical exec physical ~context in
+    let result, rows, events = Profile.analyze_physical exec physical ~context in
     let elapsed_ms = (Sys.time () -. t0) *. 1000.0 in
-    Format.printf "operators:@.%a" Profile.pp_table rows;
-    Format.printf "result:          %d nodes in %.1f ms@." (List.length result) elapsed_ms
+    print_rows rows;
+    Format.printf "result:          %d nodes in %.1f ms@." (List.length result) elapsed_ms;
+    events
   end
   else begin
-    let rows = Profile.rows_of_physical physical in
-    Format.printf "operators:@.%a" Profile.pp_table rows;
+    print_rows (Profile.rows_of_physical physical);
     let t0 = Sys.time () in
     let result = Executor.run_physical exec physical ~context in
     Format.printf "result:          %d nodes in %.1f ms@." (List.length result)
-      ((Sys.time () -. t0) *. 1000.0)
+      ((Sys.time () -. t0) *. 1000.0);
+    []
   end
 
 let run_explain file gen strategy analyze rewrites trace_out no_cache workload queries =
@@ -585,13 +576,13 @@ let run_explain file gen strategy analyze rewrites trace_out no_cache workload q
     | false, [] -> failwith "a query is required (or use --workload)"
   in
   let all_events = ref [] in
-  (* Each analyzed query restarts the tracer epoch, so ids and timestamps
-     begin at 0 again; shift every batch past the previous one so the
-     concatenated export still has unique ids and disjoint intervals. *)
+  (* Each analyzed query records into a fresh tracer, so ids and
+     timestamps begin at 0 again; shift every batch past the previous one
+     so the concatenated export still has unique ids and disjoint
+     intervals. *)
   let next_id = ref 0 and next_t = ref 0.0 in
-  let append_events () =
+  let append_events events =
     let module Tr = Xqp_obs.Trace in
-    let events = Tr.events Tr.default in
     let base_id = !next_id and base_t = !next_t in
     let shifted =
       List.map
@@ -616,8 +607,10 @@ let run_explain file gen strategy analyze rewrites trace_out no_cache workload q
     (fun i (id, q) ->
       if i > 0 then Format.printf "@.";
       if List.length queries > 1 then Format.printf "=== %s: %s@." id q;
-      explain_one exec ?session ~strategy ~analyze ~rewrites ~use_cache:(not no_cache) q;
-      if analyze && trace_out <> None then append_events ())
+      let events =
+        explain_one exec ?session ~strategy ~analyze ~rewrites ~use_cache:(not no_cache) q
+      in
+      if trace_out <> None then append_events events)
     queries;
   (match trace_out with
   | None -> ()

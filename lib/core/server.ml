@@ -322,22 +322,6 @@ let maybe_capture core ~request_id ~events (p : Session.profiled) q =
   | Some threshold when p.Session.result.Session.time_ms >= threshold ->
     Metrics.incr core.m_slow;
     let r = p.Session.result in
-    let ops =
-      List.map
-        (fun (o : Executor.op_stat) ->
-          {
-            Fr.op_path = o.Executor.os_path;
-            op_label = o.Executor.os_op;
-            op_engine = o.Executor.os_engine;
-            op_est_rows = o.Executor.os_est;
-            op_actual_rows = o.Executor.os_actual;
-            op_ms = o.Executor.os_ms;
-          })
-        (List.sort
-           (fun (a : Executor.op_stat) (b : Executor.op_stat) ->
-             compare a.Executor.os_path b.Executor.os_path)
-           p.Session.ops)
-    in
     Fr.capture Fr.default
       {
         Fr.cap_request_id = request_id;
@@ -355,7 +339,11 @@ let maybe_capture core ~request_id ~events (p : Session.profiled) q =
             worst_q_error = p.Session.worst_q_error;
           };
         cap_plan = Format.asprintf "%a" Xqp_physical.Physical_plan.pp p.Session.physical;
-        cap_ops = ops;
+        (* root first: the order /debug/slow lists operators in *)
+        cap_ops =
+          List.sort
+            (fun (a : Xqp_obs.Op_row.t) b -> compare a.Xqp_obs.Op_row.path b.Xqp_obs.Op_row.path)
+            p.Session.ops;
         cap_events = events;
         cap_wall = Unix.gettimeofday ();
       }
@@ -481,9 +469,7 @@ let run_query core job req ~request_id ~queue_ms =
                       Response.of_query_result ~request_id ~queue_ms core.session ~query:q
                         p.Session.result)
                     (Session.run_profiled ~engine ~use_cache:(not no_cache)
-                       ?deadline_ms:remaining_ms ~trace:tr
-                       ~profile_ops:(core.config.slow_ms <> None)
-                       core.session q)
+                       ?deadline_ms:remaining_ms ~trace:tr core.session q)
                 | "xquery" ->
                   Result.map
                     (fun (r : Session.xquery_result) ->

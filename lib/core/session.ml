@@ -112,7 +112,7 @@ type profiled = {
   result : query_result;
   fingerprint : string;
   physical : Pp.t;
-  ops : Executor.op_stat list;
+  ops : Physical.Profile.row list;
   worst_q_error : float;
   pages_read : int;
 }
@@ -122,34 +122,38 @@ type profiled = {
    domains read pages concurrently (DESIGN.md §13). *)
 let m_pager_reads = M.counter M.default "pager.logical_reads"
 
+(* Estimator quality as metrics, fed once per query from here: the
+   query's worst q-error, misestimated past 4x. *)
+let m_q_error = M.histogram M.default "executor.q_error"
+let m_misestimates = M.counter M.default "executor.misestimates"
+
 let worst_q ops =
-  List.fold_left (fun acc (o : Executor.op_stat) -> Float.max acc o.Executor.os_q) 1.0 ops
+  List.fold_left
+    (fun acc (r : Physical.Profile.row) ->
+      Option.fold ~none:acc ~some:(Float.max acc) r.Physical.Profile.q_error)
+    1.0 ops
 
 let is_timeout = function Error.Timeout _ -> true | _ -> false
 
 (* [run] with the observability side channels: a sample folded into the
    flight recorder on every outcome that produced a plan, and the
-   compiled plan + accounting exposed to the caller for slow-query
+   compiled plan + per-operator rows exposed to the caller for slow-query
    capture.
 
    Collection is two-level. The always-on recorder takes a plan-level
    sample — fingerprint off the plan cache, rows, pages, one root-level
-   q-error — whose cost is a few hundred nanoseconds and fits the OBSREC
-   ≤2% gate. Per-operator [op_stat] rows (wall time, actual-vs-estimated
-   per operator) cost two clock reads and a histogram point per
-   operator, so they are collected only when a request trace is enabled
-   or the caller arms [profile_ops] — the server does so exactly when
-   slow-query capture ([--slow-ms]) is on. When the recorder is disabled
-   and neither is armed, the executor runs the unobserved fast path —
-   the recorder-off baseline the OBSREC gate compares against. *)
+   q-error — cheap enough for the OBSREC ≤2% gate. Per-operator rows
+   exist only under an enabled trace (the server traces every request):
+   read off the operator spans, or summed across documents by a corpus
+   run. With neither, the executor runs the unobserved fast path — the
+   recorder-off baseline the OBSREC gate compares against. *)
 let run_profiled ?(engine = Executor.Auto) ?(optimize = true) ?(use_cache = true) ?deadline_ms
-    ?trace ?(profile_ops = false) ?(recorder = Fr.default) t q =
+    ?trace ?(recorder = Fr.default) t q =
   let recording = Fr.enabled recorder in
   let tracing = match trace with Some tr -> Tr.enabled tr | None -> false in
-  let profiling = tracing || profile_ops in
-  let collect = recording || profiling in
-  let stats = if profiling then Some (ref []) else None in
+  let collect = recording || tracing in
   let compiled = ref None in
+  let corpus_ops = ref [] in
   let pages0 = if collect then M.value m_pager_reads else 0 in
   let t0 = Unix.gettimeofday () in
   let outcome =
@@ -162,17 +166,17 @@ let run_profiled ?(engine = Executor.Auto) ?(optimize = true) ?(use_cache = true
         let execute () =
           match t.corpus with
           | None ->
-            Executor.run_physical t.exec ?deadline ?trace ?stats physical
+            Executor.run_physical t.exec ?deadline ?trace physical
               ~context:[ Ops.document_context ]
           | Some sg ->
             (* One compiled plan, fanned across shards; per-operator rows
-               come back merged across documents. *)
-            let r = Sg.run sg ?deadline ?trace ~collect_ops:profiling physical in
-            (match stats with Some s -> s := List.rev r.Sg.ops | None -> ());
+               come back summed across documents. *)
+            let r = Sg.run sg ?deadline ?trace physical in
+            corpus_ops := r.Sg.ops;
             r.Sg.nodes
         in
         match trace with
-        | Some tr when Tr.enabled tr ->
+        | Some tr when tracing ->
           Tr.with_span tr
             ~attrs:[ ("query", Tr.Str q); ("mode", Tr.Str "xpath") ]
             "query"
@@ -181,7 +185,12 @@ let run_profiled ?(engine = Executor.Auto) ?(optimize = true) ?(use_cache = true
   in
   let time_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
   let pages_read = if collect then max 0 (M.value m_pager_reads - pages0) else 0 in
-  let ops = match stats with Some r -> List.rev !r | None -> [] in
+  let ops =
+    match (trace, !compiled, t.corpus) with
+    | Some tr, Some (physical, _, _), None when tracing ->
+      Physical.Profile.rows_of_spans physical (Tr.events tr)
+    | _ -> !corpus_ops
+  in
   let sample ~rows ~cache ~failed ~deadline_missed ~worst_q_error fingerprint =
     {
       Fr.fingerprint;
@@ -200,13 +209,15 @@ let run_profiled ?(engine = Executor.Auto) ?(optimize = true) ?(use_cache = true
   | Ok nodes ->
     let physical, cache, fingerprint = Option.get !compiled in
     let rows = List.length nodes in
-    (* Per-op rows already fed the q-error histogram inside the
-       executor; the plan-level path feeds it exactly once here. *)
     let worst_q_error =
-      if profiling then worst_q ops
-      else if recording then Executor.plan_q_error physical ~actual:rows
+      if tracing then worst_q ops
+      else if recording then Xqp_obs.Op_row.q_error physical.Pp.est_rows rows
       else 1.0
     in
+    if collect then begin
+      M.observe m_q_error worst_q_error;
+      if worst_q_error > 4.0 then M.incr m_misestimates
+    end;
     if recording then
       Fr.record recorder
         (sample ~rows ~cache ~failed:false ~deadline_missed:false ~worst_q_error fingerprint);

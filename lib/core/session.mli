@@ -98,12 +98,13 @@ type profiled = {
       (** fingerprint of the executed plan's logical erasure — the
           flight-recorder store key *)
   physical : Xqp_physical.Physical_plan.t;
-  ops : Xqp_physical.Executor.op_stat list;
-      (** per-operator actual-vs-estimated accounting, completion order;
-          collected only when a trace is enabled or [profile_ops] is set *)
+  ops : Xqp_physical.Profile.row list;
+      (** per-operator rows in execution order, read off the operator
+          spans ({!Xqp_physical.Profile.rows_of_spans}) — summed across
+          documents for a corpus session; empty unless a trace is enabled *)
   worst_q_error : float;
-      (** max per-operator q-error when ops were collected, else the
-          plan-level (root) q-error when the recorder is on, else [1.0] *)
+      (** max per-operator q-error when traced, else the plan-level
+          (root) q-error when the recorder is on, else [1.0] *)
   pages_read : int;
       (** pager logical reads during this call (global-counter delta:
           approximate under concurrent domains) *)
@@ -111,20 +112,22 @@ type profiled = {
 
 val run_profiled :
   ?engine:engine -> ?optimize:bool -> ?use_cache:bool -> ?deadline_ms:int ->
-  ?trace:Xqp_obs.Trace.t -> ?profile_ops:bool -> ?recorder:Xqp_obs.Flight_recorder.t ->
+  ?trace:Xqp_obs.Trace.t -> ?recorder:Xqp_obs.Flight_recorder.t ->
   t -> string -> (profiled, Error.t) result
 (** {!run} plus the observability side channels (DESIGN.md §13): when
     [recorder] (default {!Xqp_obs.Flight_recorder.default}) is enabled,
     every outcome that compiled a plan — including timeouts — is folded
     into it as one plan-level sample (fingerprint off the plan cache,
     rows, pages, root q-error) cheap enough for the always-on OBSREC
-    gate. Per-operator stats — [ops], wall time and actual-vs-estimated
-    per operator — are collected only when an enabled [trace] is passed
-    (which wraps the run in a ["query"] span with per-operator children,
-    isolated from every other request's tracer) or when [profile_ops]
-    (default false) is set, as the server does while slow-query capture
-    is armed. With the recorder disabled and neither armed, the executor
-    runs the unobserved fast path. {!run} delegates here. *)
+    gate. An enabled [trace] wraps the run in a ["query"] span with one
+    child span per operator (a corpus run adds one span per shard
+    instead), isolated from every other request's tracer, and [ops] is
+    read off those spans. Each successful query feeds its worst q-error
+    to the [executor.q_error] histogram and, past 4×, the
+    [executor.misestimates] counter in {!Xqp_obs.Metrics.default} — once
+    per query, when recorded or traced. With the recorder disabled and
+    no trace enabled, the executor runs the unobserved fast path. {!run}
+    delegates here. *)
 
 type xquery_result = { value : Xqp_algebra.Value.t; time_ms : float }
 

@@ -31,20 +31,11 @@ type stat = {
   st_worst_q_error : float;
 }
 
-type op_profile = {
-  op_path : string;
-  op_label : string;
-  op_engine : string option;
-  op_est_rows : float;
-  op_actual_rows : int;
-  op_ms : float;
-}
-
 type capture = {
   cap_request_id : string;
   cap_sample : sample;
   cap_plan : string;
-  cap_ops : op_profile list;
+  cap_ops : Op_row.t list;
   cap_events : Trace.event list;
   cap_wall : float;
 }
@@ -298,18 +289,6 @@ let stat_to_json st =
       ("worst_q_error", Json.Num (round3 st.st_worst_q_error));
     ]
 
-let op_to_json op =
-  Json.Obj
-    [
-      ("path", Json.Str op.op_path);
-      ("op", Json.Str op.op_label);
-      ( "engine",
-        match op.op_engine with Some e -> Json.Str e | None -> Json.Null );
-      ("est_rows", Json.Num (round3 op.op_est_rows));
-      ("actual_rows", Json.Num (float_of_int op.op_actual_rows));
-      ("ms", Json.Num (round3 op.op_ms));
-    ]
-
 let capture_to_json c =
   Json.Obj
     [
@@ -325,7 +304,7 @@ let capture_to_json c =
       ("failed", Json.Bool c.cap_sample.failed);
       ("worst_q_error", Json.Num (round3 c.cap_sample.worst_q_error));
       ("plan", Json.Str c.cap_plan);
-      ("operators", Json.Arr (List.map op_to_json c.cap_ops));
+      ("operators", Json.Arr (List.map Op_row.to_json c.cap_ops));
       ("trace_spans", Json.Num (float_of_int (List.length c.cap_events)));
       ("wall_time", Json.Num c.cap_wall);
     ]

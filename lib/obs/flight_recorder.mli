@@ -55,22 +55,12 @@ type stat = {
   st_worst_q_error : float;
 }
 
-(** Per-operator profile row inside a slow capture. *)
-type op_profile = {
-  op_path : string;           (** plan-tree path, "0", "0.1", … *)
-  op_label : string;          (** operator label ({!Physical_plan.op_label}) *)
-  op_engine : string option;  (** engine for τ operators *)
-  op_est_rows : float;        (** optimizer estimate from the IR *)
-  op_actual_rows : int;       (** rows actually produced *)
-  op_ms : float;
-}
-
 (** A fully captured slow query. *)
 type capture = {
   cap_request_id : string;
   cap_sample : sample;
   cap_plan : string;  (** pretty-printed physical plan *)
-  cap_ops : op_profile list;
+  cap_ops : Op_row.t list;  (** per-operator rows, read off the request's spans *)
   cap_events : Trace.event list;  (** the request's trace, if traced *)
   cap_wall : float;  (** Unix time of capture *)
 }

@@ -332,43 +332,6 @@ let io_counters =
       "pool.hits";
     ]
 
-(* Per-operator actual-vs-estimated accounting for the flight recorder:
-   [run_physical ~stats] collects one row per operator; meaningful
-   producers (τ and Step) also feed the process-wide q-error histogram
-   and the misestimate counter, the executor-side signal that calibration
-   (content histograms, ROADMAP item 2) consumes. *)
-type op_stat = {
-  os_path : string;
-  os_op : string;
-  os_engine : string option;
-  os_est : float;
-  os_actual : int;
-  os_q : float;
-  os_ms : float;
-}
-
-let m_q_error = M.histogram M.default "executor.q_error"
-let m_misestimates = M.counter M.default "executor.misestimates"
-
-(* q-error as in [xqp calibrate]: both sides floored at one row, so
-   empty-vs-empty is a perfect 1.0. *)
-let q_error est actual =
-  let est = Float.max 1.0 est and act = Float.max 1.0 (float_of_int actual) in
-  Float.max (est /. act) (act /. est)
-
-let misestimate_threshold = 4.0
-
-(* Plan-level accounting for the always-on recorder path, which skips
-   per-operator [op_stat] rows to stay inside its overhead budget
-   (DESIGN.md §13): one q-error for the whole plan — root estimate vs
-   rows returned — folded into the same histogram and misestimate
-   counter the per-operator path feeds. *)
-let plan_q_error (physical : Pp.t) ~actual =
-  let q = q_error physical.Pp.est_rows actual in
-  M.observe m_q_error q;
-  if q > misestimate_threshold then M.incr m_misestimates;
-  q
-
 (* When a deadline is set, a long [Step] over many context nodes is
    evaluated in batches so the cooperative check fires between batches,
    not only between operators. Union-of-batches preserves semantics: a
@@ -376,33 +339,25 @@ let plan_q_error (physical : Pp.t) ~actual =
    results, which [eval_plan] already produces per batch. *)
 let step_batch = 256
 
-let run_physical t ?deadline ?(trace = Tr.default) ?stats physical ~context =
+let run_physical t ?deadline ?(trace = Tr.default) physical ~context =
   check_deadline deadline;
   if Atomic.get verify_plans then verify_physical t physical ~context;
   let tr = trace in
-  let collecting = stats <> None in
-  (* One span per plan operator. [path] names the operator's position in
-     the plan tree ("0" = the whole plan, children at "<path>.<i>") with
-     the same scheme as [Profile.rows_of_physical], so --analyze can join
-     estimated and measured rows. When neither tracing nor collecting,
-     this is a bool check and a direct call. *)
+  (* One span per plan operator — the only per-operator record
+     (DESIGN.md §7). [path] names the operator's position in the plan
+     tree ("0" = the whole plan, children at "<path>.<i>") with the same
+     scheme as [Profile.rows_of_physical], which joins the spans back onto
+     the plan by it. When the tracer is off, this is a bool check and a
+     direct call. *)
   let instr path (p : Pp.t) f =
-    let tracing = Tr.enabled tr in
-    (* Root/Context/Empty do no measurable work; when only the recorder
-       is collecting (no request trace) their stat rows are pure
-       overhead, so they take the direct path. A trace still spans every
-       operator — the tree shape matters there. *)
-    let trivial =
-      match p.Pp.op with Pp.Root | Pp.Context | Pp.Empty _ -> true | _ -> false
-    in
-    if (not tracing) && ((not collecting) || trivial) then f Tr.null_span
+    if not (Tr.enabled tr) then f Tr.null_span
     else begin
-      let before =
-        if tracing then List.map (fun (_, c) -> M.value c) io_counters else []
-      in
-      let t0 = if collecting then Unix.gettimeofday () else 0.0 in
-      let after span out =
-        if tracing then begin
+      let before = List.map (fun (_, c) -> M.value c) io_counters in
+      Tr.with_span tr
+        ~attrs:[ ("path", Tr.Str path); ("est", Tr.Float p.Pp.est_rows) ]
+        (Pp.op_label p)
+        (fun span ->
+          let out = f span in
           let deltas =
             List.filter_map
               (fun ((name, c), v0) ->
@@ -410,45 +365,8 @@ let run_physical t ?deadline ?(trace = Tr.default) ?stats physical ~context =
                 if d = 0 then None else Some (name, Tr.Int d))
               (List.combine io_counters before)
           in
-          Tr.add_attrs span (("out", Tr.Int (List.length out)) :: deltas)
-        end;
-        (match stats with
-        | None -> ()
-        | Some acc ->
-          let actual = List.length out in
-          let q =
-            match p.Pp.op with
-            | Pp.Tau _ | Pp.Step _ ->
-              let q = q_error p.Pp.est_rows actual in
-              M.observe m_q_error q;
-              if q > misestimate_threshold then M.incr m_misestimates;
-              q
-            | Pp.Root | Pp.Context | Pp.Empty _ | Pp.Union _ -> 1.0
-          in
-          let engine =
-            match p.Pp.op with
-            | Pp.Tau (_, tau) -> Some (Pp.engine_label tau.Pp.engine)
-            | _ -> None
-          in
-          acc :=
-            {
-              os_path = path;
-              os_op = Pp.op_label p;
-              os_engine = engine;
-              os_est = p.Pp.est_rows;
-              os_actual = actual;
-              os_q = q;
-              os_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
-            }
-            :: !acc);
-        out
-      in
-      if tracing then
-        Tr.with_span tr
-          ~attrs:[ ("path", Tr.Str path); ("est", Tr.Float p.Pp.est_rows) ]
-          (Pp.op_label p)
-          (fun span -> after span (f span))
-      else after Tr.null_span (f Tr.null_span)
+          Tr.add_attrs span (("out", Tr.Int (List.length out)) :: deltas);
+          out)
     end
   in
   let rec go path (p : Pp.t) ctx =

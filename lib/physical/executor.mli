@@ -136,28 +136,8 @@ val compile_query_info :
 (** [prepare (Query text)] projected to its plan and cache status — the
     compile probe of [perfbench/xbench.ml]; other callers use {!prepare}. *)
 
-type op_stat = {
-  os_path : string;    (** plan-tree path, "0", "0.1", … *)
-  os_op : string;      (** operator label *)
-  os_engine : string option;  (** bound engine for τ operators *)
-  os_est : float;      (** the IR's [est_rows] annotation *)
-  os_actual : int;     (** rows actually produced *)
-  os_q : float;        (** q-error for τ/Step (both sides floored at 1), else 1.0 *)
-  os_ms : float;       (** wall time inside the operator (children incl.) *)
-}
-(** One per-operator accounting row collected by [run_physical ~stats],
-    in completion order (children precede parents). *)
-
-val plan_q_error : Physical_plan.t -> actual:int -> float
-(** Plan-level q-error — the root operator's [est_rows] against the rows
-    the whole plan returned, both sides floored at one row — folded into
-    the [executor.q_error] histogram and [executor.misestimates]
-    counter. The always-on recorder path uses this instead of
-    per-operator [op_stat] collection, which stays reserved for request
-    traces and armed slow-query capture (DESIGN.md §13). *)
-
 val run_physical :
-  t -> ?deadline:float -> ?trace:Xqp_obs.Trace.t -> ?stats:op_stat list ref ->
+  t -> ?deadline:float -> ?trace:Xqp_obs.Trace.t ->
   Physical_plan.t -> context:Xqp_xml.Document.node list ->
   Xqp_xml.Document.node list
 (** Interpret a compiled plan: each operator gets a span (when [trace] —
@@ -165,12 +145,10 @@ val run_physical :
     [path], the IR's [est] annotation, input/output cardinalities, the
     bound [engine] for τ, and storage-counter deltas. Passing a
     request-scoped [trace] keeps concurrent requests' span trees
-    isolated (DESIGN.md §13). When [stats] is given, every operator
-    appends an {!op_stat} row to it, and τ/Step operators feed the
-    [executor.q_error] histogram and [executor.misestimates] counter
-    (q-error > 4) in {!Xqp_obs.Metrics.default}. Dispatch reads the
-    baked-in bindings only — no cost model, no [Auto], no fallback
-    decisions at run time. [deadline] is an absolute [Unix.gettimeofday]
+    isolated (DESIGN.md §13). These spans are the only per-operator
+    record: {!Profile.rows_of_spans} reads the profile rows off them.
+    Dispatch reads the baked-in bindings only — no cost model, no
+    [Auto], no fallback decisions at run time. [deadline] is an absolute [Unix.gettimeofday]
     instant; past it the drive loop raises {!Deadline_exceeded} at the
     next cooperative check. *)
 

@@ -1,7 +1,7 @@
 module Lp = Xqp_algebra.Logical_plan
 module Tr = Xqp_obs.Trace
 
-type row = {
+type row = Xqp_obs.Op_row.t = {
   path : string;
   depth : int;
   op : string;
@@ -9,87 +9,94 @@ type row = {
   est_rows : float;
   actual_rows : int option;
   time_ms : float option;
+  q_error : float option;
   io : (string * int) list;
 }
 
-(* The static half from the IR: engines and estimates are read off the
-   compiled plan's annotations, never re-derived through the cost
-   model — what the planner bound is what the profile reports. *)
-let rows_of_physical physical =
+(* One walk over the compiled plan, children first so rows come out in
+   execution order. Engines and estimates are read off the plan's
+   annotations, never re-derived through the cost model — what the
+   planner bound is what the profile reports. [measure ~produces row]
+   fills in the measured half; [produces] marks the τ and Step operators,
+   whose output cardinality the estimate predicts. *)
+let walk physical measure =
   let module Pp = Physical_plan in
-  let rec walk path depth (p : Pp.t) acc =
-    (* children first: rows come out in execution order *)
+  let rec go path depth (p : Pp.t) acc =
     let acc =
       match p.Pp.op with
       | Pp.Root | Pp.Context | Pp.Empty _ -> acc
-      | Pp.Step (base, _) | Pp.Tau (base, _) -> walk (path ^ ".0") (depth + 1) base acc
-      | Pp.Union (a, b) ->
-        walk (path ^ ".1") (depth + 1) b (walk (path ^ ".0") (depth + 1) a acc)
+      | Pp.Step (base, _) | Pp.Tau (base, _) -> go (path ^ ".0") (depth + 1) base acc
+      | Pp.Union (a, b) -> go (path ^ ".1") (depth + 1) b (go (path ^ ".0") (depth + 1) a acc)
     in
-    let engine =
+    let engine, produces =
       match p.Pp.op with
-      | Pp.Tau (_, tau) -> Some (Pp.engine_label tau.Pp.engine)
-      | Pp.Root | Pp.Context | Pp.Step _ | Pp.Union _ | Pp.Empty _ -> None
+      | Pp.Tau (_, tau) -> (Some (Pp.engine_label tau.Pp.engine), true)
+      | Pp.Step _ -> (None, true)
+      | Pp.Root | Pp.Context | Pp.Union _ | Pp.Empty _ -> (None, false)
     in
-    {
-      path;
-      depth;
-      op = Pp.op_label p;
-      engine;
-      est_rows = p.Pp.est_rows;
-      actual_rows = None;
-      time_ms = None;
-      io = [];
-    }
-    :: acc
+    let row =
+      {
+        path;
+        depth;
+        op = Pp.op_label p;
+        engine;
+        est_rows = p.Pp.est_rows;
+        actual_rows = None;
+        time_ms = None;
+        q_error = None;
+        io = [];
+      }
+    in
+    measure ~produces row :: acc
   in
-  List.rev (walk "0" 0 physical [])
+  List.rev (go "0" 0 physical [])
+
+let rows_of_physical physical = walk physical (fun ~produces:_ row -> row)
 
 let is_io_attr name =
-  String.length name > 5
-  && (String.sub name 0 6 = "pager." || (String.length name > 4 && String.sub name 0 5 = "pool."))
+  String.starts_with ~prefix:"pager." name || String.starts_with ~prefix:"pool." name
 
-let analyze_physical exec physical ~context =
-  let tr = Tr.default in
-  let was_enabled = Tr.enabled tr in
-  Tr.clear tr;
-  Tr.set_enabled tr true;
-  let result =
-    Fun.protect
-      ~finally:(fun () -> Tr.set_enabled tr was_enabled)
-      (fun () -> Executor.run_physical exec physical ~context)
-  in
-  let events = Tr.events tr in
+let rows_of_spans physical events =
   let by_path = Hashtbl.create 16 in
   List.iter
     (fun e -> match Tr.attr_str e "path" with Some p -> Hashtbl.replace by_path p e | None -> ())
     events;
-  let rows =
-    List.map
-      (fun row ->
-        match Hashtbl.find_opt by_path row.path with
-        | None -> row
-        | Some e ->
-          {
-            row with
-            engine = (match Tr.attr_str e "engine" with Some _ as s -> s | None -> row.engine);
-            actual_rows = Tr.attr_int e "out";
-            time_ms = Some (Tr.duration_us e /. 1000.0);
-            io =
-              List.filter_map
-                (fun (name, v) ->
-                  match v with Tr.Int d when is_io_attr name -> Some (name, d) | _ -> None)
-                e.Tr.attrs;
-          })
-      (rows_of_physical physical)
-  in
-  (result, rows)
+  walk physical (fun ~produces row ->
+      match Hashtbl.find_opt by_path row.path with
+      | None -> row
+      | Some e ->
+        let actual_rows = Tr.attr_int e "out" in
+        {
+          row with
+          engine = (match Tr.attr_str e "engine" with Some _ as s -> s | None -> row.engine);
+          actual_rows;
+          time_ms = Some (Tr.duration_us e /. 1000.0);
+          q_error =
+            (if produces then Option.map (Xqp_obs.Op_row.q_error row.est_rows) actual_rows
+             else None);
+          io =
+            List.filter_map
+              (fun (name, v) ->
+                match v with Tr.Int d when is_io_attr name -> Some (name, d) | _ -> None)
+              e.Tr.attrs;
+        })
+
+(* A tracer of its own, sized to the plan (one span per operator), so a
+   profile never disturbs spans recorded elsewhere — [Trace.default]
+   included. *)
+let analyze_physical exec physical ~context =
+  let tr = Tr.create ~capacity:(List.length (rows_of_physical physical)) () in
+  Tr.set_enabled tr true;
+  let result = Executor.run_physical exec ~trace:tr physical ~context in
+  let events = Tr.events tr in
+  (result, rows_of_spans physical events, events)
 
 let analyze exec ?strategy plan ~context =
   let physical =
     Executor.compile exec ?strategy ~context_card:(float_of_int (List.length context)) plan
   in
-  analyze_physical exec physical ~context
+  let result, rows, _ = analyze_physical exec physical ~context in
+  (result, rows)
 
 type explain = {
   rendered : string;
@@ -155,33 +162,3 @@ let explain exec ?strategy ?(optimize = true) ?use_cache ?(rewrites = false) que
     chosen;
     physical = compiled.Executor.physical;
   }
-
-let pp_table ppf rows =
-  let opt_str f = function Some v -> f v | None -> "-" in
-  let io_str io =
-    if io = [] then "-"
-    else String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) io)
-  in
-  let cells =
-    List.map
-      (fun r ->
-        ( String.make (2 * r.depth) ' ' ^ r.op,
-          opt_str Fun.id r.engine,
-          Printf.sprintf "%.1f" r.est_rows,
-          opt_str string_of_int r.actual_rows,
-          opt_str (Printf.sprintf "%.3f") r.time_ms,
-          io_str r.io ))
-      rows
-  in
-  let header = ("operator", "engine", "est", "actual", "ms", "io") in
-  let width f = List.fold_left (fun w row -> max w (String.length (f row))) 0 (header :: cells) in
-  let w1 = width (fun (a, _, _, _, _, _) -> a)
-  and w2 = width (fun (_, b, _, _, _, _) -> b)
-  and w3 = width (fun (_, _, c, _, _, _) -> c)
-  and w4 = width (fun (_, _, _, d, _, _) -> d)
-  and w5 = width (fun (_, _, _, _, e, _) -> e) in
-  let line (a, b, c, d, e, f) =
-    Format.fprintf ppf "%-*s  %-*s  %*s  %*s  %*s  %s@." w1 a w2 b w3 c w4 d w5 e f
-  in
-  line header;
-  List.iter line cells

@@ -1,42 +1,51 @@
 (** Per-operator execution profiles: the machinery behind
-    [xqp explain --analyze].
+    [xqp explain --analyze], [xqp query --request-trace], slow-query
+    captures and the QMET bench.
 
     A profile is a list of {!row}s, one per plan operator, in execution
     order (an operator's base precedes it). {!rows_of_physical} produces
     the static half — operator labels, bound engines and the planner's
-    estimated cardinalities; {!analyze} runs the plan under the default tracer and
-    joins the recorded spans onto those rows by operator path, adding
-    actual cardinality, wall-clock time and the I/O counter deltas. *)
+    estimated cardinalities; {!rows_of_spans} joins the operator spans one
+    run recorded ({!Executor.run_physical}, DESIGN.md §7) onto those rows
+    by operator path, adding actual cardinality, wall-clock time, q-error
+    and the I/O counter deltas. The spans are the only per-operator
+    record; every measured row comes out of {!rows_of_spans}. *)
 
-type row = {
-  path : string;  (** position in the plan tree: "0" is the whole plan,
-                      children at ["<path>.<i>"] — the same scheme the
-                      executor writes into span [path] attributes *)
-  depth : int;    (** nesting depth (number of dots in [path]) *)
-  op : string;    (** {!Xqp_algebra.Logical_plan.op_label} of the operator *)
-  engine : string option;  (** for τ operators: the engine that ran it *)
-  est_rows : float;        (** cost-model estimate of the output cardinality *)
-  actual_rows : int option;   (** measured output cardinality ({!analyze} only) *)
-  time_ms : float option;     (** inclusive wall-clock time ({!analyze} only) *)
-  io : (string * int) list;   (** nonzero storage-counter deltas, e.g.
-                                  [("pager.logical_reads", 410)] *)
+type row = Xqp_obs.Op_row.t = {
+  path : string;
+  depth : int;
+  op : string;
+  engine : string option;
+  est_rows : float;
+  actual_rows : int option;
+  time_ms : float option;
+  q_error : float option;
+  io : (string * int) list;
 }
+(** {!Xqp_obs.Op_row.t}, which documents the fields and renders rows
+    ({!Xqp_obs.Op_row.pp_table}, {!Xqp_obs.Op_row.to_json}). *)
 
 val rows_of_physical : Physical_plan.t -> row list
 (** Static rows read off a compiled plan: [engine] is the τ's bound
     engine and [est_rows] the planner's annotation — nothing is
     re-derived through the cost model. *)
 
+val rows_of_spans : Physical_plan.t -> Xqp_obs.Trace.event list -> row list
+(** {!rows_of_physical} with each row's measured half read off the span
+    whose [path] attribute matches (the latest one, if several runs share
+    the events): [actual_rows] from [out], [time_ms] from the span's
+    duration, [engine] from [engine], [io] from the [pager.*]/[pool.*]
+    deltas, and [q_error] for τ and Step rows. Rows with no matching span
+    stay static. *)
+
 val analyze_physical :
   Executor.t ->
   Physical_plan.t ->
   context:Xqp_xml.Document.node list ->
-  Xqp_xml.Document.node list * row list
-(** Run a compiled plan with tracing enabled on [Xqp_obs.Trace.default]
-    and return the result nodes plus fully-populated rows. The tracer is
-    cleared first (events recorded earlier are discarded) and its enabled
-    flag restored afterwards; the run's events stay on the tracer until
-    the next clear, so callers can still export them. *)
+  Xqp_xml.Document.node list * row list * Xqp_obs.Trace.event list
+(** Run a compiled plan under a fresh tracer of its own and return the
+    result nodes, the measured rows and the recorded spans (for export).
+    No other tracer — {!Xqp_obs.Trace.default} included — is touched. *)
 
 val analyze :
   Executor.t ->
@@ -45,7 +54,7 @@ val analyze :
   context:Xqp_xml.Document.node list ->
   Xqp_xml.Document.node list * row list
 (** {!Executor.compile} (with [context_card] from the context length)
-    followed by {!analyze_physical}. *)
+    followed by {!analyze_physical}, without the spans. *)
 
 type explain = {
   rendered : string;  (** the human-readable report *)
@@ -68,7 +77,3 @@ val explain :
     {!Executor.prepare} with the same options a query takes ([optimize]
     default true).
     @raise Xqp_xpath.Parser.Parse_error on malformed input. *)
-
-val pp_table : Format.formatter -> row list -> unit
-(** Render rows as an aligned table (est/actual/time/IO columns are shown
-    only when some row has them). *)

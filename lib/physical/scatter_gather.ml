@@ -256,11 +256,37 @@ type shard_report = {
 
 type run_result = {
   nodes : Doc.node list; (* ordinal-tagged, global document order *)
-  ops : Executor.op_stat list;
+  ops : Profile.row list;
   reports : shard_report list;
 }
 
-let run t ?deadline ?trace ?(collect_ops = false) physical =
+(* Corpus profile rows: one row per operator path, actual rows, time and
+   I/O summed across documents, q-error recomputed against the plan's
+   corpus-wide estimate. Every document runs the same plan, so row lists
+   line up one for one; [] is "nothing ran yet". *)
+let sum_rows a b =
+  let add f x y = match (x, y) with Some x, Some y -> Some (f x y) | _ -> None in
+  let add_io io (k, v) =
+    (k, v + Option.value ~default:0 (List.assoc_opt k io)) :: List.remove_assoc k io
+  in
+  if a = [] then b
+  else if b = [] then a
+  else
+    List.map2
+      (fun (x : Profile.row) (y : Profile.row) ->
+        let actual_rows = add ( + ) x.Profile.actual_rows y.Profile.actual_rows in
+        {
+          x with
+          Profile.actual_rows;
+          time_ms = add ( +. ) x.Profile.time_ms y.Profile.time_ms;
+          q_error =
+            Option.bind x.Profile.q_error (fun _ ->
+                Option.map (Xqp_obs.Op_row.q_error x.Profile.est_rows) actual_rows);
+          io = List.fold_left add_io x.Profile.io y.Profile.io;
+        })
+      a b
+
+let run t ?deadline ?trace physical =
   let logical = Pp.to_logical physical in
   let n = Array.length t.shard_states in
   (* Per-shard emptiness proof off the catalog summaries: a pruned shard is
@@ -268,12 +294,21 @@ let run t ?deadline ?trace ?(collect_ops = false) physical =
   let pruned =
     Array.map (fun ss -> Cost_model.plan_certainly_empty ss.shard_stats logical) t.shard_states
   in
+  (* A traced request profiles every document: each shard task records
+     its documents' operator spans in a tracer of its own, sized to the
+     plan, so workers never touch the request tracer. *)
+  let profiled = match trace with Some tr -> Tr.enabled tr | None -> false in
   let shard_nodes = Array.make n [||] in
   let shard_ops = Array.make n [] in
   let shard_ms = Array.make n 0.0 in
   let errors = Array.make n None in
   let task ss () =
     let t0 = Unix.gettimeofday () in
+    let local =
+      if profiled then Some (Tr.create ~capacity:(List.length (Profile.rows_of_physical physical)) ())
+      else None
+    in
+    Option.iter (fun tr -> Tr.set_enabled tr true) local;
     (try
        shard_nodes.(ss.shard_index) <-
          Array.mapi
@@ -283,16 +318,18 @@ let run t ?deadline ?trace ?(collect_ops = false) physical =
                ~finally:(fun () -> Mutex.unlock slot.slot_lock)
                (fun () ->
                  let exec = slot_executor t ss slot doc_in_shard in
-                 let stats = if collect_ops then Some (ref []) else None in
+                 let context = [ Ops.document_context ] in
                  let nodes =
-                   Executor.run_physical exec ?deadline ?stats physical
-                     ~context:[ Ops.document_context ]
+                   match local with
+                   | None -> Executor.run_physical exec ?deadline physical ~context
+                   | Some tr ->
+                     Tr.clear tr;
+                     let nodes = Executor.run_physical exec ?deadline ~trace:tr physical ~context in
+                     shard_ops.(ss.shard_index) <-
+                       sum_rows shard_ops.(ss.shard_index)
+                         (Profile.rows_of_spans physical (Tr.events tr));
+                     nodes
                  in
-                 (match stats with
-                 | Some r ->
-                     (* run_physical appends in reverse completion order *)
-                     shard_ops.(ss.shard_index) <- shard_ops.(ss.shard_index) @ List.rev !r
-                 | None -> ());
                  (slot.ordinal, nodes)))
            ss.slots
      with e -> errors.(ss.shard_index) <- Some e);
@@ -352,4 +389,4 @@ let run t ?deadline ?trace ?(collect_ops = false) physical =
             (fun _ -> ()))
         !reports
   | _ -> ());
-  { nodes = !nodes; ops = List.concat (Array.to_list shard_ops); reports = !reports }
+  { nodes = !nodes; ops = Array.fold_left sum_rows [] shard_ops; reports = !reports }

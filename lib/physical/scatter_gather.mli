@@ -85,8 +85,12 @@ type shard_report = {
 type run_result = {
   nodes : Xqp_xml.Document.node list;
       (** ordinal-tagged, global document order *)
-  ops : Executor.op_stat list;
-      (** per-operator rows across all documents, when [collect_ops] *)
+  ops : Profile.row list;
+      (** when [trace] is enabled: one row per plan operator, read off
+          each document's operator spans ({!Profile.rows_of_spans}) and
+          summed across documents — actual rows, time and I/O — with the
+          q-error taken against the plan's corpus-wide estimate; [[]]
+          otherwise, or when every shard was pruned *)
   reports : shard_report list;  (** one per shard, catalog order *)
 }
 
@@ -94,11 +98,12 @@ val run :
   t ->
   ?deadline:float ->
   ?trace:Xqp_obs.Trace.t ->
-  ?collect_ops:bool ->
   Physical_plan.t ->
   run_result
 (** Fan a compiled plan across the unpruned shards and merge. The
     deadline applies to every per-document run; a worker's exception
     (including {!Executor.Deadline_exceeded}) is re-raised on the
     coordinating domain after the batch joins. [trace] receives the
-    shard-tagged spans (coordinator-side; workers never touch it). *)
+    shard-tagged spans (coordinator-side; workers never touch it: each
+    shard task traces its documents' operators into a tracer of its
+    own). *)

@@ -291,6 +291,46 @@ let test_catalog_fsck () =
       Alcotest.(check bool) "bad manifest" true
         (List.mem "corpus/catalog" (error_codes (Check.fsck junk))))
 
+(* A traced corpus query profiles every document but reports one row per
+   operator path, summed across documents and measured against the plan's
+   corpus-wide estimate: on an exact downward plan every estimate holds. *)
+let test_traced_corpus_rows () =
+  with_temp_dir (fun dir ->
+      let docs =
+        List.init 8 (fun i ->
+            ( "auction" ^ string_of_int i,
+              Doc.of_tree (Xqp_workload.Gen_auction.document ~seed:i ~scale:200 ()) ))
+      in
+      let path = pack_docs ~dir ~shards:4 docs in
+      let session = Result.get_ok (Session.open_db ~domains:2 path) in
+      Fun.protect
+        ~finally:(fun () -> Session.close session)
+        (fun () ->
+          let misestimates = M.counter M.default "executor.misestimates" in
+          let before = M.value misestimates in
+          let tr = Xqp_obs.Trace.create () in
+          Xqp_obs.Trace.set_enabled tr true;
+          match Session.run_profiled ~trace:tr session "//item/name" with
+          | Error e -> Alcotest.fail (Xqp.Error.message e)
+          | Ok p ->
+            let module Profile = Xqp_physical.Profile in
+            let n = List.length p.Session.result.Session.nodes in
+            Alcotest.(check (float 1e-9)) "exact plan estimate" (float_of_int n)
+              p.Session.physical.Xqp_physical.Physical_plan.est_rows;
+            let paths = List.map (fun r -> r.Profile.path) p.Session.ops in
+            Alcotest.(check (list string)) "one row per operator path"
+              (List.map (fun r -> r.Profile.path) (Profile.rows_of_physical p.Session.physical))
+              paths;
+            (match List.find_opt (fun r -> r.Profile.path = "0") p.Session.ops with
+            | Some root -> Alcotest.(check (option int)) "root actual rows" (Some n) root.Profile.actual_rows
+            | None -> Alcotest.fail "no root row");
+            Alcotest.(check (float 1e-9)) "worst q-error" 1.0 p.Session.worst_q_error;
+            Alcotest.(check int) "no misestimate" before (M.value misestimates);
+            (* the request trace still holds one span per shard, no operator spans *)
+            let names = List.map (fun e -> e.Xqp_obs.Trace.name) (Xqp_obs.Trace.events tr) in
+            Alcotest.(check (list string)) "request spans" [ "query"; "shard"; "shard"; "shard"; "shard" ]
+              names))
+
 let prop_scatter_equals_serial =
   QCheck.Test.make ~name:"corpus scatter-gather = serial concatenation" ~count:12
     QCheck.(
@@ -330,6 +370,7 @@ let suite =
           test_explain_and_single_doc_unchanged;
         Alcotest.test_case "fsck validates catalogs and shards" `Quick test_catalog_fsck;
         Alcotest.test_case "first and exists answer from the corpus" `Quick test_first_and_exists;
+        Alcotest.test_case "traced corpus rows, one per operator path" `Quick test_traced_corpus_rows;
         qcheck prop_scatter_equals_serial;
       ] );
   ]

@@ -310,6 +310,46 @@ let test_flight_recorder_capacity_and_reset () =
   check_int "reset zeroes dropped" 0 (Flight_recorder.dropped r);
   check_int "reset empties the ring" 0 (List.length (Flight_recorder.slow r))
 
+(* A measured τ row: est 4, actual 3. *)
+let golden_row ~time_ms =
+  {
+    Op_row.path = "0";
+    depth = 0;
+    op = "tau(1v)";
+    engine = Some "nok";
+    est_rows = 4.0;
+    actual_rows = Some 3;
+    time_ms = Some time_ms;
+    q_error = Some (Op_row.q_error 4.0 3);
+    io = [];
+  }
+
+(* The /debug/slow wire format, pinned byte for byte. *)
+let test_capture_json_golden () =
+  let cap =
+    {
+      Flight_recorder.cap_request_id = "r-golden";
+      cap_sample =
+        {
+          (fr_sample ~fingerprint:"T(R;v(q))" ~latency_ms:12.3456 ~cache_hit:true
+             ~q_error:1.3333333 ())
+          with
+          Flight_recorder.pages_read = 7;
+        };
+      cap_plan = "tau //q  engine=nok  est=4.0";
+      cap_ops = [ golden_row ~time_ms:0.2345 ];
+      cap_events = [];
+      cap_wall = 1700000000.5;
+    }
+  in
+  check_string "capture json"
+    ({|{"request_id":"r-golden","query":"//q","mode":"xpath","fingerprint":"T(R;v(q))",|}
+   ^ {|"latency_ms":12.346,"rows":3,"pages_read":7,"cache_hit":true,"deadline_missed":false,|}
+   ^ {|"failed":false,"worst_q_error":1.333,"plan":"tau //q  engine=nok  est=4.0",|}
+   ^ {|"operators":[{"path":"0","op":"tau(1v)","engine":"nok","est_rows":4,"actual_rows":3,|}
+   ^ {|"ms":0.235}],"trace_spans":0,"wall_time":1700000000.500}|})
+    (Json.to_string (Flight_recorder.capture_to_json cap))
+
 let test_flight_recorder_slow_ring () =
   let r = Flight_recorder.create ~slow_capacity:3 () in
   let cap i =
@@ -317,17 +357,7 @@ let test_flight_recorder_slow_ring () =
       Flight_recorder.cap_request_id = Printf.sprintf "r-%d" i;
       cap_sample = fr_sample ();
       cap_plan = "tau //q";
-      cap_ops =
-        [
-          {
-            Flight_recorder.op_path = "0";
-            op_label = "tau(1v)";
-            op_engine = Some "nok";
-            op_est_rows = 4.0;
-            op_actual_rows = 3;
-            op_ms = 0.2;
-          };
-        ];
+      cap_ops = [ golden_row ~time_ms:0.2 ];
       cap_events = [];
       cap_wall = 0.0;
     }
@@ -456,6 +486,27 @@ let test_analyze_restores_tracer () =
   let _ = Profile.analyze exec plan ~context:[ Ops.document_context ] in
   check_bool "tracer off after" false (Trace.enabled Trace.default)
 
+(* analyze records into a tracer of its own: spans already recorded in an
+   enabled [Trace.default] survive it, and it stays enabled. *)
+let test_analyze_keeps_default_tracer () =
+  let exec = auction_exec () in
+  let plan = Rewrite.optimize (Xqp_xpath.Parser.parse "//person/name") in
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_enabled Trace.default false;
+      Trace.clear Trace.default)
+    (fun () ->
+      Trace.clear Trace.default;
+      Trace.set_enabled Trace.default true;
+      Trace.with_span Trace.default "keep" ignore;
+      let _, rows = Profile.analyze exec plan ~context:[ Ops.document_context ] in
+      check_bool "rows measured" true (List.for_all (fun r -> r.Profile.actual_rows <> None) rows);
+      check_bool "still enabled" true (Trace.enabled Trace.default);
+      check_bool "earlier span survives" true
+        (List.exists (fun e -> e.Trace.name = "keep") (Trace.events Trace.default));
+      check_int "no operator spans leak into the default tracer" 1
+        (List.length (Trace.events Trace.default)))
+
 (* --- pager reset semantics ---------------------------------------------- *)
 
 let test_pager_reset_stats_keeps_pool_warm () =
@@ -529,11 +580,13 @@ let suite =
         Alcotest.test_case "flight recorder capacity and reset" `Quick
           test_flight_recorder_capacity_and_reset;
         Alcotest.test_case "flight recorder slow ring" `Quick test_flight_recorder_slow_ring;
+        Alcotest.test_case "slow capture json golden" `Quick test_capture_json_golden;
         Alcotest.test_case "prometheus HELP lines" `Quick test_prometheus_help_lines;
         Alcotest.test_case "chrome export round trip" `Quick test_chrome_round_trip;
         Alcotest.test_case "tsv and profile tree" `Quick test_export_tsv_and_tree;
         Alcotest.test_case "analyze matches Executor.run" `Quick test_analyze_matches_run;
         Alcotest.test_case "analyze restores tracer" `Quick test_analyze_restores_tracer;
+        Alcotest.test_case "analyze keeps Trace.default" `Quick test_analyze_keeps_default_tracer;
         Alcotest.test_case "pager reset_stats keeps pool warm" `Quick
           test_pager_reset_stats_keeps_pool_warm;
         Alcotest.test_case "rewrite tracing" `Quick test_rewrite_tracing;
