@@ -19,7 +19,8 @@ bench-full:
 # smallest scale; writes BENCH_prim_nav.json (plus BENCH_query_metrics.json
 # from QMET, BENCH_plan_cache.json from PCACHE, BENCH_path_summary.json
 # from PSUM, BENCH_domain_safety.json from DSAFE, BENCH_serve.json from
-# SERVE and BENCH_obs_recorder.json from OBSREC) for machine consumption.
+# SERVE, BENCH_obs_recorder.json from OBSREC and BENCH_encode.json from
+# ENCODE) for machine consumption.
 # DSAFE also gates: single-domain overhead of the domain-safe structures
 # must stay <= 2% of a warm workload round. SERVE gates on domain scaling:
 # 4-domain QPS must reach 0.75 x min(4, cores) x single-domain QPS (3x on
@@ -28,9 +29,12 @@ bench-full:
 # (unobserved fast path) round. CORPUS gates scatter-gather scaling the
 # same way SERVE does (4-domain QPS >= 0.75 x min(4, cores) x 1-domain,
 # writing BENCH_corpus.json) plus the pruning fast path: a query no
-# shard can answer must dispatch nothing and read nothing.
+# shard can answer must dispatch nothing and read nothing. ENCODE gates
+# the reply encoder: on auction:300000, writing the served query mix
+# straight from the document must be at least 3x faster than the
+# Tree.t-per-result reference encoder, with identical bytes.
 bench-smoke:
-	dune exec bench/main.exe -- --only=PRIM,E1,QMET,PCACHE,PSUM,DSAFE,SERVE,OBSREC,CORPUS --json=BENCH_prim_nav.json
+	dune exec bench/main.exe -- --only=PRIM,E1,QMET,PCACHE,PSUM,DSAFE,SERVE,OBSREC,CORPUS,ENCODE --json=BENCH_prim_nav.json
 
 # Observability gate: explain --analyze over every workload query, then
 # validate the exported Chrome trace with scripts/check_trace.

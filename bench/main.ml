@@ -1980,13 +1980,154 @@ let () =
       run = serve_run;
       bechamel =
         (fun () ->
-          let response =
-            Xqp.Response.ok ~query:"//site//item" ~mode:"xpath"
-              ~results:[ "<item/>"; "<item/>" ] ~engine:"nok" ~cache:"hit" ~time_ms:0.5 ()
-          in
-          Bechamel.Test.make ~name:"SERVE-response-encode"
+          let session = Xqp.Session.of_document (Workload.Gen_auction.packed ~scale:300 ()) in
+          Bechamel.Test.make ~name:"SERVE-session-run"
             (Bechamel.Staged.stage (fun () ->
-                 ignore (Sys.opaque_identity (Xqp.Response.to_string response)))));
+                 ignore (Sys.opaque_identity (Xqp.Session.run session "//item/name")))));
+    }
+
+(* ------------------------------------------------------------------ *)
+(* ENCODE: XPath replies written straight from the document            *)
+(* ------------------------------------------------------------------ *)
+
+(* The served mix of perfbench's serve_warm (auction:300000, the 13
+   queries of auction_paths and auction_complexity_sweep; about 3.3 MB
+   of replies per pass), encoded two ways. The reference is the encoder
+   the reply path used to have: a Tree.t per result node
+   (Document.to_tree), rendered to a string (Serializer.to_string), the
+   strings wrapped in a Json.t object and printed. The current encoder
+   is Response.write into one reused buffer, as a server worker holds
+   it. Both must produce the same bytes; the gate asks the current
+   encoder for a 3x speed-up over the mix. Writes BENCH_encode.json. *)
+
+let encode_scale = 300_000
+let encode_gate = 3.0
+
+let encode_reference session ~query (r : Xqp.Session.query_result) =
+  let module J = Xqp_obs.Json in
+  let doc = Xqp.Session.document session in
+  let item id =
+    match Document.kind doc id with
+    | Document.Attribute ->
+      Printf.sprintf "@%s=\"%s\"" (Document.name doc id) (Document.content doc id)
+    | Document.Text -> Document.content doc id
+    | _ -> Serializer.to_string (Document.to_tree doc id)
+  in
+  let round3 ms = Float.round (ms *. 1000.0) /. 1000.0 in
+  J.to_string
+    (J.Obj
+       [
+         ("query", J.Str query);
+         ("mode", J.Str "xpath");
+         ("status", J.Str "ok");
+         ("results", J.Arr (List.map (fun id -> J.Str (item id)) r.Xqp.Session.nodes));
+         ("count", J.Num (float_of_int (List.length r.Xqp.Session.nodes)));
+         ("engine", J.Str r.Xqp.Session.engine);
+         ("cache", J.Str (Executor.cache_status_label r.Xqp.Session.cache));
+         ("time_ms", J.Num (round3 r.Xqp.Session.time_ms));
+       ])
+
+(* Encode into a worker-style buffer: cleared per reply, dropped for a
+   fresh one once a reply grew it past 1 MiB. *)
+let encode_current buf session ~query r =
+  if Buffer.length buf > 1_048_576 then Buffer.reset buf else Buffer.clear buf;
+  Xqp.Response.write buf (Xqp.Response.of_query_result session ~query r)
+
+let encode_run ~scale:_ =
+  let module J = Xqp_obs.Json in
+  let session = Xqp.Session.of_document (Workload.Gen_auction.packed ~scale:encode_scale ()) in
+  let mix =
+    List.map
+      (fun (q : Workload.Queries.query) ->
+        let xpath = q.Workload.Queries.xpath in
+        (q.Workload.Queries.id, xpath, Result.get_ok (Xqp.Session.run session xpath)))
+      (Workload.Queries.auction_paths @ Workload.Queries.auction_complexity_sweep)
+  in
+  let buf = Buffer.create 65536 in
+  let bytes =
+    List.map
+      (fun (id, query, r) ->
+        let reference = encode_reference session ~query r in
+        encode_current buf session ~query r;
+        if Buffer.contents buf <> reference then
+          failwith (Printf.sprintf "ENCODE: %s: reply differs from the reference encoder" id);
+        String.length reference)
+      mix
+  in
+  (* Each encoder runs its own block of whole-mix passes — a full major
+     collection, one untimed pass, then [rounds] timed ones, median — so
+     each pays the collector for its own garbage and not the other's. *)
+  let rounds = 7 in
+  let block encode =
+    let pass () = List.iter (fun (_, query, r) -> encode ~query r) mix in
+    Gc.full_major ();
+    pass ();
+    let samples =
+      List.init rounds (fun _ ->
+          let t0 = Unix.gettimeofday () in
+          pass ();
+          Unix.gettimeofday () -. t0)
+    in
+    ms (List.nth (List.sort compare samples) (rounds / 2))
+  in
+  let reference_ms =
+    block (fun ~query r -> ignore (Sys.opaque_identity (encode_reference session ~query r)))
+  in
+  let current_ms = block (encode_current buf session) in
+  let total_bytes = List.fold_left ( + ) 0 bytes in
+  let speedup = reference_ms /. current_ms in
+  Printf.printf "  auction:%d, %d queries, %d reply bytes per pass (identical both ways)\n"
+    encode_scale (List.length mix) total_bytes;
+  Printf.printf "  reference (to_tree + to_string + Json.t): %8.2f ms/pass\n" reference_ms;
+  Printf.printf "  current (Response.write, one buffer):      %8.2f ms/pass\n" current_ms;
+  Printf.printf "  speed-up %.2fx (gate %.1fx)\n" speedup encode_gate;
+  let out =
+    J.Obj
+      [
+        ("bench", J.Str "encode");
+        ("document", J.Str (Printf.sprintf "auction:%d" encode_scale));
+        ("queries", J.Num (float_of_int (List.length mix)));
+        ("rounds", J.Num (float_of_int rounds));
+        ("bytes_per_pass", J.Num (float_of_int total_bytes));
+        ("reference_ms", J.Num reference_ms);
+        ("current_ms", J.Num current_ms);
+        ("speedup", J.Num speedup);
+        ("speedup_gate", J.Num encode_gate);
+        ( "replies",
+          J.Arr
+            (List.map2
+               (fun (id, _, (r : Xqp.Session.query_result)) b ->
+                 J.Obj
+                   [
+                     ("id", J.Str id);
+                     ("rows", J.Num (float_of_int (List.length r.Xqp.Session.nodes)));
+                     ("bytes", J.Num (float_of_int b));
+                   ])
+               mix bytes) );
+      ]
+  in
+  let path = "BENCH_encode.json" in
+  let oc = open_out path in
+  output_string oc (J.to_string ~pretty:true out);
+  output_string oc "\n";
+  close_out oc;
+  Printf.printf "  wrote %s\n" path;
+  if speedup < encode_gate then
+    failwith (Printf.sprintf "ENCODE: speed-up %.2fx below the %.1fx gate" speedup encode_gate)
+
+let () =
+  register
+    {
+      id = "ENCODE";
+      title = "ENCODE: XPath replies written from the document vs the Tree.t reference encoder";
+      run = encode_run;
+      bechamel =
+        (fun () ->
+          let session = Xqp.Session.of_document (Workload.Gen_auction.packed ~scale:300 ()) in
+          let r = Result.get_ok (Xqp.Session.run session "//item/name") in
+          let buf = Buffer.create 4096 in
+          Bechamel.Test.make ~name:"ENCODE-write"
+            (Bechamel.Staged.stage (fun () -> encode_current buf session ~query:"//item/name" r)));
     }
 
 (* ------------------------------------------------------------------ *)

@@ -42,13 +42,15 @@ let parsed_document ~file ~gen =
   | Some _, Some _ -> failwith "give either --file or --gen, not both"
   | None, None -> failwith "a document is required: --file FILE or --gen SPEC"
 
+let refuse_catalog path =
+  failwith
+    (path
+   ^ ": is a corpus catalog (.xqdbc); this command operates on a single document — query, \
+      serve and explain accept catalogs, or open one shard's .xqdb directly")
+
 let load_executor ?pager ~file ~gen () =
   match (file, gen) with
-  | Some path, None when Xqp_storage.Catalog.is_catalog_path path ->
-    failwith
-      (path
-     ^ ": is a corpus catalog (.xqdbc); this command operates on a single document — query, \
-        serve and explain accept catalogs, or open one shard's .xqdb directly")
+  | Some path, None when Xqp_storage.Catalog.is_catalog_path path -> refuse_catalog path
   | Some path, None when Filename.check_suffix path ".xqdb" -> open_store ?pager path
   | _ -> Executor.create ?pager (parsed_document ~file ~gen)
 
@@ -943,7 +945,11 @@ let pages_cmd =
 (* --- repl -------------------------------------------------------------- *)
 
 let run_repl file gen =
-  let exec = load_executor ~file ~gen () in
+  (match (file, gen) with
+  | Some path, None when Xqp_storage.Catalog.is_catalog_path path -> refuse_catalog path
+  | _ -> ());
+  let session = load_session ~file ~gen () in
+  let exec = Xqp.Session.executor session in
   let doc = Executor.doc exec in
   Format.printf "xqp repl — %a@." Document.pp_stats doc;
   Format.printf "XPath by default; prefix with 'xq ' for XQuery, 'explain ' for plans; ctrl-d quits.@.";
@@ -970,13 +976,7 @@ let run_repl file gen =
          else begin
            let nodes = Executor.execute exec (Executor.Query line) in
            List.iteri
-             (fun i id ->
-               if i < 20 then
-                 match Document.kind doc id with
-                 | Document.Attribute ->
-                   Format.printf "@%s=\"%s\"@." (Document.name doc id) (Document.content doc id)
-                 | Document.Text -> Format.printf "%s@." (Document.content doc id)
-                 | _ -> Format.printf "%s@." (Serializer.to_string (Document.to_tree doc id)))
+             (fun i id -> if i < 20 then Format.printf "%s@." (Xqp.Session.node_string session id))
              nodes;
            Format.printf "(%d nodes)@." (List.length nodes)
          end

@@ -301,6 +301,8 @@ let annotations =
     ("Excess_dir.byte_bmin", Safe_immutable, "per-byte backward-min table, read-only after init");
     ("Excess_dir.byte_bmax", Safe_immutable, "per-byte backward-max table, read-only after init");
     ("Paged_store.byte_pop", Safe_immutable, "256-entry popcount table, read-only after init");
+    ("Entity.classes", Safe_immutable, "256-entry escape class table, read-only after init");
+    ("Entity.json_escapes", Safe_immutable, "per-byte JSON escape strings, read-only after init");
     (* lib/workload: word-pool array literals for the synthetic document
        generators; written never, only Array.length/get *)
     ("Gen_auction.words", Safe_immutable, "generator word pool, read-only");

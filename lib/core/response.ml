@@ -1,7 +1,9 @@
 module J = Xqp_obs.Json
 
+type results = Items of string list | Nodes of Session.t * Session.node list
+
 type payload = {
-  results : string list;
+  results : results;
   count : int;
   engine : string;
   cache : string;
@@ -22,18 +24,28 @@ let ok ?request_id ?queue_ms ~query ~mode ~results ~engine ~cache ~time_ms () =
     mode;
     request_id;
     queue_ms;
-    outcome = Ok { results; count = List.length results; engine; cache; time_ms };
+    outcome = Ok { results = Items results; count = List.length results; engine; cache; time_ms };
   }
 
 let error ?request_id ?queue_ms ~query ~mode err =
   { query; mode; request_id; queue_ms; outcome = Error err }
 
 let of_query_result ?request_id ?queue_ms session ~query (r : Session.query_result) =
-  ok ?request_id ?queue_ms ~query ~mode:"xpath"
-    ~results:(List.map (Session.node_string session) r.Session.nodes)
-    ~engine:r.Session.engine
-    ~cache:(Xqp_physical.Executor.cache_status_label r.Session.cache)
-    ~time_ms:r.Session.time_ms ()
+  {
+    query;
+    mode = "xpath";
+    request_id;
+    queue_ms;
+    outcome =
+      Ok
+        {
+          results = Nodes (session, r.Session.nodes);
+          count = List.length r.Session.nodes;
+          engine = r.Session.engine;
+          cache = Xqp_physical.Executor.cache_status_label r.Session.cache;
+          time_ms = r.Session.time_ms;
+        };
+  }
 
 let of_xquery_result ?request_id ?queue_ms session ~query (r : Session.xquery_result) =
   ok ?request_id ?queue_ms ~query ~mode:"xquery"
@@ -47,28 +59,65 @@ let http_status t =
    format), so encode∘decode∘encode is the identity on emitted strings. *)
 let round3 ms = Float.round (ms *. 1000.0) /. 1000.0
 
-let to_json t =
+let write buf t =
+  let field name =
+    Buffer.add_string buf ",\"";
+    Buffer.add_string buf name;
+    Buffer.add_string buf "\":"
+  in
+  Buffer.add_string buf "{\"query\":";
+  J.escape_into buf t.query;
+  field "mode";
+  J.escape_into buf t.mode;
   (* [request_id]/[queue_ms] are served-request provenance: emitted only
      when present, so embedded/CLI responses are byte-identical to the
      pre-request-id schema. *)
-  let base =
-    [ ("query", J.Str t.query); ("mode", J.Str t.mode) ]
-    @ (match t.request_id with Some id -> [ ("request_id", J.Str id) ] | None -> [])
-    @ match t.queue_ms with Some q -> [ ("queue_ms", J.Num (round3 q)) ] | None -> []
-  in
-  match t.outcome with
+  Option.iter
+    (fun id ->
+      field "request_id";
+      J.escape_into buf id)
+    t.request_id;
+  Option.iter
+    (fun q ->
+      field "queue_ms";
+      Buffer.add_string buf (J.num_to_string (round3 q)))
+    t.queue_ms;
+  (match t.outcome with
   | Ok p ->
-    J.Obj
-      (base
-      @ [
-          ("status", J.Str "ok");
-          ("results", J.Arr (List.map (fun s -> J.Str s) p.results));
-          ("count", J.Num (float_of_int p.count));
-          ("engine", J.Str p.engine);
-          ("cache", J.Str p.cache);
-          ("time_ms", J.Num (round3 p.time_ms));
-        ])
-  | Error e -> J.Obj (base @ [ ("status", J.Str "error"); ("error", Error.to_json e) ])
+    field "status";
+    J.escape_into buf "ok";
+    field "results";
+    Buffer.add_char buf '[';
+    (match p.results with
+    | Items items ->
+      List.iteri
+        (fun i s ->
+          if i > 0 then Buffer.add_char buf ',';
+          J.escape_into buf s)
+        items
+    | Nodes (session, nodes) ->
+      List.iteri
+        (fun i id ->
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_char buf '"';
+          Session.add_node ~json:true session buf id;
+          Buffer.add_char buf '"')
+        nodes);
+    Buffer.add_char buf ']';
+    field "count";
+    Buffer.add_string buf (J.num_to_string (float_of_int p.count));
+    field "engine";
+    J.escape_into buf p.engine;
+    field "cache";
+    J.escape_into buf p.cache;
+    field "time_ms";
+    Buffer.add_string buf (J.num_to_string (round3 p.time_ms))
+  | Error e ->
+    field "status";
+    J.escape_into buf "error";
+    field "error";
+    Buffer.add_string buf (J.to_string (Error.to_json e)));
+  Buffer.add_char buf '}'
 
 let of_json json =
   let str field = Option.bind (J.member field json) J.to_str in
@@ -101,7 +150,7 @@ let of_json json =
                             mode;
                             request_id;
                             queue_ms;
-                            outcome = Ok { results; count; engine; cache; time_ms };
+                            outcome = Ok { results = Items results; count; engine; cache; time_ms };
                           })))
           | Some "error" -> (
             match J.member "error" json with
@@ -112,7 +161,10 @@ let of_json json =
           | Some other -> Result.Error (Printf.sprintf "unknown status %S" other)
           | None -> Result.Error "response lacks \"status\""))
 
-let to_string ?pretty t = J.to_string ?pretty (to_json t)
+let to_string t =
+  let buf = Buffer.create 256 in
+  write buf t;
+  Buffer.contents buf
 
 let of_string s =
   match J.parse s with

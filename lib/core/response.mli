@@ -24,11 +24,22 @@
     [X-Request-Id] header) and ["queue_ms"] (admission-queue wait).
     Both are omitted, not null, for CLI/embedded responses.
 
-    {!of_json} inverts {!to_json} (covered by a round-trip test), so the
-    schema cannot drift between the two producers. *)
+    One encoder, {!write}, produces every body: it appends the response
+    to a caller's buffer, and an XPath payload writes each result node
+    straight from the document ({!Session.add_node}), with no string per
+    result and no JSON tree. {!to_string} is [write] into a fresh
+    buffer. {!of_json} inverts it (covered by a round-trip test), so the
+    schema cannot drift between the producers. *)
+
+type results =
+  | Items of string list
+      (** serialized items, one string each: XQuery results and decoded
+          responses *)
+  | Nodes of Session.t * Session.node list
+      (** XPath result nodes, serialized by {!write} as it encodes *)
 
 type payload = {
-  results : string list;  (** serialized items, one string each *)
+  results : results;
   count : int;
   engine : string;        (** τ engines bound in the plan, or ["navigation"] *)
   cache : string;         (** plan-cache outcome label for this call *)
@@ -58,7 +69,8 @@ val error :
 val of_query_result :
   ?request_id:string -> ?queue_ms:float -> Session.t -> query:string ->
   Session.query_result -> t
-(** Serialize an XPath result through {!Session.node_string}. *)
+(** An XPath result that keeps its node ids: {!write} serializes each
+    through {!Session.add_node}. *)
 
 val of_xquery_result :
   ?request_id:string -> ?queue_ms:float -> Session.t -> query:string ->
@@ -67,8 +79,11 @@ val of_xquery_result :
 val http_status : t -> int
 (** 200 for ok; {!Error.http_status} otherwise. *)
 
-val to_json : t -> Xqp_obs.Json.t
-val of_json : Xqp_obs.Json.t -> (t, string) result
+val write : Buffer.t -> t -> unit
+(** Append the response's JSON to the buffer. *)
 
-val to_string : ?pretty:bool -> t -> string
+val to_string : t -> string
+(** {!write} into a fresh buffer. *)
+
+val of_json : Xqp_obs.Json.t -> (t, string) result
 val of_string : string -> (t, string) result

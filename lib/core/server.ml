@@ -83,36 +83,61 @@ let reason_phrase = function
   | 503 -> "Service Unavailable"
   | _ -> "Unknown"
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go off =
-    if off < n then
-      let written = Unix.write fd b off (n - off) in
-      if written > 0 then go (off + written)
-  in
-  try go 0 with Unix.Unix_error _ -> ()
+(* A worker's reply buffers, reused across requests: [body] receives
+   the encoded reply (cleared after each reply, and dropped for a fresh
+   one when that reply grew it past [max_kept_body]); [scratch] carries
+   the header and then the body to the socket, [reply_chunk] bytes per
+   write. *)
+type reply = { body : Buffer.t; scratch : Bytes.t }
 
-let respond ?(extra_headers = []) ?(keep_alive = false) fd ~status ~content_type body =
-  let extra =
-    String.concat ""
-      (List.map (fun (k, v) -> Printf.sprintf "%s: %s\r\n" k v) extra_headers)
-  in
-  write_all fd
-    (Printf.sprintf
-       "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n%sConnection: %s\r\n\r\n%s"
-       status (reason_phrase status) content_type (String.length body) extra
-       (if keep_alive then "keep-alive" else "close")
-       body)
+let reply_chunk = 65536
+let max_kept_body = 1_048_576
+let new_reply () = { body = Buffer.create reply_chunk; scratch = Bytes.create reply_chunk }
 
-let find_blank_line s =
-  let n = String.length s in
+let clear_reply reply =
+  if Buffer.length reply.body > max_kept_body then Buffer.reset reply.body
+  else Buffer.clear reply.body
+
+(* The header, then the body straight out of [reply.body]: the header
+   and the body's first bytes share one write, so a small reply leaves
+   in one segment, and no copy of the whole reply is ever made. *)
+let respond ?(extra_headers = []) ?(keep_alive = false) fd reply ~status ~content_type =
+  let header =
+    Printf.sprintf
+      "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n%sConnection: %s\r\n\r\n"
+      status (reason_phrase status) content_type (Buffer.length reply.body)
+      (String.concat "" (List.map (fun (k, v) -> Printf.sprintf "%s: %s\r\n" k v) extra_headers))
+      (if keep_alive then "keep-alive" else "close")
+  in
+  let n = Buffer.length reply.body in
+  let rec send fill off =
+    let take = min (reply_chunk - fill) (n - off) in
+    Buffer.blit reply.body off reply.scratch fill take;
+    let len = fill + take in
+    let rec write pos =
+      if pos < len then
+        let written = Unix.write fd reply.scratch pos (len - pos) in
+        if written > 0 then write (pos + written)
+    in
+    write 0;
+    if off + take < n then send 0 (off + take)
+  in
+  Bytes.blit_string header 0 reply.scratch 0 (String.length header);
+  try send (String.length header) 0 with Unix.Unix_error _ -> ()
+
+let find_blank_line buf ~from =
+  let n = Buffer.length buf in
   let rec go i =
     if i + 3 >= n then None
-    else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n' then Some i
+    else if
+      Buffer.nth buf i = '\r'
+      && Buffer.nth buf (i + 1) = '\n'
+      && Buffer.nth buf (i + 2) = '\r'
+      && Buffer.nth buf (i + 3) = '\n'
+    then Some i
     else go (i + 1)
   in
-  go 0
+  go (max 0 from)
 
 type request = { meth : string; path : string; params : (string * string) list; body : string }
 
@@ -180,6 +205,7 @@ let wants_keep_alive ~version headers =
   | _ -> version = "HTTP/1.1"
 
 let max_body = 1_048_576
+let max_header = 65536
 
 (* What one read off a connection produced: a request (and whether the
    client wants keep-alive), a request refused before its body was read
@@ -194,22 +220,25 @@ let recv_request fd =
   let chunk_len = 4096 in
   let chunk = Bytes.create chunk_len in
   let buf = Buffer.create 1024 in
-  let rec fill_headers () =
-    match find_blank_line (Buffer.contents buf) with
+  (* each read rescans only its own bytes, plus the three before them
+     that a CRLFCRLF split across reads may start in *)
+  let rec fill_headers ~from =
+    match find_blank_line buf ~from with
     | Some i -> Some i
     | None ->
-      if Buffer.length buf > 65536 then None
+      if Buffer.length buf > max_header then None
       else
         let n = try Unix.read fd chunk 0 chunk_len with Unix.Unix_error _ -> 0 in
         if n = 0 then None
         else (
+          let scanned = Buffer.length buf in
           Buffer.add_subbytes buf chunk 0 n;
-          fill_headers ())
+          fill_headers ~from:(scanned - 3))
   in
-  match fill_headers () with
+  match fill_headers ~from:0 with
   | None -> Closed
   | Some blank -> (
-    let head = String.sub (Buffer.contents buf) 0 blank in
+    let head = Buffer.sub buf 0 blank in
     let lines =
       String.split_on_char '\n' head
       |> List.map (fun l ->
@@ -232,9 +261,8 @@ let recv_request fd =
       match (String.split_on_char ' ' request_line, content_length) with
       | _ :: _ :: _, Error e -> Refused e
       | meth :: target :: rest, Ok content_length ->
-        let already = Buffer.length buf - (blank + 4) in
         let body = Buffer.create (max content_length 16) in
-        Buffer.add_string body (String.sub (Buffer.contents buf) (blank + 4) already);
+        Buffer.add_string body (Buffer.sub buf (blank + 4) (Buffer.length buf - (blank + 4)));
         let rec fill_body () =
           if Buffer.length body < content_length then
             let n =
@@ -392,7 +420,7 @@ let find_req_log core request_id =
           | _ -> acc)
         None rl.rl_slots)
 
-let run_query core job req ~request_id ~queue_ms =
+let run_query core job req body ~request_id ~queue_ms =
   (* Every served query gets its own tracer: request-scoped span trees
      stay isolated across worker domains (no shared open-span stack),
      and the completed tree lands in the request log for
@@ -400,28 +428,35 @@ let run_query core job req ~request_id ~queue_ms =
   let tr = Trace.create ~capacity:4096 () in
   Trace.set_enabled tr true;
   let t_start = Unix.gettimeofday () in
+  (* [encode] writes the reply into the worker's buffer; [finish] then
+     logs the request and answers its status *)
+  let encode response =
+    Response.write body response;
+    response
+  in
   let finish ~query ~mode response =
     let status = Response.http_status response in
     push_req_log core ~request_id (Trace.events tr);
     log_entry core ~request_id ~query ~mode ~status
       ~latency_ms:((Unix.gettimeofday () -. t_start) *. 1000.0)
       ~queue_ms;
-    (status, Response.to_string response)
+    status
   in
   match request_fields req with
   | Error e ->
     finish ~query:"" ~mode:"xpath"
-      (Response.error ~request_id ~queue_ms ~query:"" ~mode:"xpath" e)
+      (encode (Response.error ~request_id ~queue_ms ~query:"" ~mode:"xpath" e))
   | Ok (q, mode, engine_name, deadline_ms, no_cache) -> (
     let mode = Option.value ~default:"xpath" mode in
     match q with
     | None ->
       finish ~query:"" ~mode
-        (Response.error ~request_id ~queue_ms ~query:"" ~mode
-           (Error.Bad_request "missing parameter \"q\""))
+        (encode
+           (Response.error ~request_id ~queue_ms ~query:"" ~mode
+              (Error.Bad_request "missing parameter \"q\"")))
     | Some q -> (
       let fail e =
-        finish ~query:q ~mode (Response.error ~request_id ~queue_ms ~query:q ~mode e)
+        finish ~query:q ~mode (encode (Response.error ~request_id ~queue_ms ~query:q ~mode e))
       in
       match
         match engine_name with
@@ -466,15 +501,17 @@ let run_query core job req ~request_id ~queue_ms =
                   Result.map
                     (fun (p : Session.profiled) ->
                       profiled := Some p;
-                      Response.of_query_result ~request_id ~queue_ms core.session ~query:q
-                        p.Session.result)
+                      encode
+                        (Response.of_query_result ~request_id ~queue_ms core.session ~query:q
+                           p.Session.result))
                     (Session.run_profiled ~engine ~use_cache:(not no_cache)
                        ?deadline_ms:remaining_ms ~trace:tr core.session q)
                 | "xquery" ->
                   Result.map
                     (fun (r : Session.xquery_result) ->
                       xq_result := Some r;
-                      Response.of_xquery_result ~request_id ~queue_ms core.session ~query:q r)
+                      encode
+                        (Response.of_xquery_result ~request_id ~queue_ms core.session ~query:q r))
                     (Session.run_xquery_profiled ~engine ?deadline_ms:remaining_ms ~trace:tr
                        core.session q)
                 | other ->
@@ -540,39 +577,34 @@ let run_health core =
 
 let debug_request_prefix = "/debug/requests/"
 
-let handle_request core job req ~queue_ms =
-  let status, content_type, extra_headers, body =
-      match req.path with
-      | "/query" ->
-        let request_id = Printf.sprintf "r-%d" (Atomic.fetch_and_add core.next_request 1 + 1) in
-        let status, body = run_query core job req ~request_id ~queue_ms in
-        (status, "application/json", [ ("X-Request-Id", request_id) ], body)
-      | "/health" ->
-        let status, body = run_health core in
-        (status, "application/json", [], body)
-      | "/metrics" -> (200, "text/plain; version=0.0.4", [], Export.to_prometheus Metrics.default)
-      | "/debug/queries" ->
-        let status, body = run_debug_queries req.params in
-        (status, "application/json", [], body)
-      | "/debug/slow" ->
-        let status, body = run_debug_slow () in
-        (status, "application/json", [], body)
-      | path when String.starts_with ~prefix:debug_request_prefix path ->
-        let id =
-          String.sub path (String.length debug_request_prefix)
-            (String.length path - String.length debug_request_prefix)
-        in
-        let status, body = run_debug_request core id in
-        (status, "application/json", [], body)
-      | other ->
-        ( 404,
-          "application/json",
-          [],
-          Response.to_string
-            (Response.error ~query:"" ~mode:"xpath"
-               (Error.Bad_request (Printf.sprintf "no such endpoint %s" other))) )
+(* Answer one request into [body]; returns its status, content type and
+   extra headers. *)
+let handle_request core job req body ~queue_ms =
+  let text (status, s) =
+    Buffer.add_string body s;
+    status
   in
-  (status, content_type, extra_headers, body)
+  match req.path with
+  | "/query" ->
+    let request_id = Printf.sprintf "r-%d" (Atomic.fetch_and_add core.next_request 1 + 1) in
+    let status = run_query core job req body ~request_id ~queue_ms in
+    (status, "application/json", [ ("X-Request-Id", request_id) ])
+  | "/health" -> (text (run_health core), "application/json", [])
+  | "/metrics" ->
+    (text (200, Export.to_prometheus Metrics.default), "text/plain; version=0.0.4", [])
+  | "/debug/queries" -> (text (run_debug_queries req.params), "application/json", [])
+  | "/debug/slow" -> (text (run_debug_slow ()), "application/json", [])
+  | path when String.starts_with ~prefix:debug_request_prefix path ->
+    let id =
+      String.sub path (String.length debug_request_prefix)
+        (String.length path - String.length debug_request_prefix)
+    in
+    (text (run_debug_request core id), "application/json", [])
+  | other ->
+    Response.write body
+      (Response.error ~query:"" ~mode:"xpath"
+         (Error.Bad_request (Printf.sprintf "no such endpoint %s" other)));
+    (404, "application/json", [])
 
 (* Closing a socket with unread input resets the connection, which can
    destroy a response the client has not read yet. After refusing a
@@ -601,22 +633,26 @@ let linger fd =
    idle timeout — a connection with no next request within it reads as
    EOF and closes. Draining downgrades every response to
    [Connection: close] so stop never waits on idle clients. *)
-let handle core job ~queue_ms ~m_domain_requests ~m_domain_busy =
+let handle core job (reply : reply) ~queue_ms ~m_domain_requests ~m_domain_busy =
   let rec loop ~queue_ms =
     match recv_request job.fd with
     | Closed -> ()
     | Refused error ->
       Metrics.incr core.m_requests;
-      respond job.fd ~status:(Error.http_status error) ~content_type:"application/json"
-        (Response.to_string (Response.error ~query:"" ~mode:"xpath" error));
+      Response.write reply.body (Response.error ~query:"" ~mode:"xpath" error);
+      respond job.fd reply ~status:(Error.http_status error) ~content_type:"application/json";
+      clear_reply reply;
       linger job.fd
     | Request (req, client_keep_alive) ->
       let t0 = Unix.gettimeofday () in
       Metrics.incr core.m_requests;
       Metrics.incr m_domain_requests;
-      let status, content_type, extra_headers, body = handle_request core job req ~queue_ms in
+      let status, content_type, extra_headers =
+        handle_request core job req reply.body ~queue_ms
+      in
       let keep_alive = client_keep_alive && not (Atomic.get core.draining) in
-      respond job.fd ~status ~content_type ~extra_headers ~keep_alive body;
+      respond job.fd reply ~status ~content_type ~extra_headers ~keep_alive;
+      clear_reply reply;
       let t1 = Unix.gettimeofday () in
       Metrics.add m_domain_busy (int_of_float ((t1 -. t0) *. 1e6));
       Metrics.observe core.m_latency (((t1 -. t0) *. 1000.0) +. queue_ms);
@@ -632,6 +668,7 @@ let worker core index () =
     Metrics.counter Metrics.default (Printf.sprintf "serve.domain.%d.requests" index)
   in
   let m_busy = Metrics.counter Metrics.default (Printf.sprintf "serve.domain.%d.busy_us" index) in
+  let reply = new_reply () in
   let rec next () =
     Mutex.lock core.lock;
     let rec await () =
@@ -651,8 +688,10 @@ let worker core index () =
     | Some job ->
       let queue_ms = (Unix.gettimeofday () -. job.enqueued) *. 1000.0 in
       Metrics.observe core.m_queue_wait queue_ms;
-      (try handle core job ~queue_ms ~m_domain_requests:m_requests ~m_domain_busy:m_busy
+      (try handle core job reply ~queue_ms ~m_domain_requests:m_requests ~m_domain_busy:m_busy
        with _ -> Metrics.incr core.m_errors);
+      (* a request that raised may have left part of its reply behind *)
+      clear_reply reply;
       (try Unix.close job.fd with Unix.Unix_error _ -> ());
       next ()
   in
@@ -661,15 +700,16 @@ let worker core index () =
 (* Admission rejection writes its 503 from the acceptor, after a single
    best-effort read of whatever request bytes arrived (closing with
    unread data would RST the connection under the response). *)
-let reject fd error =
-  let scratch = Bytes.create 4096 in
-  (try ignore (Unix.read fd scratch 0 4096) with Unix.Unix_error _ -> ());
-  let body = Response.to_string (Response.error ~query:"" ~mode:"xpath" error) in
-  respond fd ~status:(Error.http_status error) ~content_type:"application/json" body;
+let reject fd reply error =
+  (try ignore (Unix.read fd reply.scratch 0 4096) with Unix.Unix_error _ -> ());
+  clear_reply reply;
+  Response.write reply.body (Response.error ~query:"" ~mode:"xpath" error);
+  respond fd reply ~status:(Error.http_status error) ~content_type:"application/json";
   (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 let acceptor_loop core () =
+  let reply = new_reply () in
   while Atomic.get core.accepting do
     match Unix.select [ core.listen_fd ] [] [] 0.25 with
     | [], _, _ -> ()
@@ -687,11 +727,11 @@ let acceptor_loop core () =
         if Atomic.get core.draining then (
           Mutex.unlock core.lock;
           Metrics.incr core.m_rejected;
-          reject fd Error.Shutting_down)
+          reject fd reply Error.Shutting_down)
         else if Queue.length core.queue >= core.config.queue_depth then (
           Mutex.unlock core.lock;
           Metrics.incr core.m_rejected;
-          reject fd (Error.Overloaded { queue_depth = core.config.queue_depth }))
+          reject fd reply (Error.Overloaded { queue_depth = core.config.queue_depth }))
         else (
           Queue.push { fd; enqueued } core.queue;
           Metrics.set core.m_queue_depth (float_of_int (Queue.length core.queue));

@@ -356,15 +356,28 @@ let owning_doc t id =
     let ordinal, node = Sg.decode id in
     if ordinal < 0 then (document t, id) else (Sg.document sg ~ordinal, node)
 
-let node_string ?indent t id =
+(* The result rules, once: an attribute as [@name="value"] and a text
+   node as its content, both unescaped as XML; any other node as the XML
+   of its subtree. *)
+let add_node ?(json = false) t buffer id =
   let doc, id = owning_doc t id in
+  let raw = Xml.Entity.add (if json then Xml.Entity.(json raw) else Xml.Entity.raw) buffer in
   match Xml.Document.kind doc id with
   | Xml.Document.Attribute ->
-    Printf.sprintf "@%s=\"%s\"" (Xml.Document.name doc id) (Xml.Document.content doc id)
-  | Xml.Document.Text -> Xml.Document.content doc id
-  | _ -> Xml.Serializer.to_string ?indent (Xml.Document.to_tree doc id)
+    raw "@";
+    raw (Xml.Document.name doc id);
+    raw "=\"";
+    raw (Xml.Document.content doc id);
+    raw "\""
+  | Xml.Document.Text -> raw (Xml.Document.content doc id)
+  | _ -> Xml.Document.add_subtree ~json buffer doc id
 
-let to_xml ?indent t nodes = String.concat "" (List.map (node_string ?indent t) nodes)
+let to_xml t nodes =
+  let buffer = Buffer.create 256 in
+  List.iter (add_node t buffer) nodes;
+  Buffer.contents buffer
+
+let node_string t id = to_xml t [ id ]
 
 let text t id =
   let doc, id = owning_doc t id in

@@ -153,11 +153,21 @@ val xquery_string :
 
 (** {1 Results} *)
 
-val node_string : ?indent:int -> t -> node -> string
-(** One node serialized the way results travel on the wire: elements as
-    XML, attributes as [@name="value"], text as its content. *)
+val add_node : ?json:bool -> t -> Buffer.t -> node -> unit
+(** Append one result node the way results travel on the wire: an
+    element (or comment, PI) as the XML of its subtree, an attribute as
+    [@name="value"], a text node as its content — the value and the text
+    unescaped. Written straight from the owning document's pre-order
+    arrays by {!Xqp_xml.Document.add_subtree}; with [~json:true],
+    JSON-string-escaped in the same pass (the surrounding quotes are the
+    caller's). Corpus ids resolve to their shard's document. *)
 
-val to_xml : ?indent:int -> t -> node list -> string
+val node_string : t -> node -> string
+(** {!add_node} of one node, as a string. *)
+
+val to_xml : t -> node list -> string
+(** {!add_node} of each node, concatenated. *)
+
 val text : t -> node -> string
 
 val xquery_result_strings : t -> Xqp_algebra.Value.t -> string list

@@ -14,6 +14,8 @@ type t = {
   contents : string array;
   by_name : node array array; (* symbol id -> nodes in document order *)
   n_elements : int;
+  labels : string array; (* symbol id -> name, as the writer prints it *)
+  json_labels : string array; (* the same, escaped for a JSON string *)
 }
 
 (* Number of packed nodes a Tree.t occupies (attributes count). *)
@@ -106,6 +108,7 @@ module Builder = struct
       | Text | Comment | Pi -> ()
     done;
     let by_name = Array.init tags (fun sym -> Array.make counts.(sym) 0) in
+    let labels = Array.init tags (Symtab.name b.symtab) in
     let fill = Array.make tags 0 in
     for id = 0 to n - 1 do
       match b.kinds.(id) with
@@ -128,6 +131,8 @@ module Builder = struct
       contents = b.contents;
       by_name;
       n_elements = !n_elements;
+      labels;
+      json_labels = Array.map (Entity.escape (Entity.json Entity.raw)) labels;
     }
 end
 
@@ -159,7 +164,7 @@ let name_id doc id = doc.names.(id)
 
 let name doc id =
   match doc.kinds.(id) with
-  | Element | Attribute | Pi -> Symtab.name doc.symtab doc.names.(id)
+  | Element | Attribute | Pi -> doc.labels.(doc.names.(id))
   | Text -> "#text"
   | Comment -> "#comment"
 
@@ -267,6 +272,66 @@ let rec to_tree doc id =
     let attrs = List.map (fun a -> (name doc a, doc.contents.(a))) (attributes doc id) in
     let children = List.map (to_tree doc) (children doc id) in
     Tree.Element { name = name doc id; attrs; children }
+
+(* One walk over the subtree's pre-order range: an element's attributes
+   are the leaves right after it, and each content child's subtree ends
+   where the next one starts. Like [to_tree], it leaves out an attribute
+   that is not among the leading children of its owner. [labels] and
+   the three escapes are fixed per call: plain, or JSON on top. *)
+let rec write_subtree buffer doc labels ~text ~attr ~raw ~quote d =
+  match doc.kinds.(d) with
+  | Text ->
+    Entity.add text buffer doc.contents.(d);
+    d + 1
+  | Comment ->
+    Buffer.add_string buffer "<!--";
+    Entity.add raw buffer doc.contents.(d);
+    Buffer.add_string buffer "-->";
+    d + 1
+  | Pi ->
+    Buffer.add_string buffer "<?";
+    Buffer.add_string buffer labels.(doc.names.(d));
+    Buffer.add_char buffer ' ';
+    Entity.add raw buffer doc.contents.(d);
+    Buffer.add_string buffer "?>";
+    d + 1
+  | Attribute -> d + 1
+  | Element ->
+    let label = labels.(doc.names.(d)) in
+    Buffer.add_char buffer '<';
+    Buffer.add_string buffer label;
+    let last = subtree_end doc d in
+    let child = ref (d + 1) in
+    while !child <= last && doc.kinds.(!child) = Attribute do
+      Buffer.add_char buffer ' ';
+      Buffer.add_string buffer labels.(doc.names.(!child));
+      Buffer.add_char buffer '=';
+      Buffer.add_string buffer quote;
+      Entity.add attr buffer doc.contents.(!child);
+      Buffer.add_string buffer quote;
+      incr child
+    done;
+    if !child > last then Buffer.add_string buffer "/>"
+    else begin
+      Buffer.add_char buffer '>';
+      while !child <= last do
+        child := write_subtree buffer doc labels ~text ~attr ~raw ~quote !child
+      done;
+      Buffer.add_string buffer "</";
+      Buffer.add_string buffer label;
+      Buffer.add_char buffer '>'
+    end;
+    last + 1
+
+let plain = (Entity.text, Entity.attr, Entity.raw)
+let json_escapes = Entity.(json text, json attr, json raw)
+
+let add_subtree ?(json = false) buffer doc node =
+  if doc.kinds.(node) = Attribute then invalid_arg "Document.add_subtree: attribute node";
+  let labels, quote, (text, attr, raw) =
+    if json then (doc.json_labels, "\\\"", json_escapes) else (doc.labels, "\"", plain)
+  in
+  ignore (write_subtree buffer doc labels ~text ~attr ~raw ~quote node)
 
 let pp_stats ppf doc =
   let n = node_count doc in

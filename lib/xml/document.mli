@@ -50,6 +50,16 @@ end
 val to_tree : t -> node -> Tree.t
 (** [to_tree doc node] rebuilds the algebraic subtree rooted at [node]. *)
 
+val add_subtree : ?json:bool -> Buffer.t -> t -> node -> unit
+(** [add_subtree buffer doc node] appends the XML of the subtree rooted
+    at [node] (an element, text, comment or PI) — the bytes
+    [Serializer.to_string (to_tree doc node)] renders — in one linear
+    walk over the subtree's pre-order range, with no intermediate tree
+    or string. With [~json:true] the same bytes are escaped for the
+    inside of a JSON string in the same pass ({!Entity.json}); the
+    quotes around the string are the caller's.
+    @raise Invalid_argument on an attribute node. *)
+
 val of_string : ?strip:bool -> string -> t
 (** [of_string s] is [of_tree (Xml_parser.parse_string s)]; [~strip:true]
     drops whitespace-only text nodes first. *)

@@ -63,22 +63,73 @@ let decode s =
     Buffer.contents buffer
   end
 
-let escape ~quote s =
-  let needs_escape c = c = '&' || c = '<' || c = '>' || (quote && c = '"') in
-  if not (String.exists needs_escape s) then s
-  else begin
-    let buffer = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '&' -> Buffer.add_string buffer "&amp;"
-        | '<' -> Buffer.add_string buffer "&lt;"
-        | '>' -> Buffer.add_string buffer "&gt;"
-        | '"' when quote -> Buffer.add_string buffer "&quot;"
-        | _ -> Buffer.add_char buffer c)
-      s;
-    Buffer.contents buffer
+(* --- escaping ----------------------------------------------------------- *)
+
+(* One 256-entry class table drives every escape: a byte is plain under
+   an escape when its class shares no bit with it, and runs of plain
+   bytes go out with one [Buffer.add_substring]. *)
+type escape = int
+
+let raw = 0
+let text = 1 (* ampersand and angle brackets, in element content *)
+let attr = 2 (* those and the double quote, in an attribute value *)
+let json_string = 4 (* double quote, backslash, control bytes: JSON *)
+let json e = e lor json_string
+
+let classes =
+  Bytes.init 256 (fun i ->
+      Char.chr
+        (match Char.chr i with
+        | '&' | '<' | '>' -> text lor attr
+        | '"' -> attr lor json_string
+        | '\\' -> json_string
+        | _ when i < 0x20 -> json_string
+        | _ -> 0))
+
+(* The JSON string escapes of [Xqp_obs.Json]: short forms for quote,
+   backslash, newline, return and tab, [\u00XX] for other control bytes. *)
+let json_escapes =
+  Array.init 256 (fun i ->
+      match Char.chr i with
+      | '"' -> "\\\""
+      | '\\' -> "\\\\"
+      | '\n' -> "\\n"
+      | '\r' -> "\\r"
+      | '\t' -> "\\t"
+      | _ -> Printf.sprintf "\\u%04x" i)
+
+(* Index of the first byte of [s] from [i] on that [e] escapes, or the
+   length of [s]. *)
+let next_special e s i =
+  let n = String.length s in
+  let i = ref i in
+  while
+    !i < n && Char.code (Bytes.unsafe_get classes (Char.code (String.unsafe_get s !i))) land e = 0
+  do
+    incr i
+  done;
+  !i
+
+let rec add_from e buffer s start =
+  let i = next_special e s start in
+  if i > start then Buffer.add_substring buffer s start (i - start);
+  if i < String.length s then begin
+    let c = String.unsafe_get s i in
+    (* XML first: an entity holds no JSON-special byte, so it needs no
+       second escape *)
+    if Char.code (Bytes.unsafe_get classes (Char.code c)) land e land (text lor attr) <> 0 then
+      Buffer.add_string buffer
+        (match c with '&' -> "&amp;" | '<' -> "&lt;" | '>' -> "&gt;" | _ -> "&quot;")
+    else Buffer.add_string buffer (Array.unsafe_get json_escapes (Char.code c));
+    add_from e buffer s (i + 1)
   end
 
-let escape_text s = escape ~quote:false s
-let escape_attr s = escape ~quote:true s
+let add e buffer s = if e = raw then Buffer.add_string buffer s else add_from e buffer s 0
+
+let escape e s =
+  if next_special e s 0 = String.length s then s
+  else begin
+    let buffer = Buffer.create (String.length s + 8) in
+    add e buffer s;
+    Buffer.contents buffer
+  end

@@ -4,7 +4,7 @@ let render_attrs buffer attrs =
       Buffer.add_char buffer ' ';
       Buffer.add_string buffer k;
       Buffer.add_string buffer "=\"";
-      Buffer.add_string buffer (Entity.escape_attr v);
+      Entity.add Entity.attr buffer v;
       Buffer.add_char buffer '"')
     attrs
 
@@ -24,7 +24,7 @@ let to_string ?(indent = 0) ?(declaration = false) tree =
   in
   let rec render level node =
     match node with
-    | Tree.Text s -> Buffer.add_string buffer (Entity.escape_text s)
+    | Tree.Text s -> Entity.add Entity.text buffer s
     | Tree.Comment s ->
       Buffer.add_string buffer "<!--";
       Buffer.add_string buffer s;

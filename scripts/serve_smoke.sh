@@ -2,28 +2,50 @@
 # Server smoke test: boot `xqp serve` on an ephemeral port, probe
 # /health, fire a batch of concurrent /query clients (responses must all
 # be identical and well-formed), scrape /metrics for the serve.* family,
-# then SIGTERM and require a clean drain-and-exit. Exits non-zero on any
-# wrong response, a missing metric, or a hung shutdown.
+# then SIGTERM and require a clean drain-and-exit. Then serve a small
+# fixture full of escapes and require each reply body to match
+# `xqp query --json` on the same file byte for byte. Exits non-zero on
+# any wrong response, a missing metric, or a hung shutdown.
 set -e
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"; [ -n "$pid" ] && kill -9 "$pid" 2>/dev/null || true' EXIT
 
+# boot LOG ARGS...: start `xqp serve ARGS` on an ephemeral port in the
+# background ($pid), logging to LOG, and scrape the port ($port) from
+# its listening line
+boot() {
+  log=$1; shift
+  : > "$log"
+  "$xqp" serve "$@" --port 0 > "$log" 2>&1 &
+  pid=$!
+  port=""
+  for _ in $(seq 1 50); do
+    port=$(sed -n 's/.*listening on [0-9.]*:\([0-9]*\).*/\1/p' "$log")
+    [ -n "$port" ] && break
+    kill -0 "$pid" 2>/dev/null || { echo "serve-smoke: server died at startup"; cat "$log"; exit 1; }
+    sleep 0.2
+  done
+  [ -n "$port" ] || { echo "serve-smoke: no listening line"; cat "$log"; exit 1; }
+}
+
+# stop LOG: SIGTERM must drain and exit promptly
+stop() {
+  kill -TERM "$pid"
+  for _ in $(seq 1 50); do
+    kill -0 "$pid" 2>/dev/null || break
+    sleep 0.2
+  done
+  if kill -0 "$pid" 2>/dev/null; then
+    echo "serve-smoke: server did not exit after SIGTERM"; exit 1
+  fi
+  grep -q 'stopped' "$1" || { echo "serve-smoke: no clean shutdown line"; cat "$1"; exit 1; }
+  pid=""
+}
+
 dune build bin/xqp.exe
 xqp=_build/default/bin/xqp.exe
 
-"$xqp" serve -g auction:300 --port 0 --domains 2 --queue 32 > "$dir/serve.log" 2>&1 &
-pid=$!
-
-# wait for the listening line and scrape the ephemeral port from it
-port=""
-for _ in $(seq 1 50); do
-  port=$(sed -n 's/.*listening on [0-9.]*:\([0-9]*\).*/\1/p' "$dir/serve.log")
-  [ -n "$port" ] && break
-  kill -0 "$pid" 2>/dev/null || { echo "serve-smoke: server died at startup"; cat "$dir/serve.log"; exit 1; }
-  sleep 0.2
-done
-[ -n "$port" ] || { echo "serve-smoke: no listening line"; cat "$dir/serve.log"; exit 1; }
-
+boot "$dir/serve.log" -g auction:300 --domains 2 --queue 32
 base="http://127.0.0.1:$port"
 
 # health probe
@@ -83,15 +105,26 @@ for m in xqp_serve_requests_total xqp_serve_accepted_total xqp_serve_queue_depth
 done
 
 # graceful shutdown: SIGTERM must drain and exit promptly
-kill -TERM "$pid"
-for _ in $(seq 1 50); do
-  kill -0 "$pid" 2>/dev/null || break
-  sleep 0.2
-done
-if kill -0 "$pid" 2>/dev/null; then
-  echo "serve-smoke: server did not exit after SIGTERM"; exit 1
-fi
-grep -q 'stopped' "$dir/serve.log" || { echo "serve-smoke: no clean shutdown line"; cat "$dir/serve.log"; exit 1; }
-pid=""
+stop "$dir/serve.log"
 
-echo "serve-smoke: health + concurrent queries + request ids + flight recorder + metrics + graceful shutdown OK"
+# reply bytes: on a fixture with entities, quotes, backslashes, tabs,
+# UTF-8, a comment and a PI, the served body of an element, an @attr
+# and a text() query must equal `xqp query --json` on the same file,
+# once the per-call fields are gone
+printf '<r><e a="x&amp;y&quot;z&lt;&gt;" b="back\\slash &apos;q&apos;">t&amp;&lt;&gt;"\\ caf\303\251\t|<c k="&quot;"/><!-- c"\\ --><?pi b"\\ ?></e><e a="2">plain</e><e/></r>' \
+  > "$dir/escapes.xml"
+boot "$dir/escapes.log" -f "$dir/escapes.xml" --domains 1
+strip_call() { sed -e 's/,"time_ms":[0-9.]*//' -e 's/,"cache":"[a-z]*"//' \
+                   -e 's/,"request_id":"[^"]*"//' -e 's/,"queue_ms":[0-9.]*//'; }
+for q in '//e' '//e/@a' '//e/text()'; do
+  curl -sf -G "http://127.0.0.1:$port/query" --data-urlencode "q=$q" | strip_call > "$dir/served.json"
+  "$xqp" query --json -f "$dir/escapes.xml" "$q" | strip_call > "$dir/cli.json"
+  printf '\n' >> "$dir/served.json"
+  cmp -s "$dir/served.json" "$dir/cli.json" || {
+    echo "serve-smoke: reply bytes for $q differ from query --json"
+    cat "$dir/served.json" "$dir/cli.json"; exit 1; }
+  grep -q '"status":"ok"' "$dir/served.json" || { echo "serve-smoke: $q not ok"; exit 1; }
+done
+stop "$dir/escapes.log"
+
+echo "serve-smoke: health + concurrent queries + request ids + flight recorder + metrics + graceful shutdown + reply bytes OK"

@@ -32,9 +32,9 @@ let test_entity_decode_errors () =
   check_bool "out of range" true (raises "&#x110000;")
 
 let test_entity_escape () =
-  check_string "text" "a&amp;b&lt;c&gt;d\"e" (Entity.escape_text "a&b<c>d\"e");
-  check_string "attr" "a&amp;b&lt;c&gt;d&quot;e" (Entity.escape_attr "a&b<c>d\"e");
-  check_string "roundtrip" "a&b<c>" (Entity.decode (Entity.escape_text "a&b<c>"))
+  check_string "text" "a&amp;b&lt;c&gt;d\"e" (Entity.escape Entity.text "a&b<c>d\"e");
+  check_string "attr" "a&amp;b&lt;c&gt;d&quot;e" (Entity.escape Entity.attr "a&b<c>d\"e");
+  check_string "roundtrip" "a&b<c>" (Entity.decode (Entity.escape Entity.text "a&b<c>"))
 
 (* ------------------------------------------------------------------ *)
 (* Sax                                                                 *)
