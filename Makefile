@@ -19,8 +19,8 @@ bench-full:
 # smallest scale; writes BENCH_prim_nav.json (plus BENCH_query_metrics.json
 # from QMET, BENCH_plan_cache.json from PCACHE, BENCH_path_summary.json
 # from PSUM, BENCH_domain_safety.json from DSAFE, BENCH_serve.json from
-# SERVE, BENCH_obs_recorder.json from OBSREC and BENCH_encode.json from
-# ENCODE) for machine consumption.
+# SERVE, BENCH_obs_recorder.json from OBSREC, BENCH_encode.json from
+# ENCODE and BENCH_engine.json from ENGINE) for machine consumption.
 # DSAFE also gates: single-domain overhead of the domain-safe structures
 # must stay <= 2% of a warm workload round. SERVE gates on domain scaling:
 # 4-domain QPS must reach 0.75 x min(4, cores) x single-domain QPS (3x on
@@ -32,9 +32,12 @@ bench-full:
 # shard can answer must dispatch nothing and read nothing. ENCODE gates
 # the reply encoder: on auction:300000, writing the served query mix
 # straight from the document must be at least 3x faster than the
-# Tree.t-per-result reference encoder, with identical bytes.
+# Tree.t-per-result reference encoder, with identical bytes. ENGINE gates
+# the engine choice: on auction:300000 (seed 1), Auto's total over the
+# served mix must stay within 1.15x the fastest engine per query
+# (BENCH_engine.json).
 bench-smoke:
-	dune exec bench/main.exe -- --only=PRIM,E1,QMET,PCACHE,PSUM,DSAFE,SERVE,OBSREC,CORPUS,ENCODE --json=BENCH_prim_nav.json
+	dune exec bench/main.exe -- --only=PRIM,E1,QMET,PCACHE,PSUM,DSAFE,SERVE,OBSREC,CORPUS,ENCODE,ENGINE --json=BENCH_prim_nav.json
 
 # Observability gate: explain --analyze over every workload query, then
 # validate the exported Chrome trace with scripts/check_trace.
@@ -55,9 +58,14 @@ corpus-smoke:
 
 # Estimated vs actual cardinality (q-error) per workload query. The gate
 # fails if any downward-only query — the ones the path summary answers
-# with exact path counts — drifts past q-error 1.1.
+# with exact path counts — drifts past q-error 1.1. The cost check then
+# fails if, under the checked-in weights (lib/physical/cost_weights.ml),
+# Auto's engine costs more than 1.15x the cheapest engine on any
+# workload query, both read off the units the engines count (no clocks,
+# writes nothing). `xqp calibrate --cost` refits and rewrites the weights.
 calibrate:
 	dune exec --no-print-directory bin/xqp.exe -- calibrate --gate-downward 1.1
+	dune exec --no-print-directory bin/xqp.exe -- calibrate --cost --check --gen auction:300000
 
 # Static checks: rebuild under the stricter `lint` dune profile (key
 # warnings promoted to errors; see the root `dune` file), then run the

@@ -2131,6 +2131,164 @@ let () =
     }
 
 (* ------------------------------------------------------------------ *)
+(* ENGINE: Auto's binding against every engine at 324k nodes            *)
+(* ------------------------------------------------------------------ *)
+
+(* The served document of perfbench's serve_warm (auction:300000, seed
+   1: 323,942 nodes) and its 13 queries, each run warm through
+   Session.run on Auto and on every engine Auto can bind, best of 5. The
+   gate: Auto's total is at most 1.15x the total of the fastest engine
+   per query. Auto's bindings before this run are read from the
+   BENCH_engine.json being replaced (the committed baseline), so the file
+   records the choice before and after a change to the cost model.
+   Writes BENCH_engine.json. *)
+
+let engine_scale = 300_000
+let engine_seed = 1
+let engine_runs = 5
+let engine_gate = 1.15
+let engine_json = "BENCH_engine.json"
+
+let engine_strategies =
+  Executor.[ Navigation; Nok; Twigstack; Binary_default ]
+
+let engine_best_ms session ~engine xpath =
+  let run () =
+    match Xqp.Session.run ~engine session xpath with
+    | Ok r -> r
+    | Error e -> failwith ("ENGINE: " ^ xpath ^ ": " ^ Xqp.Error.message e)
+  in
+  let first = run () in
+  let best = ref infinity in
+  for _ = 1 to engine_runs do
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (run ()));
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  (first, ms !best)
+
+(* Auto's binding per query id in the file this run replaces. *)
+let engine_baseline () =
+  let module J = Xqp_obs.Json in
+  match In_channel.with_open_bin engine_json In_channel.input_all with
+  | exception Sys_error _ -> []
+  | text -> (
+    match J.member "queries" (J.parse text) with
+    | Some (J.Arr rows) ->
+      List.filter_map
+        (fun row ->
+          match (J.member "id" row, J.member "auto" row) with
+          | Some (J.Str id), Some (J.Str engine) -> Some (id, engine)
+          | _ -> None)
+        rows
+    | _ -> [])
+
+let engine_run ~scale:_ =
+  let module J = Xqp_obs.Json in
+  let before = engine_baseline () in
+  let doc = Workload.Gen_auction.packed ~seed:engine_seed ~scale:engine_scale () in
+  let session = Xqp.Session.of_document doc in
+  let rows =
+    List.map
+      (fun (q : Workload.Queries.query) ->
+        let xpath = q.Workload.Queries.xpath in
+        let auto, auto_ms = engine_best_ms session ~engine:Executor.Auto xpath in
+        let per_engine =
+          List.map
+            (fun engine ->
+              let r, t = engine_best_ms session ~engine xpath in
+              if r.Xqp.Session.nodes <> auto.Xqp.Session.nodes then
+                failwith
+                  (Printf.sprintf "ENGINE: %s: %s disagrees with auto" q.Workload.Queries.id
+                     (Executor.strategy_name engine));
+              (Executor.strategy_name engine, t))
+            engine_strategies
+        in
+        let best_engine, best_ms =
+          List.fold_left
+            (fun (be, bt) (e, t) -> if t < bt then (e, t) else (be, bt))
+            (List.hd per_engine) (List.tl per_engine)
+        in
+        (q, auto.Xqp.Session.engine, auto_ms, per_engine, best_engine, best_ms))
+      (Workload.Queries.auction_paths @ Workload.Queries.auction_complexity_sweep)
+  in
+  let auto_total = List.fold_left (fun acc (_, _, t, _, _, _) -> acc +. t) 0.0 rows in
+  let best_total = List.fold_left (fun acc (_, _, _, _, _, t) -> acc +. t) 0.0 rows in
+  let ratio = auto_total /. best_total in
+  Printf.printf "  auction:%d seed %d (%d nodes), best of %d warm Session.run per cell, ms\n"
+    engine_scale engine_seed (Document.node_count doc) engine_runs;
+  Printf.printf "  %-4s %-15s %-15s %8s" "id" "auto before" "auto" "auto ms";
+  List.iter (fun e -> Printf.printf " %10s" (Executor.strategy_name e)) engine_strategies;
+  print_newline ();
+  List.iter
+    (fun ((q : Workload.Queries.query), engine, auto_ms, per_engine, _, _) ->
+      let id = q.Workload.Queries.id in
+      Printf.printf "  %-4s %-15s %-15s %8.2f" id
+        (Option.value ~default:"-" (List.assoc_opt id before))
+        engine auto_ms;
+      List.iter (fun (_, t) -> Printf.printf " %10.2f" t) per_engine;
+      print_newline ())
+    rows;
+  Printf.printf "  auto total %.1f ms, best engine per query %.1f ms: %.2fx (gate %.2fx)\n"
+    auto_total best_total ratio engine_gate;
+  let out =
+    J.Obj
+      [
+        ("bench", J.Str "engine");
+        ("document", J.Str (Printf.sprintf "auction:%d:%d" engine_scale engine_seed));
+        ("nodes", J.Num (float_of_int (Document.node_count doc)));
+        ("runs", J.Num (float_of_int engine_runs));
+        ("cores", J.Num (float_of_int (Domain.recommended_domain_count ())));
+        ("ocaml", J.Str Sys.ocaml_version);
+        ("auto_total_ms", J.Num auto_total);
+        ("best_total_ms", J.Num best_total);
+        ("ratio", J.Num ratio);
+        ("gate", J.Num engine_gate);
+        ( "queries",
+          J.Arr
+            (List.map
+               (fun ((q : Workload.Queries.query), engine, auto_ms, per_engine, best_engine, best_ms)
+                  ->
+                 let id = q.Workload.Queries.id in
+                 J.Obj
+                   [
+                     ("id", J.Str id);
+                     ("xpath", J.Str q.Workload.Queries.xpath);
+                     ( "auto_before",
+                       match List.assoc_opt id before with Some e -> J.Str e | None -> J.Null );
+                     ("auto", J.Str engine);
+                     ("auto_ms", J.Num auto_ms);
+                     ("best_engine", J.Str best_engine);
+                     ("best_ms", J.Num best_ms);
+                     ("ms", J.Obj (List.map (fun (e, t) -> (e, J.Num t)) per_engine));
+                   ])
+               rows) );
+      ]
+  in
+  let oc = open_out engine_json in
+  output_string oc (J.to_string ~pretty:true out);
+  output_string oc "\n";
+  close_out oc;
+  Printf.printf "  wrote %s\n" engine_json;
+  if ratio > engine_gate then
+    failwith
+      (Printf.sprintf "ENGINE: auto total %.2fx the best engine per query (gate %.2fx)" ratio
+         engine_gate)
+
+let () =
+  register
+    {
+      id = "ENGINE";
+      title = "ENGINE: Auto's binding vs every engine at 324k nodes";
+      run = engine_run;
+      bechamel =
+        (fun () ->
+          let session = Xqp.Session.of_document (Workload.Gen_auction.packed ~scale:300 ()) in
+          Bechamel.Test.make ~name:"ENGINE-auto"
+            (Bechamel.Staged.stage (fun () -> Xqp.Session.run session "//item/name")));
+    }
+
+(* ------------------------------------------------------------------ *)
 (* OBSREC: flight-recorder overhead, slow-capture cost, contention     *)
 (* ------------------------------------------------------------------ *)
 

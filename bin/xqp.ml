@@ -683,7 +683,244 @@ let rec downward_plan (p : Logical_plan.t) =
            | Some (_, _) -> false)
          (List.init (Pattern_graph.vertex_count pattern) (fun i -> i))
 
-let run_calibrate file gen threshold gate worst_n no_summary =
+(* --- calibrate --cost ------------------------------------------------------ *)
+
+(* The fit's documents: the document perfbench serves (auction:300000,
+   seed 1) and one a third of its size, so each unit is seen at two
+   scales. *)
+let cost_fit_documents = [ "auction:300000:1"; "auction:100000:1" ]
+
+(* Auto's engine may cost at most this much more than the cheapest one,
+   both read off the engines' own counts. *)
+let cost_gate = 1.15
+
+(* Each (document, query, engine) is timed as the best of this many warm
+   runs; the weights module is written at this path, from the root of a
+   checkout. *)
+let cost_runs = 5
+let cost_weights_path = "lib/physical/cost_weights.ml"
+
+let workload_patterns () =
+  List.filter_map
+    (fun (id, xpath) ->
+      match Rewrite.optimize (Xqp_xpath.Parser.parse xpath) with
+      | Logical_plan.Tpm (Logical_plan.Root, pattern) -> Some (id, pattern)
+      | _ -> None)
+    (workload_xpath_queries ())
+
+let best_of_ns runs f =
+  ignore (Sys.opaque_identity (f ()));
+  let best = ref infinity in
+  for _ = 1 to runs do
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (f ()));
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  !best *. 1e9
+
+let dot w x =
+  let acc = ref 0.0 in
+  Array.iteri (fun i wi -> acc := !acc +. (wi *. x.(i))) w;
+  !acc
+
+(* Least squares with non-negative coefficients over (units, ns) rows.
+   An engine has at most three units, so every subset of free
+   coefficients is solved exactly by its normal equations and the best
+   all-non-negative solution wins: the non-negative optimum without an
+   active-set iteration. *)
+let nnls rows =
+  let k = match rows with (x, _) :: _ -> Array.length x | [] -> 0 in
+  let solve subset =
+    let m = Array.length subset in
+    let a = Array.make_matrix m (m + 1) 0.0 in
+    List.iter
+      (fun (x, y) ->
+        Array.iteri
+          (fun i p ->
+            Array.iteri (fun j q -> a.(i).(j) <- a.(i).(j) +. (x.(p) *. x.(q))) subset;
+            a.(i).(m) <- a.(i).(m) +. (x.(p) *. y))
+          subset)
+      rows;
+    let exception Singular in
+    try
+      for c = 0 to m - 1 do
+        let pivot = ref c in
+        for r = c + 1 to m - 1 do
+          if Float.abs a.(r).(c) > Float.abs a.(!pivot).(c) then pivot := r
+        done;
+        if Float.abs a.(!pivot).(c) < 1e-12 then raise Singular;
+        let tmp = a.(c) in
+        a.(c) <- a.(!pivot);
+        a.(!pivot) <- tmp;
+        for r = 0 to m - 1 do
+          if r <> c then begin
+            let f = a.(r).(c) /. a.(c).(c) in
+            for j = c to m do
+              a.(r).(j) <- a.(r).(j) -. (f *. a.(c).(j))
+            done
+          end
+        done
+      done;
+      let w = Array.make k 0.0 in
+      Array.iteri (fun i p -> w.(p) <- a.(i).(m) /. a.(i).(i)) subset;
+      if Array.for_all (fun x -> x >= 0.0) w then Some w else None
+    with Singular -> None
+  in
+  let sse w = List.fold_left (fun acc (x, y) -> acc +. ((y -. dot w x) ** 2.0)) 0.0 rows in
+  let best = ref (Array.make k 0.0) in
+  for mask = 1 to (1 lsl k) - 1 do
+    let subset = Array.of_list (List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init k Fun.id)) in
+    match solve subset with
+    | Some w when sse w < sse !best -> best := w
+    | Some _ | None -> ()
+  done;
+  !best
+
+let weights_ident = function
+  | Cost_model.Naive_nav -> "navigation"
+  | Cost_model.Nok_navigation -> "nok"
+  | Cost_model.Twig_join -> "twigstack"
+  | Cost_model.Binary_joins -> "binary"
+
+let write_weights path ~weights =
+  let oc = open_out path in
+  Printf.fprintf oc
+    "(* Generated by `xqp calibrate --cost`; do not edit by hand.\n\n\
+    \   Nanoseconds per work unit, in Cost_model.unit_names order: the\n\
+    \   non-negative least-squares fit of the best of %d runs of every\n\
+    \   workload query on every engine, measured on a %d-core host\n\
+    \   (OCaml %s) over\n\
+    \     %s. *)\n\n"
+    cost_runs (Domain.recommended_domain_count ()) Sys.ocaml_version
+    (String.concat " and " cost_fit_documents);
+  List.iter
+    (fun (e, w) ->
+      Printf.fprintf oc "let %s = [ %s ]\n" (weights_ident e)
+        (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%.4f") w))))
+    weights;
+  close_out oc
+
+let pp_units ppf u =
+  Format.pp_print_string ppf
+    (String.concat "/" (Array.to_list (Array.map (Printf.sprintf "%.0f") u)))
+
+(* Fit: count and time every (document, query, engine), fit each
+   engine's weights, report the fit and the choices it makes, and write
+   the weights module. *)
+let run_cost_fit () =
+  let samples =
+    List.concat_map
+      (fun spec ->
+        let exec = Executor.create (generated_document spec) in
+        let stats = Executor.statistics exec in
+        Format.printf "%s: %d nodes@." spec (Document.node_count (Executor.doc exec));
+        List.concat_map
+          (fun (id, pattern) ->
+            List.filter_map
+              (fun e ->
+                if not (Cost_model.supports pattern e) then None
+                else begin
+                  let counted = Executor.count_units exec e pattern in
+                  let ns = best_of_ns cost_runs (fun () -> Executor.count_units exec e pattern) in
+                  let estimated = Cost_model.estimate_units stats pattern e in
+                  Format.printf "  %-4s %-12s %9.3f ms  counted %a  estimated %a@." id
+                    (Cost_model.engine_name e) (ns /. 1e6) pp_units counted pp_units estimated;
+                  Some (spec, id, e, counted, estimated, ns)
+                end)
+              Cost_model.all_engines)
+          (workload_patterns ()))
+      cost_fit_documents
+  in
+  let weights =
+    List.map
+      (fun e ->
+        let rows =
+          List.filter_map
+            (fun (_, _, e', counted, _, ns) -> if e' = e then Some (counted, ns) else None)
+            samples
+        in
+        (e, nnls rows))
+      Cost_model.all_engines
+  in
+  let weight e = List.assoc e weights in
+  Format.printf "@.fitted ns per unit:@.";
+  List.iter
+    (fun (e, w) ->
+      let names = Cost_model.unit_names e in
+      Format.printf "  %-12s %s@." (Cost_model.engine_name e)
+        (String.concat "  "
+           (Array.to_list (Array.mapi (fun i x -> Printf.sprintf "%s=%.4f" names.(i) x) w))))
+    weights;
+  (* The choices the new weights make, against the measured fastest. *)
+  let argmin f rows =
+    List.fold_left (fun best r -> if f r < f best then r else best) (List.hd rows) (List.tl rows)
+  in
+  let cases = List.sort_uniq compare (List.map (fun (spec, id, _, _, _, _) -> (spec, id)) samples) in
+  Format.printf "@.%-18s %-4s  %-12s %9s  %-12s %9s@." "document" "id" "chosen" "ms" "fastest" "ms";
+  let chosen_total = ref 0.0 and best_total = ref 0.0 in
+  List.iter
+    (fun (spec, id) ->
+      let rows = List.filter (fun (spec', id', _, _, _, _) -> (spec', id') = (spec, id)) samples in
+      let _, _, chosen, _, _, c =
+        argmin (fun (_, _, e, _, estimated, _) -> dot (weight e) estimated) rows
+      in
+      let _, _, fastest, _, _, b = argmin (fun (_, _, _, _, _, ns) -> ns) rows in
+      chosen_total := !chosen_total +. c;
+      best_total := !best_total +. b;
+      Format.printf "%-18s %-4s  %-12s %9.3f  %-12s %9.3f@." spec id
+        (Cost_model.engine_name chosen) (c /. 1e6) (Cost_model.engine_name fastest) (b /. 1e6))
+    cases;
+  Format.printf "chosen total %.1f ms, fastest-per-query total %.1f ms (%.2fx)@."
+    (!chosen_total /. 1e6) (!best_total /. 1e6) (!chosen_total /. !best_total);
+  write_weights cost_weights_path ~weights;
+  Format.printf "wrote %s@." cost_weights_path;
+  0
+
+(* Check: with the checked-in weights, Auto's engine must cost at most
+   [cost_gate] times the cheapest engine's, both read off counted units,
+   on every workload query. Deterministic: no clocks, no file written. *)
+let run_cost_check exec =
+  let stats = Executor.statistics exec in
+  Format.printf "weights x counted units, in ms:@.";
+  Format.printf "%-4s  %-12s %10s  %-12s %10s  %6s  %12s %12s@." "id" "auto" "ms" "cheapest" "ms"
+    "ratio" "nav visits" "nav est";
+  let failures =
+    List.filter
+      (fun (id, pattern) ->
+        let costs = Executor.counted_costs exec pattern in
+        let chosen = Cost_model.choose stats pattern in
+        let cheapest, low =
+          List.fold_left (fun (be, bc) (e, c) -> if c < bc then (e, c) else (be, bc))
+            (List.hd costs) (List.tl costs)
+        in
+        let cost = List.assoc chosen costs in
+        let ratio = cost /. Float.max 1.0 low in
+        let visits = (Executor.count_units exec Cost_model.Naive_nav pattern).(0) in
+        let estimated = (Cost_model.estimate_units stats pattern Cost_model.Naive_nav).(0) in
+        Format.printf "%-4s  %-12s %10.3f  %-12s %10.3f  %6.2f  %12.0f %12.0f%s@." id
+          (Cost_model.engine_name chosen) (cost /. 1e6) (Cost_model.engine_name cheapest)
+          (low /. 1e6) ratio visits estimated
+          (if ratio > cost_gate then Printf.sprintf "  <-- over %.2fx" cost_gate else "");
+        ratio > cost_gate)
+      (workload_patterns ())
+  in
+  if failures = [] then begin
+    Format.printf "cost gate: Auto within %.2fx of the cheapest engine on every query@." cost_gate;
+    0
+  end
+  else begin
+    Format.printf "cost gate: %d queries over %.2fx@." (List.length failures) cost_gate;
+    1
+  end
+
+let run_calibrate file gen threshold gate worst_n no_summary cost check =
+  if cost && not check then run_cost_fit ()
+  else if cost then
+    run_cost_check
+      (match (file, gen) with
+      | None, None -> Executor.create (generated_document (List.hd cost_fit_documents))
+      | _ -> load_executor ~file ~gen ())
+  else
   let exec =
     match (file, gen) with
     | None, None -> Executor.create (Xqp_workload.Gen_auction.packed ~scale:600 ())
@@ -774,13 +1011,32 @@ let calibrate_cmd =
              ~doc:"Estimate with the legacy tag-pair statistics only (ignore the path \
                    summary) — the before side of the PSUM experiment.")
   in
+  let cost =
+    Arg.(value & flag
+         & info [ "cost" ]
+             ~doc:"Fit the engines' time model instead: run every workload query on every \
+                   supported engine over auction:300000:1 and auction:100000:1 (best of 5 \
+                   warm runs), fit nanoseconds per counted work unit by non-negative least \
+                   squares and write lib/physical/cost_weights.ml (run from the root of a \
+                   checkout, then rebuild).")
+  in
+  let check =
+    Arg.(value & flag
+         & info [ "check" ]
+             ~doc:"With $(b,--cost): write nothing; exit non-zero if, under the checked-in \
+                   weights, Auto's engine costs more than 1.15x the cheapest engine on any \
+                   workload query, both costed from the units the engines count (default \
+                   document auction:300000:1).")
+  in
   let term =
-    Term.(const run_calibrate $ file_arg $ gen_arg $ threshold $ gate $ worst_n $ no_summary)
+    Term.(const run_calibrate $ file_arg $ gen_arg $ threshold $ gate $ worst_n $ no_summary
+          $ cost $ check)
   in
   Cmd.v
     (Cmd.info "calibrate"
        ~doc:"Compare the cost model's estimated cardinality with actual results over the \
-             workload queries (q-error per query; default document auction:600)")
+             workload queries (q-error per query; default document auction:600); with \
+             $(b,--cost), fit or check the engines' time model")
     term
 
 (* --- stats ------------------------------------------------------------- *)

@@ -7,8 +7,24 @@ type node = Doc.node
 (* Semijoin reduction and ordered joins both cover every arc relation. *)
 let supported (_ : Pg.t) = true
 
-let candidates ?content_index doc pattern ~context v =
-  if v = 0 then Array.of_list (List.sort_uniq compare context)
+(* Keep the ids [get 0 .. get (n - 1)] that pass [keep], in one pass
+   into one array. *)
+let filter_ids keep n get =
+  let out = Array.make n 0 in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    let id = get i in
+    if keep id then begin
+      out.(!k) <- id;
+      incr k
+    end
+  done;
+  if !k = n then out else Array.sub out 0 !k
+
+let stream ?content_index doc pattern ~context v =
+  if v = 0 then
+    let nodes = Array.of_list (List.sort_uniq compare context) in
+    (nodes, Array.length nodes)
   else begin
     let vx = Pg.vertex pattern v in
     let is_attribute =
@@ -24,32 +40,44 @@ let candidates ?content_index doc pattern ~context v =
           vx.Pg.predicates
       | None -> None
     in
-    let base =
-      match indexed with
-      | Some nodes -> Array.of_list nodes
-      | None -> (
-        match vx.Pg.label with
-        | Pg.Tag name -> (
-          match Xqp_xml.Symtab.find_opt (Doc.symtab doc) name with
-          | Some sym -> Doc.nodes_by_name_array doc sym
-          | None -> [||])
-        | Pg.Wildcard ->
-          (* all elements or attributes, depending on the incoming relation *)
-          let acc = ref [] in
-          for id = Doc.node_count doc - 1 downto 0 do
-            match Doc.kind doc id with
-            | Doc.Element when not is_attribute -> acc := id :: !acc
-            | Doc.Attribute when is_attribute -> acc := id :: !acc
-            | Doc.Element | Doc.Attribute | Doc.Text | Doc.Comment | Doc.Pi -> ()
-          done;
-          Array.of_list !acc)
-    in
     (* Kind filter from the incoming relation, plus value predicates. *)
     let keep id = Pg.vertex_matches doc pattern v id in
-    Array.of_list (List.filter keep (Array.to_list base))
+    let filter base = (filter_ids keep (Array.length base) (Array.get base), Array.length base) in
+    match indexed with
+    | Some nodes -> filter (Array.of_list nodes)
+    | None -> (
+      match vx.Pg.label with
+      | Pg.Tag name -> (
+        match Xqp_xml.Symtab.find_opt (Doc.symtab doc) name with
+        | Some sym -> filter (Doc.nodes_by_name_array doc sym)
+        | None -> ([||], 0))
+      | Pg.Wildcard ->
+        (* every node, kept by kind (element or attribute, from the
+           incoming relation) *)
+        let n = Doc.node_count doc in
+        (filter_ids keep n Fun.id, n))
   end
 
-type semijoin_stats = { scanned : int }
+let candidates ?content_index doc pattern ~context v =
+  fst (stream ?content_index doc pattern ~context v)
+
+(* The content index pays off only when some vertex carries an index-
+   answerable string predicate; the decision is a pure pattern property,
+   so it is baked into the binding at compile time. *)
+let index_answerable pattern =
+  let answerable v =
+    let vx = Pg.vertex pattern v in
+    vx.Pg.predicates <> []
+    && List.exists
+         (fun p ->
+           match (p.Pg.comparison, p.Pg.literal) with
+           | (Pg.Eq | Pg.Le | Pg.Ge), Pg.Str _ -> true
+           | _ -> false)
+         vx.Pg.predicates
+  in
+  List.exists answerable (List.init (Pg.vertex_count pattern) (fun i -> i))
+
+type semijoin_stats = { streamed : int; scanned : int }
 
 module M = Xqp_obs.Metrics
 
@@ -59,7 +87,9 @@ let m_intermediate = M.counter M.default "engine.binary.intermediate_tuples"
 
 let match_pattern_with_stats ?content_index doc pattern ~context =
   let n = Pg.vertex_count pattern in
-  let cand = Array.init n (fun v -> candidates ?content_index doc pattern ~context v) in
+  let streams = Array.init n (fun v -> stream ?content_index doc pattern ~context v) in
+  let cand = Array.map fst streams in
+  let streamed = Array.fold_left (fun acc (_, k) -> acc + k) 0 streams in
   let scanned = ref 0 in
   (* Bottom-up: reduce each parent by each child arc (post-order). *)
   let rec reduce_up v =
@@ -84,7 +114,7 @@ let match_pattern_with_stats ?content_index doc pattern ~context =
   in
   reduce_down 0;
   M.add m_semijoin_scanned !scanned;
-  (List.map (fun v -> (v, Array.to_list cand.(v))) (Pg.outputs pattern), { scanned = !scanned })
+  (List.map (fun v -> (v, Array.to_list cand.(v))) (Pg.outputs pattern), { streamed; scanned = !scanned })
 
 let match_pattern ?content_index doc pattern ~context =
   fst (match_pattern_with_stats ?content_index doc pattern ~context)

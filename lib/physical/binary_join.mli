@@ -30,13 +30,28 @@ val candidates :
     vertex 0. With [?content_index], a vertex carrying a covered value
     predicate starts from the index lookup instead of the tag stream. *)
 
+val stream :
+  ?content_index:Content_index.t ->
+  doc -> Xqp_algebra.Pattern_graph.t -> context:node list -> int -> node array * int
+(** {!candidates} plus the number of elements examined to build the
+    stream (the tag stream, index hits or every node, before filtering) —
+    the stream-building work unit of the cost model. *)
+
 val match_pattern :
   ?content_index:Content_index.t ->
   doc -> Xqp_algebra.Pattern_graph.t -> context:node list -> (int * node list) list
 (** Per-output-vertex match sets (same contract as
     {!Xqp_algebra.Operators.pattern_match}). *)
 
-type semijoin_stats = { scanned : int (** Σ input-list lengths over all semijoin passes *) }
+val index_answerable : Xqp_algebra.Pattern_graph.t -> bool
+(** Some vertex carries a string predicate the content index answers
+    ([=], [<=], [>=] against a string literal): the planner binds the
+    semijoin engine with the index exactly then. *)
+
+type semijoin_stats = {
+  streamed : int;  (** elements examined to build the candidate streams *)
+  scanned : int;   (** Σ input-list lengths over all semijoin passes *)
+}
 
 val match_pattern_with_stats :
   ?content_index:Content_index.t ->

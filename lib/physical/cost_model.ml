@@ -1,4 +1,7 @@
 module Pg = Xqp_algebra.Pattern_graph
+module Lp = Xqp_algebra.Logical_plan
+module Ps = Xqp_storage.Path_summary
+module Axis = Xqp_algebra.Axis
 
 type engine = Naive_nav | Nok_navigation | Twig_join | Binary_joins
 
@@ -19,15 +22,15 @@ let supports pattern = function
   | Binary_joins -> Binary_join.supported pattern
   | Naive_nav -> true
 
-let stream_size stats pattern v =
+(* Elements or attributes examined to build a vertex's candidate stream
+   ([Binary_join.stream]): its whole tag stream, or every node for a
+   wildcard; the context vertex streams the one document node. *)
+let stream_length stats pattern v =
   if v = 0 then 1.0
   else
-    let vx = Pg.vertex pattern v in
-    match vx.Pg.label with
+    match (Pg.vertex pattern v).Pg.label with
     | Pg.Tag name -> float_of_int (Statistics.tag_count stats name)
-    | Pg.Wildcard -> float_of_int (Statistics.element_count stats)
-
-let vertices pattern = List.init (Pg.vertex_count pattern) (fun v -> v)
+    | Pg.Wildcard -> float_of_int (Statistics.node_count stats)
 
 (* Estimated intermediate tuples after joining a connected subset S of
    vertices: under independence, ≈ max over v∈S of card(v) × amplification
@@ -45,7 +48,7 @@ let arc_pairs stats pattern (s, t) =
   let raw =
     if s = 0 then
       match rel with
-      | Pg.Descendant -> stream_size stats pattern t
+      | Pg.Descendant -> stream_length stats pattern t
       | Pg.Child | Pg.Attribute -> 1.0
       | Pg.Following_sibling -> 0.0
     else Statistics.estimate_rel stats rel ~parent:parent_label ~child:child_label
@@ -63,14 +66,14 @@ let estimate_join_order stats pattern order =
   let tuples = ref 0.0 in
   List.iteri
     (fun i (s, t) ->
-      let left = stream_size stats pattern s and right = stream_size stats pattern t in
+      let left = stream_length stats pattern s and right = stream_length stats pattern t in
       let pairs = arc_pairs stats pattern (s, t) in
       if i = 0 then tuples := pairs
       else begin
         (* joining the pair list against current tuples through the shared
            vertex: tuples × pairs / card(shared) *)
         let shared = if List.mem s !bound then s else t in
-        let shared_card = Float.max 1.0 (stream_size stats pattern shared) in
+        let shared_card = Float.max 1.0 (stream_length stats pattern shared) in
         tuples := !tuples *. pairs /. shared_card
       end;
       bound := s :: t :: !bound;
@@ -108,71 +111,433 @@ let best_join_order stats pattern =
   in
   build [] arcs
 
-let estimate stats pattern engine =
-  match engine with
-  | Binary_joins -> estimate_join_order stats pattern (best_join_order stats pattern)
-  | Twig_join ->
-    (* scan all streams + emit path solutions ≈ Σ streams + Σ output *)
-    let streams = List.fold_left (fun acc v -> acc +. stream_size stats pattern v) 0.0 (vertices pattern) in
-    streams +. Statistics.estimate_result stats pattern
-  | Nok_navigation ->
-    (* per fragment: index scan for the candidate roots + store navigation
-       over the fragment (≈ the navigational cost of its local arcs, times
-       a constant for the succinct store's slower primitives) + structural
-       semijoins on the links *)
-    let store_factor = 3.0 in
-    let parts = Nok_partition.partition pattern in
-    let fanout = Float.max 1.0 (Statistics.avg_fanout stats) in
-    let member_nav_cost v =
-      match Pg.parent pattern v with
-      | Some (p, (Pg.Child | Pg.Attribute | Pg.Following_sibling)) ->
-        Statistics.estimate_vertex_cardinality stats pattern p *. fanout
-      | Some (_, Pg.Descendant) | None -> 0.0
-    in
-    let fragment_cost f =
-      let roots =
-        if f.Nok_partition.root = 0 then 0.0 else stream_size stats pattern f.Nok_partition.root
+(* --- per-engine work units ---------------------------------------------- *)
+
+(* Each engine is costed in the counts its [*_with_stats] returns, in
+   this order; [Executor.count_units] counts the same vector by running
+   the engine. *)
+let unit_names = function
+  | Naive_nav -> [| "nodes_visited" |]
+  | Nok_navigation -> [| "nodes_visited"; "join_pairs" |]
+  | Twig_join -> [| "streamed"; "pushes"; "path_solutions" |]
+  | Binary_joins -> [| "streamed"; "scanned" |]
+
+(* The path summary seen from the virtual document node ([Ps.super_root]):
+   one instance, whose children are the root-level paths. Dense arrays
+   over it are indexed by [slot]: 0 for the document node, [i + 1] for
+   summary node [i]. Canonical order puts every parent before its
+   children, so one forward pass sums over ancestors and one backward
+   pass over descendants. *)
+let slot i = i + 1
+let s_count summary i = if i = Ps.super_root then 1.0 else float_of_int (Ps.count summary i)
+let s_children summary i = if i = Ps.super_root then Ps.roots summary else Ps.children summary i
+let is_attribute_label l = String.length l > 0 && l.[0] = '@'
+
+(* [acc.(slot i)] = Σ of [dense] over the proper ancestors of [i]. *)
+let ancestor_sums summary dense =
+  let acc = Array.make (Ps.length summary + 1) 0.0 in
+  for i = 0 to Ps.length summary - 1 do
+    let p = slot (Ps.parent summary i) in
+    acc.(slot i) <- acc.(p) +. dense.(p)
+  done;
+  acc
+
+let dense_of summary dist =
+  let d = Array.make (Ps.length summary + 1) 0.0 in
+  List.iter (fun (i, w) -> d.(slot i) <- d.(slot i) +. w) dist;
+  d
+
+(* Weighted summary-node sets: (summary node, expected document nodes on
+   that path). *)
+let total dist = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 dist
+
+let total_count summary ids = float_of_int (Ps.total_count summary ids)
+
+(* Sum the weights of repeated nodes, capped at the path's node count —
+   what a dedup of the engine's per-context results leaves. *)
+let merge summary dist =
+  let d = dense_of summary dist in
+  let out = ref [] in
+  for x = Array.length d - 1 downto 0 do
+    if d.(x) > 0.0 then out := (x - 1, Float.min d.(x) (s_count summary (x - 1))) :: !out
+  done;
+  !out
+
+(* Every summary node [d] passing [keep], weighted [f d] when that is
+   positive. *)
+let nodes_where summary keep f =
+  let out = ref [] in
+  for d = Ps.length summary - 1 downto 0 do
+    if keep d then
+      let w = f d in
+      if w > 0.0 then out := (d, w) :: !out
+  done;
+  !out
+
+let vertex_selectivity pattern v =
+  List.fold_left
+    (fun acc pred -> acc *. Statistics.predicate_selectivity pred)
+    1.0 (Pg.vertex pattern v).Pg.predicates
+
+let is_attribute_vertex pattern v =
+  match Pg.parent pattern v with Some (_, Pg.Attribute) -> true | _ -> false
+
+let vertex_label_matches pattern v lab =
+  let attribute = is_attribute_vertex pattern v in
+  match (Pg.vertex pattern v).Pg.label with
+  | Pg.Tag n -> String.equal lab (if attribute then "@" ^ n else n)
+  | Pg.Wildcard -> if attribute then is_attribute_label lab else Ps.is_element_label lab
+
+(* Root-path embeddings of the context-to-[v] chain, per summary node:
+   [(k, ways)] says every document node on path [k] ends [ways] chains
+   (more than one when a // step matches nested ancestors). Exact for the
+   chain; sibling arcs and branches are not projected. *)
+let chain_ways stats pattern =
+  let summary = Statistics.summary stats in
+  let ways = Array.make (Pg.vertex_count pattern) [] in
+  ways.(0) <- [ (Ps.super_root, 1.0) ];
+  let rec fill v =
+    List.iter
+      (fun (c, (rel : Pg.rel)) ->
+        let matches d = vertex_label_matches pattern c (Ps.label summary d) in
+        let from = dense_of summary ways.(v) in
+        ways.(c) <-
+          (match rel with
+          | Pg.Child | Pg.Attribute ->
+            nodes_where summary matches (fun d -> from.(slot (Ps.parent summary d)))
+          | Pg.Descendant ->
+            let above = ancestor_sums summary from in
+            nodes_where summary matches (fun d -> above.(slot d))
+          | Pg.Following_sibling -> []);
+        fill c)
+      (Pg.children pattern v)
+  in
+  fill 0;
+  ways
+
+(* Product of the predicate selectivities on the context-to-[v] chain. *)
+let chain_selectivity pattern v =
+  let rec up v acc =
+    match Pg.parent pattern v with
+    | None -> acc
+    | Some (p, _) -> up p (acc *. vertex_selectivity pattern v)
+  in
+  up v 1.0
+
+(* Nodes on [v]'s chain, ignoring branches: the TwigStack pushes and the
+   candidates a summary-pruned stream keeps. *)
+let chain_nodes stats pattern ways v =
+  let summary = Statistics.summary stats in
+  if v = 0 then 1.0 else total_count summary (List.map fst ways.(v)) *. chain_selectivity pattern v
+
+(* Navigation: simulate the step plan the planner binds
+   ([Navigation.steps_of_pattern]) over the path summary. Every step
+   visits, per context node, its children or attributes, or — for a
+   descendant step — every non-attribute node below it except inside the
+   subtrees the summary lets it skip (the same [Ps.skip_labels] sets
+   [Navigation] uses). Existence predicates run their sub-plan per
+   selected node; a node survives with probability min(1, matches per
+   node). Downward chains come out exact. *)
+let navigation_units stats pattern =
+  let summary = Statistics.summary stats in
+  let len = Ps.length summary in
+  let leaves i = if i = Ps.super_root then 0.0 else Statistics.leaf_children stats i in
+  (* Per node test: nodes a descendant scan visits below all instances
+     of each summary node, skipped subtrees left out. *)
+  let scans = Hashtbl.create 4 in
+  let scan_below (test : Lp.node_test) =
+    let key = match test with Lp.Name n -> "n:" ^ n | Lp.Any -> "*" | Lp.Text_node -> "#" in
+    match Hashtbl.find_opt scans key with
+    | Some below -> below
+    | None ->
+      let ids p = List.filter p (List.init len Fun.id) in
+      let targets, self =
+        match test with
+        | Lp.Name n -> (ids (fun i -> String.equal (Ps.label summary i) n), false)
+        | Lp.Any -> (ids (fun i -> Ps.is_element_label (Ps.label summary i)), false)
+        | Lp.Text_node -> (ids (fun i -> Ps.has_text summary i), true)
       in
-      let nav =
+      let skip = Ps.skip_labels summary ~targets ~self in
+      let below = Array.make (len + 1) 0.0 in
+      for i = len - 1 downto 0 do
+        let lab = Ps.label summary i in
+        if not (is_attribute_label lab) then begin
+          let p = slot (Ps.parent summary i) in
+          below.(p) <-
+            below.(p) +. s_count summary i
+            +. if skip lab then 0.0 else leaves i +. below.(slot i)
+        end
+      done;
+      Hashtbl.add scans key below;
+      below
+  in
+  let test_matches (test : Lp.node_test) ~attribute k =
+    let lab = Ps.label summary k in
+    is_attribute_label lab = attribute
+    &&
+    match test with
+    | Lp.Name n -> String.equal lab (if attribute then "@" ^ n else n)
+    | Lp.Any -> attribute || Ps.is_element_label lab
+    | Lp.Text_node -> false
+  in
+  let fanout = Float.max 1.0 (Statistics.avg_fanout stats) in
+  (* One step from every context: (visited, matches before predicates,
+     uncapped: nested contexts select a node once each). *)
+  let step (s : Lp.step) contexts =
+    let per (i, w) = w /. s_count summary i in
+    let local ~attribute =
+      List.fold_left
+        (fun (visited, out) ((i, _) as c) ->
+          let f = per c in
+          List.fold_left
+            (fun (visited, out) k ->
+              if is_attribute_label (Ps.label summary k) <> attribute then (visited, out)
+              else
+                let n = f *. s_count summary k in
+                (visited +. n, if test_matches s.Lp.test ~attribute k then (k, n) :: out else out))
+            ((visited +. if attribute then 0.0 else f *. leaves i), out)
+            (s_children summary i))
+        (0.0, []) contexts
+    in
+    match s.Lp.axis with
+    | Axis.Child -> local ~attribute:false
+    | Axis.Attribute -> local ~attribute:true
+    | Axis.Descendant | Axis.Descendant_or_self ->
+      let self = s.Lp.axis = Axis.Descendant_or_self in
+      let below = scan_below s.Lp.test in
+      let visited =
         List.fold_left
-          (fun acc v -> acc +. member_nav_cost v)
-          0.0
-          (List.filter (fun v -> v <> f.Nok_partition.root) f.Nok_partition.members)
+          (fun acc ((i, w) as c) ->
+            acc
+            +. (per c *. (leaves i +. below.(slot i)))
+            +. if self && i <> Ps.super_root then w else 0.0)
+          0.0 contexts
       in
-      roots +. (store_factor *. nav)
-    in
-    let link_cost (src, dst) =
-      Statistics.estimate_vertex_cardinality stats pattern src
-      +. stream_size stats pattern dst
-    in
-    List.fold_left (fun acc f -> acc +. fragment_cost f) 0.0 parts.Nok_partition.fragments
-    +. List.fold_left (fun acc l -> acc +. link_cost l) 0.0 parts.Nok_partition.links
-  | Naive_nav ->
-    (* Σ over vertices of nodes visited: a child/attribute/sibling step
-       scans the context's children; a descendant step scans the whole
-       subtree of every context node — approximated by the document's
-       element count (so chains of // steps pay it repeatedly, the paper's
-       navigational scalability complaint). *)
-    let fanout = Float.max 1.0 (Statistics.avg_fanout stats) in
+      let dense = dense_of summary (List.map (fun ((i, _) as c) -> (i, per c)) contexts) in
+      let above = ancestor_sums summary dense in
+      let matches d = test_matches s.Lp.test ~attribute:false d in
+      ( visited,
+        nodes_where summary matches (fun d ->
+            (above.(slot d) +. if self then dense.(slot d) else 0.0) *. s_count summary d) )
+    | Axis.Self ->
+      ( total contexts,
+        List.filter
+          (fun (i, _) ->
+            if i = Ps.super_root then s.Lp.test = Lp.Any
+            else test_matches s.Lp.test ~attribute:false i)
+          contexts )
+    | Axis.Parent | Axis.Ancestor | Axis.Ancestor_or_self | Axis.Following_sibling
+    | Axis.Preceding_sibling | Axis.Following | Axis.Preceding ->
+      (total contexts *. fanout, [])
+  in
+  let rec run ctx (plan : Lp.t) =
+    match plan with
+    | Lp.Root -> (0.0, [ (Ps.super_root, 1.0) ])
+    | Lp.Context -> (0.0, ctx)
+    | Lp.Union (a, b) ->
+      let va, da = run ctx a and vb, db = run ctx b in
+      (va +. vb, merge summary (da @ db))
+    | Lp.Tpm _ -> (0.0, [])
+    | Lp.Step (base, s) ->
+      let visited, contexts = run ctx base in
+      let v, matches = step s contexts in
+      let v', kept = filter s.Lp.predicates ~contexts:(total contexts) matches in
+      (visited +. v +. v', merge summary kept)
+  and filter preds ~contexts matches =
+    List.fold_left
+      (fun (visited, m) (pred : Lp.predicate) ->
+        match pred with
+        | Lp.Value_pred p ->
+          let f = Statistics.predicate_selectivity p in
+          (visited, List.map (fun (k, w) -> (k, w *. f)) m)
+        | Lp.Position _ ->
+          let f = Float.min 1.0 (contexts /. Float.max 1.0 (total m)) in
+          (visited, List.map (fun (k, w) -> (k, w *. f)) m)
+        | Lp.Exists sub ->
+          List.fold_left
+            (fun (visited, kept) (k, w) ->
+              let v, found = run [ (k, w) ] sub in
+              (visited +. v, (k, Float.min w (total found)) :: kept))
+            (visited, []) m)
+      (0.0, matches) preds
+  in
+  let plan = Lp.of_steps ~base:Lp.Context (Navigation.steps_of_pattern pattern) in
+  [| fst (run [ (Ps.super_root, 1.0) ] plan) |]
+
+(* NoK: per fragment, the candidate roots the summary prune keeps (one
+   visit each), then one visit per store child (attributes included) of
+   every node an embedding descends into, once per local arc tried — an
+   arc is tried only where the earlier arcs matched. Link semijoins emit
+   the source nodes with a target below and the targets under a kept
+   source. *)
+let nok_units stats pattern =
+  let summary = Statistics.summary stats in
+  let n = Pg.vertex_count pattern in
+  let parts = Nok_partition.partition pattern in
+  let leaves i = if i = Ps.super_root then 0.0 else Statistics.leaf_children stats i in
+  let in_fragment = Array.make n (-1) in
+  List.iteri
+    (fun fi f -> List.iter (fun v -> in_fragment.(v) <- fi) f.Nok_partition.members)
+    parts.Nok_partition.fragments;
+  let local_children v =
+    List.filter
+      (fun (c, rel) -> rel <> Pg.Descendant && in_fragment.(c) = in_fragment.(v))
+      (Pg.children pattern v)
+  in
+  let fanout = Float.max 1.0 (Statistics.avg_fanout stats) in
+  let visited = ref 0.0 in
+  let reached = Array.make n [] in
+  let rec embed v dist =
+    reached.(v) <- merge summary (dist @ reached.(v));
+    let alive = ref 1.0 in
+    List.iter
+      (fun (c, (rel : Pg.rel)) ->
+        let scanned, matched =
+          List.fold_left
+            (fun (scanned, matched) (i, w) ->
+              let per = w /. s_count summary i in
+              match rel with
+              | Pg.Child | Pg.Attribute ->
+                let kids = s_children summary i in
+                ( scanned +. (per *. (total_count summary kids +. leaves i)),
+                  List.filter_map
+                    (fun k ->
+                      if vertex_label_matches pattern c (Ps.label summary k) then
+                        Some (k, per *. s_count summary k *. vertex_selectivity pattern c)
+                      else None)
+                    kids
+                  @ matched )
+              | Pg.Following_sibling | Pg.Descendant -> (scanned +. (w *. fanout /. 2.0), matched))
+            (0.0, []) dist
+        in
+        visited := !visited +. (!alive *. scanned);
+        embed c (List.map (fun (k, w) -> (k, w *. !alive)) matched);
+        alive := !alive *. Float.min 1.0 (total matched /. Float.max 1e-9 (total dist)))
+      (local_children v)
+  in
+  List.iter
+    (fun f ->
+      let r = f.Nok_partition.root in
+      if r = 0 then embed 0 [ (Ps.super_root, 1.0) ]
+      else
+        let roots =
+          match Statistics.vertex_summary_nodes stats pattern r with
+          | Some ids ->
+            visited := !visited +. total_count summary ids;
+            List.map (fun k -> (k, s_count summary k *. vertex_selectivity pattern r)) ids
+          | None ->
+            visited := !visited +. stream_length stats pattern r;
+            []
+        in
+        embed r roots)
+    parts.Nok_partition.fragments;
+  let join_pairs =
+    List.fold_left
+      (fun acc (src, dst) ->
+        let targets = dense_of summary reached.(dst) in
+        (* targets in each proper subtree *)
+        let below = Array.make (Ps.length summary + 1) 0.0 in
+        for i = Ps.length summary - 1 downto 0 do
+          let p = slot (Ps.parent summary i) in
+          below.(p) <- below.(p) +. below.(slot i) +. targets.(slot i)
+        done;
+        let kept_sources =
+          List.map
+            (fun (s, w) -> (s, w *. Float.min 1.0 (below.(slot s) /. s_count summary s)))
+            reached.(src)
+        in
+        let above =
+          ancestor_sums summary
+            (dense_of summary (List.map (fun (s, w) -> (s, w /. s_count summary s)) kept_sources))
+        in
+        let kept_targets =
+          List.fold_left
+            (fun acc (d, wd) -> acc +. (wd *. Float.min 1.0 above.(slot d)))
+            0.0 reached.(dst)
+        in
+        acc +. total kept_sources +. kept_targets)
+      0.0 parts.Nok_partition.links
+  in
+  [| !visited; join_pairs |]
+
+(* TwigStack: every candidate stream is built in full, each node on a
+   vertex's chain is pushed, and every leaf push emits one path solution
+   per root chain above it. *)
+let twig_units stats pattern =
+  let n = Pg.vertex_count pattern in
+  let vertices = List.init n Fun.id in
+  let ways = chain_ways stats pattern in
+  let summary = Statistics.summary stats in
+  let streamed = List.fold_left (fun acc v -> acc +. stream_length stats pattern v) 0.0 vertices in
+  let pushes = List.fold_left (fun acc v -> acc +. chain_nodes stats pattern ways v) 0.0 vertices in
+  let solutions =
     List.fold_left
       (fun acc v ->
-        if v = 0 then acc
+        if v = 0 || Pg.children pattern v <> [] then acc
         else
-          match Pg.parent pattern v with
-          | Some (p, (Pg.Child | Pg.Attribute | Pg.Following_sibling)) ->
-            acc +. (Statistics.estimate_vertex_cardinality stats pattern p *. fanout)
-          | None -> acc +. fanout
-          | Some (p, Pg.Descendant) ->
-            let contexts = Float.max 1.0 (Statistics.estimate_vertex_cardinality stats pattern p) in
-            acc +. Float.min
-                     (contexts *. float_of_int (Statistics.element_count stats))
-                     (float_of_int (Statistics.element_count stats) *. 4.0))
-      0.0 (vertices pattern)
+          acc
+          +. List.fold_left (fun acc (k, w) -> acc +. (s_count summary k *. w)) 0.0 ways.(v)
+             *. chain_selectivity pattern v)
+      0.0 vertices
+  in
+  [| streamed; pushes; solutions |]
+
+(* Binary semijoins: the candidate streams (a covered string predicate
+   reads the content index instead of the tag stream), then a bottom-up
+   and a top-down pass, each scanning both candidate lists of every arc:
+   filtered streams on the way up, chain-reduced ones on the way down. *)
+let binary_units stats pattern =
+  let n = Pg.vertex_count pattern in
+  let vertices = List.init n Fun.id in
+  let ways = chain_ways stats pattern in
+  let use_index = Binary_join.index_answerable pattern in
+  let filtered v =
+    if v = 0 then 1.0 else stream_length stats pattern v *. vertex_selectivity pattern v
+  in
+  let streamed =
+    List.fold_left
+      (fun acc v ->
+        acc
+        +.
+        if use_index && (Pg.vertex pattern v).Pg.predicates <> [] then filtered v
+        else stream_length stats pattern v)
+      0.0 vertices
+  in
+  let scanned =
+    List.fold_left
+      (fun acc (s, t, _) ->
+        acc +. filtered s +. filtered t
+        +. chain_nodes stats pattern ways s
+        +. chain_nodes stats pattern ways t)
+      0.0 (Pg.arcs pattern)
+  in
+  [| streamed; scanned |]
+
+let estimate_units stats pattern = function
+  | Naive_nav -> navigation_units stats pattern
+  | Nok_navigation -> nok_units stats pattern
+  | Twig_join -> twig_units stats pattern
+  | Binary_joins -> binary_units stats pattern
+
+(* --- fitted time -------------------------------------------------------- *)
+
+let fitted = function
+  | Naive_nav -> Cost_weights.navigation
+  | Nok_navigation -> Cost_weights.nok
+  | Twig_join -> Cost_weights.twigstack
+  | Binary_joins -> Cost_weights.binary
+
+let cost_of_units engine units =
+  List.fold_left ( +. ) 0.0 (List.mapi (fun i w -> w *. units.(i)) (fitted engine))
+
+let estimate stats pattern engine = cost_of_units engine (estimate_units stats pattern engine)
+
+let costs stats pattern =
+  List.filter_map
+    (fun e -> if supports pattern e then Some (e, estimate stats pattern e) else None)
+    all_engines
 
 (* --- plan-level cardinality estimation --------------------------------- *)
-
-module Lp = Xqp_algebra.Logical_plan
-module Ps = Xqp_storage.Path_summary
 
 (* Legacy per-step estimate: base cardinality × average per-node fan-out of
    the (axis, test) relation, capped by the target tag's total count. Used
@@ -369,15 +734,10 @@ let plan_certainly_empty stats plan =
   | 0.0, Statistics.Exact -> true
   | _ -> false
 
+(* The least estimated time among the engines that support the pattern
+   (navigation supports every one). *)
 let choose stats pattern =
-  let supported = List.filter (supports pattern) all_engines in
-  match supported with
+  match costs stats pattern with
   | [] -> Naive_nav
   | first :: rest ->
-    fst
-      (List.fold_left
-         (fun (best, best_cost) engine ->
-           let c = estimate stats pattern engine in
-           if c < best_cost then (engine, c) else (best, best_cost))
-         (first, estimate stats pattern first)
-         rest)
+    fst (List.fold_left (fun (be, bc) (e, c) -> if c < bc then (e, c) else (be, bc)) first rest)

@@ -2,15 +2,18 @@
     implementations of τ (§2: "a cost model is also needed as a basis of
     choosing the optimal physical query plan").
 
-    Costs are abstract work units (≈ nodes touched); they are meant to
-    rank alternatives, not to predict wall-clock time. Experiment E9
-    checks the ranking against measurements. *)
+    Costs are estimated time. Each engine is costed in the work units its
+    own [*_with_stats] counts ({!unit_names}), predicted from the path
+    summary ({!estimate_units}); per-unit nanosecond weights fitted by
+    least squares against measured engine time ([xqp calibrate --cost],
+    checked in as {!Cost_weights}) turn the units into nanoseconds.
+    [Auto] binds the engine with the least estimated time. *)
 
 type engine =
   | Naive_nav      (** step-at-a-time navigation over the DOM *)
   | Nok_navigation (** NoK fragments over the succinct store + link joins *)
   | Twig_join      (** holistic twig join over tag streams *)
-  | Binary_joins   (** binary structural joins, cost of the best order *)
+  | Binary_joins   (** binary structural semijoins *)
 
 val all_engines : engine list
 val engine_name : engine -> string
@@ -18,12 +21,32 @@ val engine_name : engine -> string
 val supports : Xqp_algebra.Pattern_graph.t -> engine -> bool
 (** TwigStack rejects sibling arcs; the others accept any pattern. *)
 
+val unit_names : engine -> string array
+(** The engine's work units, in the order of {!estimate_units} and of
+    the fitted weights in {!Cost_weights}: navigation [nodes_visited]; NoK [nodes_visited],
+    [join_pairs]; TwigStack [streamed] (elements examined to build the
+    candidate streams), [pushes], [path_solutions]; binary [streamed],
+    [scanned]. *)
+
+val estimate_units :
+  Statistics.t -> Xqp_algebra.Pattern_graph.t -> engine -> float array
+(** Predicted work units for evaluating the pattern from the document
+    root. Navigation simulates its step plan over the path summary,
+    skip-ahead included, so downward chains are exact. *)
+
+val cost_of_units : engine -> float array -> float
+(** Fitted weights · units: nanoseconds. Applied to counted units
+    ([Executor.count_units]) it is the fitted model's reading of a run. *)
+
 val estimate : Statistics.t -> Xqp_algebra.Pattern_graph.t -> engine -> float
-(** Estimated work units for evaluating the pattern from the document
-    root. *)
+(** Estimated nanoseconds: {!cost_of_units} of {!estimate_units}. *)
+
+val costs : Statistics.t -> Xqp_algebra.Pattern_graph.t -> (engine * float) list
+(** {!estimate} of every engine that supports the pattern. *)
 
 val choose : Statistics.t -> Xqp_algebra.Pattern_graph.t -> engine
-(** Lowest-estimate engine among the supported ones. *)
+(** Least {!estimate} among the engines that support the pattern: what
+    [Auto] binds. *)
 
 val estimate_plan :
   Statistics.t -> ?context_card:float -> ?use_summary:bool ->

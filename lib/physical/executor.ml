@@ -12,8 +12,7 @@ type t = {
   store_lazy : Store.t Lazy.t;
   stats_lazy : Statistics.t Lazy.t;
   stats_version : int;
-  engine_guard : Xqp_obs.Dsan.guard;
-  engine_cache : (Pg.t, Cost_model.engine) Hashtbl.t;
+  engine_cache : (Pg.t, Cost_model.engine) Plan_cache.Lru.t;
   content_index_lazy : Content_index.t Lazy.t;
   hints_lazy : Navigation.hints Lazy.t;
 }
@@ -34,6 +33,10 @@ let strategy_of_string = Pp.strategy_of_string
 
 let next_id = Atomic.make 0
 
+(* Capacity of the shared plan cache and of each executor's engine-choice
+   memo: a client can grow neither past it. *)
+let plan_cache_capacity = 256
+
 let make ?(stats_version = 0) document ~store_lazy ~stats_lazy =
   {
     id = Atomic.fetch_and_add next_id 1 + 1;
@@ -41,8 +44,8 @@ let make ?(stats_version = 0) document ~store_lazy ~stats_lazy =
     store_lazy;
     stats_lazy;
     stats_version;
-    engine_guard = Xqp_obs.Dsan.guard "Executor.engine_cache";
-    engine_cache = Hashtbl.create 16;
+    engine_cache =
+      Plan_cache.Lru.create ~name:"Executor.engine_cache" ~capacity:plan_cache_capacity ();
     content_index_lazy = lazy (Content_index.build document);
     hints_lazy =
       lazy (Navigation.make_hints document (Statistics.summary (Lazy.force stats_lazy)));
@@ -126,21 +129,20 @@ let summary_prune t pattern ~context =
   end
 
 (* The executor's memoized cost-model chooser: [Auto] resolution per
-   distinct pattern is paid once per executor. The memo table
-   is guarded — planning is compile-time, so serializing the costing of
-   one pattern across domains is cheap and keeps the table coherent;
-   a racing duplicate computation would be benign but is avoided. *)
+   distinct pattern is paid once per executor while the pattern stays
+   among the [plan_cache_capacity] most recently planned ones. The LRU's
+   shard guards keep the memo coherent across domains; a racing
+   duplicate costing is benign. *)
 let cached_choose t pattern =
-  match
-    Xqp_obs.Dsan.with_guard t.engine_guard (fun () ->
-        Hashtbl.find_opt t.engine_cache pattern)
-  with
+  match Plan_cache.Lru.find t.engine_cache pattern with
   | Some engine -> engine
   | None ->
     let engine = Cost_model.choose (statistics t) pattern in
-    Xqp_obs.Dsan.with_guard t.engine_guard (fun () ->
-        Hashtbl.replace t.engine_cache pattern engine);
+    ignore (Plan_cache.Lru.add t.engine_cache pattern engine);
     engine
+
+let engine_cache_length t = Plan_cache.Lru.length t.engine_cache
+let engine_cache_capacity t = Plan_cache.Lru.capacity t.engine_cache
 
 (* --- debug plan verification ------------------------------------------- *)
 
@@ -218,7 +220,8 @@ let compile t ?(strategy = Auto) ?(context_card = 1.0) plan =
    keys its per-query aggregates by fingerprint on every admitted
    request, and computing it at compile time makes it free on the cache
    hits that dominate a warm server. *)
-let shared_plan_cache : (Pp.t * string) Plan_cache.t = Plan_cache.create ~capacity:256 ()
+let shared_plan_cache : (Pp.t * string) Plan_cache.t =
+  Plan_cache.create ~capacity:plan_cache_capacity ()
 
 type cache_status = Cache_hit | Cache_miss | Cache_bypassed
 
@@ -307,6 +310,41 @@ let run_tau t (tau : Pp.tau) ~context =
     let nodes = Navigation.eval_plan ~hints:(hints t) t.document plan ~context in
     let output = match Pg.outputs tau.Pp.pattern with v :: _ -> v | [] -> 0 in
     [ (output, nodes) ]
+
+(* Runs the engine as [Auto] binds it ([Planner.compile_tau]) through
+   its [*_with_stats] entry, from the document root. *)
+let count_units t engine pattern =
+  if not (Cost_model.supports pattern engine) then
+    invalid_arg "Executor.count_units: the engine does not support the pattern";
+  let context = [ Ops.document_context ] in
+  let f = float_of_int in
+  match (engine : Cost_model.engine) with
+  | Cost_model.Naive_nav ->
+    let plan = Lp.of_steps ~base:Lp.Context (Navigation.steps_of_pattern pattern) in
+    let _, s = Navigation.eval_plan_with_stats ~hints:(hints t) t.document plan ~context in
+    [| f s.Navigation.nodes_visited |]
+  | Cost_model.Nok_navigation ->
+    let _, s =
+      Nok.match_pattern_with_stats
+        ?prune:(summary_prune t pattern ~context)
+        t.document (store t) pattern ~context
+    in
+    [| f s.Nok.nodes_visited; f s.Nok.join_pairs |]
+  | Cost_model.Twig_join ->
+    let _, s = Twig_stack.match_pattern_with_stats t.document pattern ~context in
+    [| f s.Twig_stack.streamed; f s.Twig_stack.pushes; f s.Twig_stack.path_solutions |]
+  | Cost_model.Binary_joins ->
+    let index = if Binary_join.index_answerable pattern then Some (content_index t) else None in
+    let _, s = Binary_join.match_pattern_with_stats ?content_index:index t.document pattern ~context in
+    [| f s.Binary_join.streamed; f s.Binary_join.scanned |]
+
+let counted_costs t pattern =
+  List.filter_map
+    (fun e ->
+      if Cost_model.supports pattern e then
+        Some (e, Cost_model.cost_of_units e (count_units t e pattern))
+      else None)
+    Cost_model.all_engines
 
 let run_pattern t strategy pattern ~context =
   run_tau t (Planner.compile_tau ~choose:(cached_choose t) (statistics t) strategy pattern)

@@ -81,6 +81,11 @@ val check_deadline : float option -> unit
     layers above the executor (the XQuery interpreter, the server) share
     one clock and one exception. *)
 
+val engine_cache_length : t -> int
+val engine_cache_capacity : t -> int
+(** The memo of [Auto]'s engine choice per distinct pattern is an LRU
+    bounded at the shared plan cache's capacity. *)
+
 val doc : t -> Xqp_xml.Document.t
 val store : t -> Xqp_storage.Succinct_store.t
 val statistics : t -> Statistics.t
@@ -157,6 +162,18 @@ val run_pattern :
   context:Xqp_xml.Document.node list -> (int * Xqp_xml.Document.node list) list
 (** Evaluate τ with a specific engine (per-output-vertex sets): binds the
     pattern with {!Planner.compile_tau} and dispatches. *)
+
+val count_units : t -> Cost_model.engine -> Xqp_algebra.Pattern_graph.t -> float array
+(** Run the engine [Auto] binds for this cost-model engine on the pattern
+    from the document root and return the work units it counted, in
+    {!Cost_model.unit_names} order — the truth {!Cost_model.estimate_units}
+    predicts and [xqp calibrate --cost] fits time to.
+    @raise Invalid_argument when the engine does not support the pattern. *)
+
+val counted_costs : t -> Xqp_algebra.Pattern_graph.t -> (Cost_model.engine * float) list
+(** {!Cost_model.cost_of_units} of {!count_units} for every engine that
+    supports the pattern: the fitted model's nanoseconds for what each
+    engine really did. Deterministic (counts, not clocks). *)
 
 val execute :
   t -> ?strategy:strategy -> ?optimize:bool -> ?use_cache:bool -> ?deadline:float ->

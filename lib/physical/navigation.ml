@@ -212,3 +212,67 @@ let eval_plan_with_stats ?hints doc plan ~context =
   (result, { nodes_visited = !visited; steps_evaluated = !steps })
 
 let eval_plan ?hints doc plan ~context = fst (eval_plan_with_stats ?hints doc plan ~context)
+
+(* Expand a pattern back into navigational steps (used by the Navigation
+   strategy so that it really is the step-at-a-time baseline): the spine is
+   the root-to-output path, every off-spine subtree becomes an Exists
+   predicate. *)
+let axis_of_rel = function
+  | Pg.Child -> Axis.Child
+  | Pg.Descendant -> Axis.Descendant
+  | Pg.Attribute -> Axis.Attribute
+  | Pg.Following_sibling -> Axis.Following_sibling
+
+let steps_of_pattern pattern =
+  let test_of v =
+    match (Pg.vertex pattern v).Pg.label with
+    | Pg.Tag name -> Lp.Name name
+    | Pg.Wildcard -> Lp.Any
+  in
+  let value_preds v = List.map (fun p -> Lp.Value_pred p) (Pg.vertex pattern v).Pg.predicates in
+  (* Whole subtree at v (reached via rel) as a relative existence plan. *)
+  let rec branch_plan v rel =
+    let branch_preds =
+      List.map (fun (c, rel') -> Lp.Exists (branch_plan c rel')) (Pg.children pattern v)
+    in
+    Lp.Step
+      ( Lp.Context,
+        { Lp.axis = axis_of_rel rel; test = test_of v; predicates = value_preds v @ branch_preds }
+      )
+  in
+  let output = match Pg.outputs pattern with v :: _ -> v | [] -> 0 in
+  let rec spine_path v =
+    match Pg.parent pattern v with None -> [ v ] | Some (p, _) -> v :: spine_path p
+  in
+  let spine = List.rev (spine_path output) in
+  (* Step navigating into spine vertex [v]; its off-spine subtrees (all of
+     them when [v] is the output) become existence predicates on the step. *)
+  let step_into v ~next_on_spine =
+    let rel = match Pg.parent pattern v with Some (_, r) -> r | None -> Pg.Child in
+    let branch_preds =
+      List.filter_map
+        (fun (c, rel') ->
+          if Some c = next_on_spine then None else Some (Lp.Exists (branch_plan c rel')))
+        (Pg.children pattern v)
+    in
+    { Lp.axis = axis_of_rel rel; test = test_of v; predicates = value_preds v @ branch_preds }
+  in
+  let rec build = function
+    | v :: (next :: _ as rest) -> step_into v ~next_on_spine:(Some next) :: build rest
+    | [ v ] -> [ step_into v ~next_on_spine:None ]
+    | [] -> []
+  in
+  (* Off-spine branches of the context vertex constrain the context itself:
+     a leading self::* step carries them. *)
+  let context_branches =
+    List.filter_map
+      (fun (c, rel') ->
+        if (match spine with _ :: s1 :: _ -> c = s1 | _ -> false) then None
+        else Some (Lp.Exists (branch_plan c rel')))
+      (Pg.children pattern 0)
+  in
+  let leading =
+    if context_branches = [] then []
+    else [ { Lp.axis = Axis.Self; test = Lp.Any; predicates = context_branches } ]
+  in
+  leading @ build (List.tl spine)

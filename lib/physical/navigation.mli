@@ -54,3 +54,10 @@ val axis_nodes_all :
 (** Like {!Xqp_algebra.Operators.axis_nodes} but including text, comment
     and PI nodes (needed by [text()] node tests). Accepts the virtual
     document node. *)
+
+val steps_of_pattern :
+  Xqp_algebra.Pattern_graph.t -> Xqp_algebra.Logical_plan.step list
+(** Expand a pattern into navigational steps (spine to the first output;
+    off-spine subtrees become existence predicates) — the Navigation
+    strategy's compile-time expansion, and the plan the cost model
+    simulates to predict {!stats.nodes_visited}. *)

@@ -135,7 +135,7 @@ let pp ppf plan =
       | Step (_, _) -> Printf.sprintf "%s  est=%.1f" (op_label p) p.est_rows
       | Tau (_, tau) ->
         let cost =
-          match tau.est_cost with Some c -> Printf.sprintf "  cost=%.0f" c | None -> ""
+          match tau.est_cost with Some c -> Printf.sprintf "  cost=%.3fms" (c /. 1e6) | None -> ""
         in
         Format.asprintf "tau %a  engine=%s  est=%.1f%s" Pg.pp tau.pattern
           (engine_label tau.engine) p.est_rows cost

@@ -55,8 +55,8 @@ type tau = {
   pattern : Xqp_algebra.Pattern_graph.t;
   engine : tau_engine;
   est_cost : float option;
-      (** cost-model work units for the bound engine; [None] for
-          [Reference_match], which the model does not cost *)
+      (** the cost model's estimated nanoseconds for the bound engine;
+          [None] for [Reference_match], which the model does not cost *)
 }
 
 type t = { op : op; est_rows : float (** estimated output cardinality *) }

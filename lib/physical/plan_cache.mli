@@ -28,6 +28,23 @@ type key = {
       (** a corpus planner's merged catalog stats version; 0 otherwise *)
 }
 
+(** The sharded LRU underneath, for any key: the executor's engine-choice
+    memo is a second instance. It bumps no metrics of its own. *)
+module Lru : sig
+  type ('k, 'v) t
+
+  val create : ?name:string -> ?capacity:int -> ?shards:int -> unit -> ('k, 'v) t
+  (** As {!create}; [name] (default ["Plan_cache"]) names the shard
+      guards and the [Invalid_argument] messages. *)
+
+  val find : ('k, 'v) t -> 'k -> 'v option
+  val add : ('k, 'v) t -> 'k -> 'v -> bool
+  (** [true] when the insert evicted another entry. *)
+
+  val length : ('k, 'v) t -> int
+  val capacity : ('k, 'v) t -> int
+end
+
 type 'a t
 
 val create : ?capacity:int -> ?shards:int -> unit -> 'a t

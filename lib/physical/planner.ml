@@ -2,70 +2,6 @@ module Lp = Xqp_algebra.Logical_plan
 module Pg = Xqp_algebra.Pattern_graph
 module Pp = Physical_plan
 
-(* Expand a pattern back into navigational steps (used by the Navigation
-   strategy so that it really is the step-at-a-time baseline): the spine is
-   the root-to-output path, every off-spine subtree becomes an Exists
-   predicate. *)
-let axis_of_rel = function
-  | Pg.Child -> Xqp_algebra.Axis.Child
-  | Pg.Descendant -> Xqp_algebra.Axis.Descendant
-  | Pg.Attribute -> Xqp_algebra.Axis.Attribute
-  | Pg.Following_sibling -> Xqp_algebra.Axis.Following_sibling
-
-let steps_of_pattern pattern =
-  let test_of v =
-    match (Pg.vertex pattern v).Pg.label with
-    | Pg.Tag name -> Lp.Name name
-    | Pg.Wildcard -> Lp.Any
-  in
-  let value_preds v = List.map (fun p -> Lp.Value_pred p) (Pg.vertex pattern v).Pg.predicates in
-  (* Whole subtree at v (reached via rel) as a relative existence plan. *)
-  let rec branch_plan v rel =
-    let branch_preds =
-      List.map (fun (c, rel') -> Lp.Exists (branch_plan c rel')) (Pg.children pattern v)
-    in
-    Lp.Step
-      ( Lp.Context,
-        { Lp.axis = axis_of_rel rel; test = test_of v; predicates = value_preds v @ branch_preds }
-      )
-  in
-  let output = match Pg.outputs pattern with v :: _ -> v | [] -> 0 in
-  let rec spine_path v =
-    match Pg.parent pattern v with None -> [ v ] | Some (p, _) -> v :: spine_path p
-  in
-  let spine = List.rev (spine_path output) in
-  (* Step navigating into spine vertex [v]; its off-spine subtrees (all of
-     them when [v] is the output) become existence predicates on the step. *)
-  let step_into v ~next_on_spine =
-    let rel = match Pg.parent pattern v with Some (_, r) -> r | None -> Pg.Child in
-    let branch_preds =
-      List.filter_map
-        (fun (c, rel') ->
-          if Some c = next_on_spine then None else Some (Lp.Exists (branch_plan c rel')))
-        (Pg.children pattern v)
-    in
-    { Lp.axis = axis_of_rel rel; test = test_of v; predicates = value_preds v @ branch_preds }
-  in
-  let rec build = function
-    | v :: (next :: _ as rest) -> step_into v ~next_on_spine:(Some next) :: build rest
-    | [ v ] -> [ step_into v ~next_on_spine:None ]
-    | [] -> []
-  in
-  (* Off-spine branches of the context vertex constrain the context itself:
-     a leading self::* step carries them. *)
-  let context_branches =
-    List.filter_map
-      (fun (c, rel') ->
-        if (match spine with _ :: s1 :: _ -> c = s1 | _ -> false) then None
-        else Some (Lp.Exists (branch_plan c rel')))
-      (Pg.children pattern 0)
-  in
-  let leading =
-    if context_branches = [] then []
-    else [ { Lp.axis = Xqp_algebra.Axis.Self; test = Lp.Any; predicates = context_branches } ]
-  in
-  leading @ build (List.tl spine)
-
 (* One capability predicate per engine — each delegates to the engine
    module itself, the same predicates [Cost_model.supports] consults, so
    the planner, the cost model and the engines cannot disagree. *)
@@ -102,22 +38,6 @@ let effective ~choose strategy pattern =
   in
   fallback concrete pattern
 
-(* The content index pays off only when some vertex carries an index-
-   answerable string predicate; the decision is a pure pattern property,
-   so it is baked into the binding at compile time. *)
-let index_answerable pattern =
-  let answerable v =
-    let vx = Pg.vertex pattern v in
-    vx.Pg.predicates <> []
-    && List.exists
-         (fun p ->
-           match (p.Pg.comparison, p.Pg.literal) with
-           | (Pg.Eq | Pg.Le | Pg.Ge), Pg.Str _ -> true
-           | _ -> false)
-         vx.Pg.predicates
-  in
-  List.exists answerable (List.init (Pg.vertex_count pattern) (fun i -> i))
-
 let cost_engine = function
   | Pp.Navigation -> Some Cost_model.Naive_nav
   | Pp.Nok -> Some Cost_model.Nok_navigation
@@ -132,11 +52,11 @@ let compile_tau ?choose stats strategy pattern =
     match concrete with
     | Pp.Reference -> Pp.Reference_match
     | Pp.Navigation ->
-      Pp.Navigation_steps (Lp.of_steps ~base:Lp.Context (steps_of_pattern pattern))
+      Pp.Navigation_steps (Lp.of_steps ~base:Lp.Context (Navigation.steps_of_pattern pattern))
     | Pp.Nok -> Pp.Nok_store
     | Pp.Pathstack -> Pp.Path_stack_join
     | Pp.Twigstack -> Pp.Twig_stack_join
-    | Pp.Binary_default -> Pp.Binary_semijoin { use_index = index_answerable pattern }
+    | Pp.Binary_default -> Pp.Binary_semijoin { use_index = Binary_join.index_answerable pattern }
     | Pp.Binary_best -> Pp.Binary_ordered (Cost_model.best_join_order stats pattern)
     | Pp.Auto -> assert false (* effective never returns Auto *)
   in

@@ -9,12 +9,6 @@
     the same statistics and plan always produce {!Physical_plan.equal}
     results. *)
 
-val steps_of_pattern :
-  Xqp_algebra.Pattern_graph.t -> Xqp_algebra.Logical_plan.step list
-(** Expand a pattern into navigational steps (spine to the first output;
-    off-spine subtrees become existence predicates) — the Navigation
-    strategy's compile-time expansion. *)
-
 val supports : Physical_plan.strategy -> Xqp_algebra.Pattern_graph.t -> bool
 (** One capability predicate per engine, delegating to the engine
     modules' own [supported] ({!Path_stack.supported},

@@ -138,13 +138,27 @@ let explain exec ?strategy ?(optimize = true) ?use_cache ?(rewrites = false) que
       let est, src = Cost_model.estimate_plan_detail stats optimized in
       let src = Statistics.source_label src in
       Format.fprintf ppf "estimated rows:  %.1f (%s)@." est src;
+      (* Every supported engine's estimated time; the runner-up is the
+         cheapest engine Auto did not bind. *)
+      let chosen = Cost_model.choose stats pattern in
+      let costs = Cost_model.costs stats pattern in
+      let runner_up =
+        List.fold_left
+          (fun best (e, c) ->
+            match best with
+            | Some (_, bc) when bc <= c -> best
+            | _ when e = chosen -> best
+            | _ -> Some (e, c))
+          None costs
+        |> Option.map fst
+      in
+      Format.fprintf ppf "engine costs:    estimated ms (* chosen, + runner-up)@.";
       List.iter
-        (fun engine ->
-          if Cost_model.supports pattern engine then
-            Format.fprintf ppf "  cost[%s] = %.0f@." (Cost_model.engine_name engine)
-              (Cost_model.estimate stats pattern engine))
-        Cost_model.all_engines;
-      let chosen = Cost_model.engine_name (Cost_model.choose stats pattern) in
+        (fun (e, c) ->
+          Format.fprintf ppf "  %-12s %9.3f%s@." (Cost_model.engine_name e) (c /. 1e6)
+            (if e = chosen then " *" else if Some e = runner_up then " +" else ""))
+        costs;
+      let chosen = Cost_model.engine_name chosen in
       Format.fprintf ppf "chosen engine:   %s@." chosen;
       (Some est, Some src, chosen)
     | _ ->

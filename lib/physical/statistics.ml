@@ -13,6 +13,7 @@ type t = {
   fanout_nodes : int;
   summary : Ps.t;
   pids : int array; (* node id -> summary node (path partition), -1 for text/comment/PI *)
+  leaves : int array; (* summary node -> text/comment/PI children over its instances *)
 }
 
 (* One constructor for every source (what is exact in each mode: see the
@@ -57,11 +58,12 @@ let of_summary ?doc summary =
     in
     up p
   done;
-  let doc_nodes, fanout_sum, max_depth, pids =
+  let doc_nodes, fanout_sum, max_depth, pids, leaves =
     match doc with
-    | None -> (!path_nodes, !child_rows, !summary_depth, [||])
+    | None -> (!path_nodes, !child_rows, !summary_depth, [||], [||])
     | Some doc ->
-      let pids = Ps.annotate summary doc in
+      let leaves = Array.make n 0 in
+      let pids = Ps.annotate ~leaves summary doc in
       let nodes = Doc.node_count doc in
       let max_depth = ref 0 in
       for id = 0 to nodes - 1 do
@@ -70,7 +72,7 @@ let of_summary ?doc summary =
       (* every non-root node is one content child of its element parent,
          except attributes *)
       let attributes = !path_nodes - !elements in
-      (nodes, max 0 (nodes - 1 - attributes), !max_depth, pids)
+      (nodes, max 0 (nodes - 1 - attributes), !max_depth, pids, leaves)
   in
   {
     doc_nodes;
@@ -83,9 +85,17 @@ let of_summary ?doc summary =
     fanout_nodes = !elements;
     summary;
     pids;
+    leaves;
   }
 
 let build doc = of_summary ~doc (Ps.of_document doc)
+
+(* Without the document a summary only knows whether a path has text:
+   one text child per instance is the guess. *)
+let leaf_children t i =
+  if Array.length t.leaves > 0 then float_of_int t.leaves.(i)
+  else if Ps.has_text t.summary i then float_of_int (Ps.count t.summary i)
+  else 0.0
 
 let tag_count t name = Option.value ~default:0 (Hashtbl.find_opt t.tag_counts name)
 let element_count t = t.elements

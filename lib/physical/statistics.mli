@@ -77,6 +77,11 @@ type source =
 
 val source_label : source -> string
 val summary : t -> Xqp_storage.Path_summary.t
+val leaf_children : t -> int -> float
+(** Text, comment and PI children summed over every instance of a summary
+    node — exact with the document, one per instance of a path with text
+    without it. *)
+
 val path_id : t -> Xqp_xml.Document.node -> int
 (** Summary node of a document node ([-1] for text/comment/PI). *)
 

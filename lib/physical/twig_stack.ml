@@ -2,10 +2,11 @@ module Doc = Xqp_xml.Document
 module Pg = Xqp_algebra.Pattern_graph
 module Ops = Xqp_algebra.Operators
 
-type stats = { pushes : int; path_solutions : int; merged_solutions : int }
+type stats = { streamed : int; pushes : int; path_solutions : int; merged_solutions : int }
 
 module M = Xqp_obs.Metrics
 
+let m_streamed = M.counter M.default "engine.twigstack.streamed"
 let m_pushes = M.counter M.default "engine.twigstack.pushes"
 let m_path_solutions = M.counter M.default "engine.twigstack.path_solutions"
 let m_merged_solutions = M.counter M.default "engine.twigstack.merged_solutions"
@@ -42,7 +43,9 @@ let match_pattern_with_stats doc pattern ~context =
   let n = Pg.vertex_count pattern in
   if not (supported pattern) then
     invalid_arg "Twig_stack: following-sibling arcs are not supported";
-  let streams = Array.init n (fun v -> Binary_join.candidates doc pattern ~context v) in
+  let built = Array.init n (fun v -> Binary_join.stream doc pattern ~context v) in
+  let streams = Array.map fst built in
+  let streamed = Array.fold_left (fun acc (_, k) -> acc + k) 0 built in
   let cursors = Array.make n 0 in
   let stacks = Array.init n (fun _ -> new_stack ()) in
   let head v = if cursors.(v) < Array.length streams.(v) then Some streams.(v).(cursors.(v)) else None in
@@ -204,10 +207,11 @@ let match_pattern_with_stats doc pattern ~context =
         (v, List.sort_uniq compare nodes))
       (Pg.outputs pattern)
   in
+  M.add m_streamed streamed;
   M.add m_pushes !pushes;
   M.add m_path_solutions !path_count;
   M.add m_merged_solutions (List.length merged);
   ( outputs,
-    { pushes = !pushes; path_solutions = !path_count; merged_solutions = List.length merged } )
+    { streamed; pushes = !pushes; path_solutions = !path_count; merged_solutions = List.length merged } )
 
 let match_pattern doc pattern ~context = fst (match_pattern_with_stats doc pattern ~context)

@@ -14,6 +14,7 @@
     absolute and relative patterns run through the same machinery. *)
 
 type stats = {
+  streamed : int;         (** elements examined to build the candidate streams *)
   pushes : int;           (** stack pushes across all vertices *)
   path_solutions : int;   (** root-to-leaf solutions emitted by phase 1 *)
   merged_solutions : int; (** full twig matches after phase 2 *)

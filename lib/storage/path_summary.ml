@@ -313,7 +313,7 @@ let skip_labels t ~targets ~self =
    same pass recounts every path and its text flag, so a summary that
    disagrees with the document is caught here, before anything plans off
    it. *)
-let annotate t doc =
+let annotate ?leaves t doc =
   let module Doc = Xqp_xml.Document in
   let n = Doc.node_count doc and len = length t in
   let nsym = Xqp_xml.Symtab.cardinal (Doc.symtab doc) in
@@ -343,8 +343,11 @@ let annotate t doc =
         let sid = lookup parent (Doc.name_id doc id) (kind = Doc.Attribute) in
         pids.(id) <- sid;
         counts.(sid) <- counts.(sid) + 1
-    | Doc.Text -> if parent >= 0 then texts.(parent) <- true
-    | Doc.Comment | Doc.Pi -> ()
+    | (Doc.Text | Doc.Comment | Doc.Pi) as kind ->
+        if parent >= 0 then begin
+          if kind = Doc.Text then texts.(parent) <- true;
+          match leaves with Some l -> l.(parent) <- l.(parent) + 1 | None -> ()
+        end
   done;
   for i = 0 to len - 1 do
     let path () = path_text t.parents.(i) t.labels.(i) in

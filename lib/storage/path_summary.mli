@@ -129,13 +129,14 @@ val is_element_label : string -> bool
 
 (** {2 Per-node path ids (path partitioning)} *)
 
-val annotate : t -> Xqp_xml.Document.t -> int array
+val annotate : ?leaves:int array -> t -> Xqp_xml.Document.t -> int array
 (** [annotate t doc] maps every document node to its summary node id ([-1]
     for text/comment/PI nodes) in one pre-order pass, which also checks
     [t] against [doc]: every path present, every count and text flag
     equal. @raise Failure naming the first disagreeing path, so a packed
     summary that does not describe its document never reaches a
-    planner. *)
+    planner. [leaves] (length {!length}, zeroed) receives per summary node
+    the number of text, comment and PI children over its instances. *)
 
 (** {2 Serialization (used by Store_io)} *)
 

@@ -286,6 +286,35 @@ let test_executor_unoptimized_agrees () =
       if opt <> unopt then Alcotest.failf "%s: optimized plan changed the result" q)
     queries
 
+(* More distinct patterns than the memo holds: it stays within its bound
+   and every binding is the one the cost model makes unmemoized, evicted
+   patterns included. *)
+let test_engine_cache_bounded () =
+  let exec = Executor.create (bib ()) in
+  let stats = Executor.statistics exec in
+  let capacity = Executor.engine_cache_capacity exec in
+  let patterns =
+    List.init (capacity + 64) (fun i ->
+        Xqp_xpath.Parser.parse_pattern (Printf.sprintf "//book[price > %d]/title" i))
+  in
+  let bound pattern =
+    match Physical_plan.taus (Executor.compile exec (Logical_plan.Tpm (Logical_plan.Root, pattern))) with
+    | [ tau ] -> Physical_plan.engine_label tau.Physical_plan.engine
+    | _ -> Alcotest.fail "one tau expected"
+  in
+  let direct pattern =
+    Physical_plan.engine_label (Planner.compile_tau stats Physical_plan.Auto pattern).Physical_plan.engine
+  in
+  let check_all () =
+    List.iter
+      (fun p -> Alcotest.(check string) "memoized choice" (direct p) (bound p))
+      patterns
+  in
+  check_all ();
+  check_bool "memo within its bound" true (Executor.engine_cache_length exec <= capacity);
+  check_all ();
+  check_bool "still within its bound" true (Executor.engine_cache_length exec <= capacity)
+
 let prop_rewrite_preserves_results =
   QCheck2.Test.make ~name:"R0+R1/R2 rewriting preserves results" ~count:150
     QCheck2.Gen.(
@@ -339,13 +368,6 @@ let test_cost_model_choices () =
   let doc = bib () in
   let stats = Statistics.build doc in
   let pattern = Xqp_xpath.Parser.parse_pattern "/bib/book[author]/title" in
-  List.iter
-    (fun engine ->
-      if Cost_model.supports pattern engine then begin
-        let c = Cost_model.estimate stats pattern engine in
-        check_bool (Cost_model.engine_name engine ^ " finite") true (Float.is_finite c && c >= 0.0)
-      end)
-    Cost_model.all_engines;
   let chosen = Cost_model.choose stats pattern in
   check_bool "choice supported" true (Cost_model.supports pattern chosen);
   (* join orders: best order must be a valid connected order *)
@@ -353,6 +375,48 @@ let test_cost_model_choices () =
   check_int "covers all arcs" (List.length (Pattern_graph.arcs pattern)) (List.length best);
   let all = Binary_join.all_orders pattern in
   check_bool "best among all" true (List.mem best all)
+
+(* The workload's patterns on auction:100000 (seed 1): the counts below
+   are exact and the weights are checked-in constants, so neither test
+   depends on timing. *)
+let workload_exec =
+  lazy (Executor.create (Xqp_workload.Gen_auction.packed ~seed:1 ~scale:100_000 ()))
+
+let workload_patterns () =
+  List.filter_map
+    (fun (q : Xqp_workload.Queries.query) ->
+      match Rewrite.optimize (Xqp_xpath.Parser.parse q.Xqp_workload.Queries.xpath) with
+      | Logical_plan.Tpm (Logical_plan.Root, pattern) -> Some (q.Xqp_workload.Queries.id, pattern)
+      | _ -> None)
+    Xqp_workload.Queries.(auction_paths @ auction_complexity_sweep)
+
+let test_auto_near_cheapest_engine () =
+  let exec = Lazy.force workload_exec in
+  let stats = Executor.statistics exec in
+  let patterns = workload_patterns () in
+  check_bool "the workload has patterns" true (List.length patterns >= 12);
+  List.iter
+    (fun (id, pattern) ->
+      let costs = Executor.counted_costs exec pattern in
+      let cheapest = List.fold_left (fun acc (_, c) -> Float.min acc c) infinity costs in
+      let chosen = Cost_model.choose stats pattern in
+      let cost = List.assoc chosen costs in
+      if cost > 1.15 *. cheapest then
+        Alcotest.failf "%s: auto binds %s at %.0f ns counted, cheapest engine %.0f ns" id
+          (Cost_model.engine_name chosen) cost cheapest)
+    patterns
+
+let test_navigation_estimate_within_2x () =
+  let exec = Lazy.force workload_exec in
+  let stats = Executor.statistics exec in
+  List.iter
+    (fun (id, pattern) ->
+      let counted = (Executor.count_units exec Cost_model.Naive_nav pattern).(0) in
+      let estimated = (Cost_model.estimate_units stats pattern Cost_model.Naive_nav).(0) in
+      let q = Float.max (counted /. estimated) (estimated /. counted) in
+      if not (q <= 2.0) then
+        Alcotest.failf "%s: navigation visits %.0f nodes, estimated %.0f" id counted estimated)
+    (workload_patterns ())
 
 let test_join_order_cost_spread () =
   (* On a chain with a selective tail, starting from the selective end must
@@ -660,6 +724,7 @@ let suite =
         Alcotest.test_case "fixed queries, all strategies" `Quick
           test_executor_queries_all_strategies;
         Alcotest.test_case "optimize on/off agree" `Quick test_executor_unoptimized_agrees;
+        Alcotest.test_case "engine-choice memo bounded" `Quick test_engine_cache_bounded;
         qcheck prop_rewrite_preserves_results;
       ] );
     ( "physical.stats_cost",
@@ -668,6 +733,10 @@ let suite =
         Alcotest.test_case "estimates" `Quick test_statistics_estimates;
         Alcotest.test_case "cost model choices" `Quick test_cost_model_choices;
         Alcotest.test_case "join order spread" `Quick test_join_order_cost_spread;
+        Alcotest.test_case "auto within 1.15x of the cheapest engine" `Quick
+          test_auto_near_cheapest_engine;
+        Alcotest.test_case "navigation visits estimated within 2x" `Quick
+          test_navigation_estimate_within_2x;
       ] );
     ( "physical.content_index",
       [

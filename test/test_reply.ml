@@ -235,7 +235,7 @@ let golden_query = "//e | //e/@a | //e/text()"
    wall-clock fields are masked. *)
 let golden_body ~request_id ~cache =
   Printf.sprintf
-    {|{"query":"//e | //e/@a | //e/text()","mode":"xpath","request_id":"%s","queue_ms":#,"status":"ok","results":["<e a=\"x&amp;y&quot;z&lt;&gt;\" b=\"back\\slash 'q' \t tab\">t&amp;&lt;&gt;\"'\\ café €\t|\r\n|\u0001|\u001f|<c k=\"&quot;\"/><!-- c\"\\ \t --><?pi b\"\\ ?></e>","@a=\"x&y\"z<>\"","t&<>\"'\\ café €\t|\r\n|\u0001|\u001f|","<e a=\"2\">plain</e>","@a=\"2\"","plain","<e/>"],"count":7,"engine":"twigstack","cache":"%s","time_ms":#}|}
+    {|{"query":"//e | //e/@a | //e/text()","mode":"xpath","request_id":"%s","queue_ms":#,"status":"ok","results":["<e a=\"x&amp;y&quot;z&lt;&gt;\" b=\"back\\slash 'q' \t tab\">t&amp;&lt;&gt;\"'\\ café €\t|\r\n|\u0001|\u001f|<c k=\"&quot;\"/><!-- c\"\\ \t --><?pi b\"\\ ?></e>","@a=\"x&y\"z<>\"","t&<>\"'\\ café €\t|\r\n|\u0001|\u001f|","<e a=\"2\">plain</e>","@a=\"2\"","plain","<e/>"],"count":7,"engine":"binary-default","cache":"%s","time_ms":#}|}
     request_id cache
 
 (* MD5 of the masked //x body, captured with the golden body. *)
