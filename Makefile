@@ -15,29 +15,13 @@ bench:
 bench-full:
 	dune exec bench/main.exe -- --full
 
-# Quick perf gate: navigation primitives + storage size sweep at the
-# smallest scale; writes BENCH_prim_nav.json (plus BENCH_query_metrics.json
-# from QMET, BENCH_plan_cache.json from PCACHE, BENCH_path_summary.json
-# from PSUM, BENCH_domain_safety.json from DSAFE, BENCH_serve.json from
-# SERVE, BENCH_obs_recorder.json from OBSREC, BENCH_encode.json from
-# ENCODE and BENCH_engine.json from ENGINE) for machine consumption.
-# DSAFE also gates: single-domain overhead of the domain-safe structures
-# must stay <= 2% of a warm workload round. SERVE gates on domain scaling:
-# 4-domain QPS must reach 0.75 x min(4, cores) x single-domain QPS (3x on
-# a 4-core box). OBSREC gates the flight recorder: a warm profiled round
-# with the recorder enabled must stay within 2% of the recorder-off
-# (unobserved fast path) round. CORPUS gates scatter-gather scaling the
-# same way SERVE does (4-domain QPS >= 0.75 x min(4, cores) x 1-domain,
-# writing BENCH_corpus.json) plus the pruning fast path: a query no
-# shard can answer must dispatch nothing and read nothing. ENCODE gates
-# the reply encoder: on auction:300000, writing the served query mix
-# straight from the document must be at least 3x faster than the
-# Tree.t-per-result reference encoder, with identical bytes. ENGINE gates
-# the engine choice: on auction:300000 (seed 1), Auto's total over the
-# served mix must stay within 1.15x the fastest engine per query
-# (BENCH_engine.json).
+# Perf gates: the ids below at the default scale. Each writes
+# BENCH_<name>.json in one envelope (bench, host, status, gates[], then
+# the experiment's fields); every gate's bound and reading is in its
+# file's gates[], and the run ends with a gate summary. Exits non-zero if
+# any gate fails; a gate the host cannot run reads "skipped".
 bench-smoke:
-	dune exec bench/main.exe -- --only=PRIM,E1,QMET,PCACHE,PSUM,DSAFE,SERVE,OBSREC,CORPUS,ENCODE,ENGINE --json=BENCH_prim_nav.json
+	dune exec bench/main.exe -- --only=PRIM,E1,QMET,PCACHE,PSUM,DSAFE,SERVE,OBSREC,CORPUS,ENCODE,ENGINE
 
 # Observability gate: explain --analyze over every workload query, then
 # validate the exported Chrome trace with scripts/check_trace.

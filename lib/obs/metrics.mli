@@ -3,8 +3,8 @@
     This replaces the scattered per-module stats records ([Pager.stats],
     [Buffer_pool.stats], the [*_with_stats] engine variants) behind one
     interface: each layer registers its metrics by name in
-    {!default} and bumps them unconditionally — an increment on a mutable
-    int field, cheap enough to stay always-on — and consumers (the
+    {!default} and bumps them unconditionally — an [Atomic.fetch_and_add],
+    cheap enough to stay always-on — and consumers (the
     [--analyze] profiler, the bench harness, [xqp explain]) read values or
     take whole snapshots.
 

@@ -129,6 +129,7 @@ let test_matches doc axis test id =
 let eval_plan_with_stats ?hints doc plan ~context =
   let visited = ref 0 in
   let steps = ref 0 in
+  let skipped = ref 0 in
   (* Descendant scan with summary skip-ahead: walk the pre-order id range,
      jumping over the whole subtree of any element whose tag provably has
      no matching node below it. Candidate semantics match
@@ -148,7 +149,7 @@ let eval_plan_with_stats ?hints doc plan ~context =
         acc := d :: !acc;
         let sym = Doc.name_id doc d in
         if sym >= 0 && sym < Array.length skip && skip.(sym) then begin
-          M.incr m_skipped_subtrees;
+          incr skipped;
           i := Doc.subtree_end doc d + 1
         end
         else incr i
@@ -209,6 +210,7 @@ let eval_plan_with_stats ?hints doc plan ~context =
   let result = go plan context in
   M.add m_nodes_visited !visited;
   M.add m_steps_evaluated !steps;
+  M.add m_skipped_subtrees !skipped;
   (result, { nodes_visited = !visited; steps_evaluated = !steps })
 
 let eval_plan ?hints doc plan ~context = fst (eval_plan_with_stats ?hints doc plan ~context)
