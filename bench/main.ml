@@ -123,7 +123,7 @@ let work_units exec q =
   let doc = Executor.doc exec in
   let context = [ Operators.document_context ] in
   let pattern = Xqp_xpath.Parser.parse_pattern q in
-  let _, nok_stats = Nok.match_pattern_with_stats doc (Executor.store exec) pattern ~context in
+  let _, nok_stats = Nok.match_pattern_with_stats doc pattern ~context in
   let _, bin_stats = Binary_join.match_pattern_with_stats doc pattern ~context in
   let _, twig_stats = Twig_stack.match_pattern_with_stats doc pattern ~context in
   let twig_streams =

@@ -1,4 +1,4 @@
-type node_test = Name of string | Any | Text_node
+type node_test = Name of string | Any | Text_node | Node
 
 type predicate =
   | Value_pred of Pattern_graph.predicate
@@ -47,6 +47,7 @@ let pp_test ppf = function
   | Name n -> Format.pp_print_string ppf n
   | Any -> Format.pp_print_string ppf "*"
   | Text_node -> Format.pp_print_string ppf "text()"
+  | Node -> Format.pp_print_string ppf "node()"
 
 let rec pp_predicate ppf = function
   | Value_pred p ->
@@ -122,6 +123,7 @@ let fingerprint plan =
     | Name n -> add (Printf.sprintf "n%S" n)
     | Any -> add "*"
     | Text_node -> add "#"
+    | Node -> add "."
   in
   let add_value_pred p =
     (match p.Pattern_graph.comparison with

@@ -12,6 +12,12 @@ type node_test =
   | Name of string  (** element/attribute name test *)
   | Any             (** [*] *)
   | Text_node       (** [text()] *)
+  | Node
+      (** [node()]: any node the axis yields, the virtual document node
+          included. The parser has no syntax for it; navigation's
+          expansion of a pattern tests its context vertex with
+          [self::node()], since a pattern binds that vertex without
+          testing it. *)
 
 type predicate =
   | Value_pred of Pattern_graph.predicate  (** [. op literal] *)

@@ -88,8 +88,14 @@ let label_matches doc label node =
     | Doc.Element | Doc.Attribute -> String.equal (Doc.name doc node) name
     | Doc.Text | Doc.Comment | Doc.Pi -> false)
 
-let predicate_holds doc pred node =
-  let value = Doc.typed_value doc node in
+(* Does [needle] occur in [hay]? No substring copies. *)
+let contains hay needle =
+  let hl = String.length hay and nl = String.length needle in
+  let rec at i j = j = nl || (hay.[i + j] = needle.[j] && at i (j + 1)) in
+  let rec scan i = i + nl <= hl && (at i 0 || scan (i + 1)) in
+  scan 0
+
+let predicate_holds_on pred value =
   let compare_result =
     match pred.literal with
     | Num n -> (
@@ -99,19 +105,15 @@ let predicate_holds doc pred node =
     | Str s -> Some (String.compare value s)
   in
   match pred.comparison with
-  | Contains -> (
-    match pred.literal with
-    | Str needle ->
-      let hl = String.length value and nl = String.length needle in
-      let rec scan i = i + nl <= hl && (String.equal (String.sub value i nl) needle || scan (i + 1)) in
-      nl = 0 || scan 0
-    | Num _ -> false)
+  | Contains -> ( match pred.literal with Str needle -> contains value needle | Num _ -> false)
   | Eq -> ( match compare_result with Some c -> c = 0 | None -> false)
   | Ne -> ( match compare_result with Some c -> c <> 0 | None -> true)
   | Lt -> ( match compare_result with Some c -> c < 0 | None -> false)
   | Le -> ( match compare_result with Some c -> c <= 0 | None -> false)
   | Gt -> ( match compare_result with Some c -> c > 0 | None -> false)
   | Ge -> ( match compare_result with Some c -> c >= 0 | None -> false)
+
+let predicate_holds doc pred node = predicate_holds_on pred (Doc.typed_value doc node)
 
 let vertex_matches doc t v node =
   let vx = t.vertices.(v) in

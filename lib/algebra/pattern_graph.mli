@@ -74,6 +74,9 @@ val predicate_holds :
     comparison when the literal is numeric and the value parses, string
     comparison otherwise; [Contains] is substring search. *)
 
+val predicate_holds_on : predicate -> string -> bool
+(** {!predicate_holds} on a value already read. *)
+
 val vertex_matches : Xqp_xml.Document.t -> t -> int -> Xqp_xml.Document.node -> bool
 (** Label, node-kind (attribute vertices match attribute nodes) and all
     predicates. *)

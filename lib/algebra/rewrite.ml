@@ -85,7 +85,7 @@ let rel_of_axis = function
 let label_of_test = function
   | Lp.Name n -> Some (Pg.Tag n)
   | Lp.Any -> Some Pg.Wildcard
-  | Lp.Text_node -> None
+  | Lp.Text_node | Lp.Node -> None
 
 (* Accumulating builder for pattern graphs. *)
 type builder = { mutable rev_vertices : Pg.vertex list; mutable rev_arcs : (int * int * Pg.rel) list; mutable n : int }

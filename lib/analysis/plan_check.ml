@@ -92,11 +92,16 @@ let test_kinds (axis : Axis.t) (test : Lp.node_test) =
     if axis = Axis.Attribute then bit Attribute
     else bit Element lor (if axis = Axis.Self then bit Doc_node else 0)
   | Lp.Text_node -> if axis = Axis.Attribute then 0 else bit Text
+  | Lp.Node ->
+    if axis = Axis.Attribute then bit Attribute
+    else if axis = Axis.Self then bit Element lor bit Attribute lor bit Text lor bit Doc_node
+    else bit Element lor bit Text
 
 let test_name = function
   | Lp.Name n -> n
   | Lp.Any -> "*"
   | Lp.Text_node -> "text()"
+  | Lp.Node -> "node()"
 
 let step_label (s : Lp.step) = Printf.sprintf "%s::%s" (Axis.to_string s.Lp.axis) (test_name s.Lp.test)
 

@@ -11,7 +11,7 @@
 
 type engine =
   | Naive_nav      (** step-at-a-time navigation over the DOM *)
-  | Nok_navigation (** NoK fragments over the succinct store + link joins *)
+  | Nok_navigation (** NoK fragments over the document arrays + link joins *)
   | Twig_join      (** holistic twig join over tag streams *)
   | Binary_joins   (** binary structural semijoins *)
 

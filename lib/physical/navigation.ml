@@ -31,7 +31,9 @@ let make_hints doc summary =
   { h_summary = summary; h_symtab = Doc.symtab doc; h_skip = Hashtbl.create 8 }
 
 let skip_array h (test : Lp.node_test) =
-  let key = match test with Lp.Name n -> "n:" ^ n | Lp.Any -> "*" | Lp.Text_node -> "#" in
+  let key =
+    match test with Lp.Name n -> "n:" ^ n | Lp.Any -> "*" | Lp.Text_node -> "#" | Lp.Node -> "."
+  in
   match Hashtbl.find_opt h.h_skip key with
   | Some arr -> arr
   | None ->
@@ -44,6 +46,7 @@ let skip_array h (test : Lp.node_test) =
       | Lp.Name n -> (ids (fun i -> String.equal (Ps.label summary i) n), false)
       | Lp.Any -> (ids (fun i -> Ps.is_element_label (Ps.label summary i)), false)
       | Lp.Text_node -> (ids (fun i -> Ps.has_text summary i), true)
+      | Lp.Node -> (ids (fun _ -> true), true)
     in
     let skip = Ps.skip_labels summary ~targets ~self in
     let arr =
@@ -110,10 +113,12 @@ let axis_nodes_all doc axis id =
 
 let test_matches doc axis test id =
   if id = Ops.document_context then
-    (* the virtual document node passes only a bare wildcard self-test *)
-    test = Lp.Any && axis = Axis.Self
+    (* the virtual document node passes only a bare wildcard or node()
+       self-test *)
+    (test = Lp.Any || test = Lp.Node) && axis = Axis.Self
   else
   match (test : Lp.node_test) with
+  | Lp.Node -> true
   | Lp.Text_node -> Doc.kind doc id = Doc.Text
   | Lp.Any -> (
     match Doc.kind doc id with
@@ -265,7 +270,8 @@ let steps_of_pattern pattern =
     | [] -> []
   in
   (* Off-spine branches of the context vertex constrain the context itself:
-     a leading self::* step carries them. *)
+     a leading self::node() step carries them (the pattern binds the
+     context vertex without testing its kind). *)
   let context_branches =
     List.filter_map
       (fun (c, rel') ->
@@ -275,6 +281,6 @@ let steps_of_pattern pattern =
   in
   let leading =
     if context_branches = [] then []
-    else [ { Lp.axis = Axis.Self; test = Lp.Any; predicates = context_branches } ]
+    else [ { Lp.axis = Axis.Self; test = Lp.Node; predicates = context_branches } ]
   in
   leading @ build (List.tl spine)

@@ -1,33 +1,375 @@
-module Store = Xqp_storage.Succinct_store
+(* The NoK kernel: a pattern compiled, once per call, into loops over the
+   document arrays. Fragments ([Nok_partition]) are matched bottom-up:
+   each fragment root's candidates come from its tag stream, and a
+   candidate survives when its local twig embeds below it. Local arcs are
+   scans of pre-order ranges (children are [d + 1] then
+   [subtree_end d + 1] onward); an existence branch stops at its first
+   witness; a // link out of a vertex is a search in the target
+   fragment's sorted root set, started where the previous one ended. A
+   top-down pass then keeps the target roots below a surviving link
+   source (one merge over sorted arrays) and the bindings whose fragment
+   root survived. Nothing on a per-node path allocates: counts live in
+   the kernel record, bindings go to [Node_set] buffers. *)
 
-type stats = Nok_engine.stats = {
-  nodes_visited : int;
-  fragment_matches : int;
-  join_pairs : int;
-}
+module Doc = Xqp_xml.Document
+module Ns = Xqp_xml.Node_set
+module Pg = Xqp_algebra.Pattern_graph
+module M = Xqp_obs.Metrics
+
+type stats = { nodes_visited : int; fragment_matches : int; join_pairs : int }
 
 (* Partitioning + link joins handle any twig, so NoK is total. *)
-let supported (_ : Xqp_algebra.Pattern_graph.t) = true
+let supported (_ : Pg.t) = true
 
-(* Adapter: the in-memory succinct store as a NoK navigation provider. *)
-module Memory_store = struct
-  type t = Store.t
-  type cursor = Store.cursor
+let m_nodes_visited = M.counter M.default "engine.nok.nodes_visited"
+let m_fragment_matches = M.counter M.default "engine.nok.fragment_matches"
+let m_join_pairs = M.counter M.default "engine.nok.join_pairs"
+let m_pruned = M.counter M.default "engine.nok.pruned"
 
-  let label = "nok"
-  let rank (c : cursor) = c.Store.rank
-  let root_cursor store = { Store.pos = Store.root store; rank = 0 }
-  let cursor_of_rank = Store.cursor_of_rank
-  let first_child_cursor = Store.first_child_cursor
-  let next_sibling_cursor = Store.next_sibling_cursor
-  let tag_at = Store.tag_at
-  let text_content_at store (c : cursor) = Store.text_content store c.Store.pos
-  let find_symbol store name = Xqp_xml.Symtab.find_opt (Store.symtab store) name
-  let symbol_name store sym = Xqp_xml.Symtab.name (Store.symtab store) sym
-  let symbol_count store = Xqp_xml.Symtab.cardinal (Store.symtab store)
-end
+(* Name tests: a symbol id of the document, or one of these. *)
+let any = -1
+let absent = -2 (* the name does not occur in the document *)
 
-module Engine = Nok_engine.Make (Memory_store)
+(* Fragment roots are checked against the deadline once per this many
+   candidates. *)
+let deadline_every = 256
 
-let match_pattern_with_stats = Engine.match_pattern_with_stats
-let match_pattern = Engine.match_pattern
+type kernel = {
+  doc : Doc.t;
+  kinds : Doc.kind array; (* the document's arrays, read in place *)
+  names : int array;
+  sizes : int array;
+  next_siblings : int array;
+  last : int; (* the last node id *)
+  sym : int array;
+  attr : bool array; (* the vertex binds attribute nodes *)
+  preds : Pg.predicate list array;
+  exists_arcs : (int * Pg.rel) list array; (* local arcs with nothing to bind below *)
+  collect_arcs : (int * Pg.rel) list array; (* local arcs leading to a binding *)
+  links : int list array; (* fragment roots a vertex's // links lead to *)
+  roots : Ns.t array; (* per fragment root: its candidates that embed *)
+  fingers : int array; (* per fragment root: the last index [links_ok] sought *)
+  record : bool array; (* a binding to keep: interesting, not a fragment root *)
+  found : Ns.Buffer.t array; (* per recorded vertex: its bindings ... *)
+  owner : Ns.Buffer.t array; (* ... and the fragment-root node of each *)
+  below : int list array; (* recorded vertices under a vertex, its fragment *)
+  marks : int array array; (* rollback marks, for vertices with several collect arcs *)
+  mutable root_node : int; (* the fragment-root candidate being matched *)
+  mutable visited : int;
+}
+
+let end_of k n = if n < 0 then k.last else n + k.sizes.(n) - 1
+
+(* The nodes one local arc reaches from [n], as a first/next pair over
+   ids; [-1] ends. [stop] is [n]'s subtree end, read once per scan. The
+   virtual document node ([n < 0]) has one child, the root element. *)
+let stop_of k n = if n < 0 then 0 else n + k.sizes.(n) - 1
+
+let first k (rel : Pg.rel) n stop =
+  if n < 0 then (match rel with Pg.Child -> 0 | _ -> -1)
+  else
+    match rel with
+    | Pg.Child -> if n < stop then n + 1 else -1
+    | Pg.Attribute -> if n < stop && k.kinds.(n + 1) = Doc.Attribute then n + 1 else -1
+    | Pg.Following_sibling -> k.next_siblings.(n)
+    | Pg.Descendant -> -1
+
+let next k (rel : Pg.rel) stop d =
+  match rel with
+  | Pg.Child ->
+    let d' = d + k.sizes.(d) in
+    if d' <= stop then d' else -1
+  | Pg.Attribute -> if d < stop && k.kinds.(d + 1) = Doc.Attribute then d + 1 else -1
+  | Pg.Following_sibling -> k.next_siblings.(d)
+  | Pg.Descendant -> -1
+
+let rec preds_hold doc d = function
+  | [] -> true
+  | p :: rest -> Pg.predicate_holds_on p (Doc.typed_value doc d) && preds_hold doc d rest
+
+(* The vertex's own test: name (most scanned nodes fail here), node
+   kind, value predicates. *)
+let kind_ok k v d =
+  match k.kinds.(d) with
+  | Doc.Element -> not k.attr.(v)
+  | Doc.Attribute -> k.attr.(v)
+  | Doc.Text | Doc.Comment | Doc.Pi -> false
+
+let preds_ok k v d = match k.preds.(v) with [] -> true | preds -> preds_hold k.doc d preds
+
+let node_ok k v d =
+  (k.sym.(v) = any || k.names.(d) = k.sym.(v)) && kind_ok k v d && preds_ok k v d
+
+(* Has every link target a root strictly below [n]? Sources are mostly
+   met in document order, so each target's search starts where the last
+   one ended. *)
+let rec links_ok k n = function
+  | [] -> true
+  | dst :: rest ->
+    let s = k.roots.(dst) in
+    let i = Ns.seek s k.fingers.(dst) n in
+    k.fingers.(dst) <- i;
+    i < Ns.length s && (s :> int array).(i) <= end_of k n && links_ok k n rest
+
+(* Existence: does vertex [v]'s local twig (nothing to bind in it) embed
+   at [n]? *)
+let rec sat k v n = arcs_exist k n k.exists_arcs.(v)
+
+and arcs_exist k n = function
+  | [] -> true
+  | (c, rel) :: rest -> witness k c rel n && arcs_exist k n rest
+
+and witness k c rel n =
+  let stop = stop_of k n in
+  let d = ref (first k rel n stop) and hit = ref false in
+  while (not !hit) && !d >= 0 do
+    k.visited <- k.visited + 1;
+    if node_ok k c !d && sat k c !d then hit := true else d := next k rel stop !d
+  done;
+  !hit
+
+(* Does [v]'s local twig and links embed at [n] (which passed [v]'s own
+   test)? When it does, every recorded vertex below [v] has appended its
+   bindings in those embeddings; when not, the buffers are as before. *)
+let rec collect k v n =
+  links_ok k n k.links.(v)
+  && arcs_exist k n k.exists_arcs.(v)
+  &&
+  match k.collect_arcs.(v) with
+  | [] -> true
+  | [ (c, rel) ] -> scan k c rel n
+  | arcs ->
+    let marks = k.marks.(v) in
+    save k marks k.below.(v);
+    all_scan k n arcs || (restore k marks k.below.(v); false)
+
+and all_scan k n = function
+  | [] -> true
+  | (c, rel) :: rest -> scan k c rel n && all_scan k n rest
+
+(* Every node on the arc where [c] embeds, recorded; true if any. *)
+and scan k c rel n =
+  let stop = stop_of k n in
+  let d = ref (first k rel n stop) and hit = ref false in
+  while !d >= 0 do
+    let x = !d in
+    k.visited <- k.visited + 1;
+    if node_ok k c x && collect k c x then begin
+      hit := true;
+      if k.record.(c) then begin
+        Ns.Buffer.add k.found.(c) x;
+        Ns.Buffer.add k.owner.(c) k.root_node
+      end
+    end;
+    d := next k rel stop x
+  done;
+  !hit
+
+and save k marks = function
+  | [] -> ()
+  | u :: rest ->
+    marks.(u) <- Ns.Buffer.length k.found.(u);
+    save k marks rest
+
+and restore k marks = function
+  | [] -> ()
+  | u :: rest ->
+    Ns.Buffer.truncate k.found.(u) marks.(u);
+    Ns.Buffer.truncate k.owner.(u) marks.(u);
+    restore k marks rest
+
+(* Nodes of [desc] strictly below some node of [anc]: one merge. Ancestor
+   intervals nest or are disjoint, so [m] is covered exactly when the
+   furthest subtree end among the ancestors starting before it reaches
+   it. *)
+let below_any k anc desc =
+  let a = (anc : Ns.t :> int array) in
+  if Array.length a > 0 && a.(0) < 0 then desc (* the virtual document node *)
+  else begin
+    let i = ref 0 and reach = ref min_int in
+    Ns.filter_sorted (desc : Ns.t :> int array) (fun m ->
+        while !i < Array.length a && a.(!i) < m do
+          let e = end_of k a.(!i) in
+          if e > !reach then reach := e;
+          incr i
+        done;
+        !reach >= m)
+  end
+
+(* A recorded vertex's bindings whose fragment root is in [kept]. Owners
+   were appended in increasing order, so this is one merge too. *)
+let kept_bindings k v kept =
+  let kept = (kept : Ns.t :> int array) in
+  let out = Ns.Buffer.create () in
+  let j = ref 0 in
+  for i = 0 to Ns.Buffer.length k.found.(v) - 1 do
+    let o = Ns.Buffer.get k.owner.(v) i in
+    while !j < Array.length kept && kept.(!j) < o do
+      incr j
+    done;
+    if !j < Array.length kept && kept.(!j) = o then Ns.Buffer.add out (Ns.Buffer.get k.found.(v) i)
+  done;
+  Ns.Buffer.contents out
+
+let compile doc pattern (parts : Nok_partition.t) =
+  let n = Pg.vertex_count pattern in
+  let in_fragment = Array.make n (-1) and interesting = Array.make n false in
+  let is_root = Array.make n false in
+  List.iteri
+    (fun fi (f : Nok_partition.fragment) ->
+      is_root.(f.root) <- true;
+      List.iter (fun v -> in_fragment.(v) <- fi) f.members;
+      List.iter (fun v -> interesting.(v) <- true) f.interesting)
+    parts.fragments;
+  let local v =
+    List.filter
+      (fun (c, rel) -> rel <> Pg.Descendant && in_fragment.(c) = in_fragment.(v))
+      (Pg.children pattern v)
+  in
+  (* interesting vertices strictly below [v] along local arcs *)
+  let rec under v =
+    List.concat_map (fun (c, _) -> (if interesting.(c) then [ c ] else []) @ under c) (local v)
+  in
+  let below = Array.init n under in
+  let attr =
+    Array.init n (fun v ->
+        match Pg.parent pattern v with Some (_, Pg.Attribute) -> true | _ -> false)
+  in
+  let arrays = Doc.arrays doc in
+  let binds c = interesting.(c) || below.(c) <> [] in
+  let collect_arcs = Array.init n (fun v -> List.filter (fun (c, _) -> binds c) (local v)) in
+  let record = Array.init n (fun v -> interesting.(v) && not is_root.(v)) in
+  {
+    doc;
+    kinds = arrays.Doc.kinds;
+    names = arrays.Doc.names;
+    sizes = arrays.Doc.sizes;
+    next_siblings = arrays.Doc.next_siblings;
+    last = Doc.node_count doc - 1;
+    sym =
+      Array.init n (fun v ->
+          match (Pg.vertex pattern v).Pg.label with
+          | Pg.Wildcard -> any
+          | Pg.Tag name -> (
+            match Xqp_xml.Symtab.find_opt (Doc.symtab doc) name with
+            | Some s -> s
+            | None -> absent));
+    attr;
+    preds = Array.init n (fun v -> (Pg.vertex pattern v).Pg.predicates);
+    exists_arcs = Array.init n (fun v -> List.filter (fun (c, _) -> not (binds c)) (local v));
+    collect_arcs;
+    links =
+      Array.init n (fun v ->
+          List.filter_map (fun (src, dst) -> if src = v then Some dst else None) parts.links);
+    roots = Array.make n (Ns.of_list []);
+    fingers = Array.make n 0;
+    record;
+    found = Array.init n (fun _ -> Ns.Buffer.create ());
+    owner = Array.init n (fun _ -> Ns.Buffer.create ());
+    below = Array.map (List.filter (fun u -> record.(u))) below;
+    marks =
+      Array.init n (fun v ->
+          if List.compare_length_with collect_arcs.(v) 1 > 0 then Array.make n 0 else [||]);
+    root_node = -1;
+    visited = 0;
+  }
+
+(* Fragments bottom-up (targets of a fragment's links before it), then
+   top-down: the link joins narrow each fragment's roots to those below a
+   surviving source, and a recorded vertex keeps the bindings whose root
+   survived. *)
+let match_pattern_with_stats ?prune ?deadline doc pattern ~context =
+  let parts = Nok_partition.partition pattern in
+  let k = compile doc pattern parts in
+  let pre = Pg.vertices_in_document_order pattern in
+  let position = Array.make (Pg.vertex_count pattern) 0 in
+  List.iteri (fun i v -> position.(v) <- i) pre;
+  let fragments =
+    List.sort
+      (fun (a : Nok_partition.fragment) b -> compare position.(a.root) position.(b.root))
+      parts.fragments
+  in
+  let candidates = ref 0 and pruned = ref 0 in
+  let tick () =
+    if !candidates land (deadline_every - 1) = 0 then Deadline.check deadline;
+    incr candidates
+  in
+  List.iter
+    (fun (f : Nok_partition.fragment) ->
+      let r = f.root in
+      (* every candidate the prune keeps is a visit *)
+      let visit () =
+        tick ();
+        k.visited <- k.visited + 1
+      in
+      let embeds d =
+        k.root_node <- d;
+        collect k r d
+      in
+      k.roots.(r) <-
+        (if r = 0 then
+           Ns.filter_sorted (Ns.of_list context :> int array) (fun c ->
+               visit ();
+               embeds c)
+         else begin
+           let keep = match prune with None -> None | Some p -> p r in
+           (* a stream node carries the name: test the kind and values *)
+           let candidate d =
+             if match keep with None -> true | Some f -> f d then begin
+               visit ();
+               kind_ok k r d && preds_ok k r d && embeds d
+             end
+             else begin
+               tick ();
+               incr pruned;
+               false
+             end
+           in
+           if k.sym.(r) <> any then
+             Ns.filter_sorted
+               (if k.sym.(r) >= 0 then Doc.nodes_by_name_array doc k.sym.(r) else [||])
+               candidate
+           else begin
+             let out = Ns.Buffer.create () in
+             for d = 0 to k.last do
+               if candidate d then Ns.Buffer.add out d
+             done;
+             Ns.Buffer.contents out
+           end
+         end))
+    (List.rev fragments);
+  let fragment_matches =
+    List.fold_left
+      (fun acc (f : Nok_partition.fragment) -> acc + Ns.length k.roots.(f.root))
+      0 fragments
+  in
+  let kept = Array.make (Pg.vertex_count pattern) (Ns.of_list []) in
+  kept.(0) <- k.roots.(0);
+  let join_pairs = ref 0 in
+  List.iter
+    (fun (f : Nok_partition.fragment) ->
+      let r = f.root in
+      let all = Ns.length kept.(r) = Ns.length k.roots.(r) in
+      List.iter
+        (fun v ->
+          if k.record.(v) then
+            kept.(v) <-
+              (if all then Ns.Buffer.contents k.found.(v) else kept_bindings k v kept.(r)))
+        f.interesting;
+      List.iter
+        (fun (src, dst) ->
+          if List.mem src f.members then begin
+            kept.(dst) <- below_any k kept.(src) k.roots.(dst);
+            join_pairs := !join_pairs + Ns.length kept.(dst)
+          end)
+        parts.links)
+    fragments;
+  M.add m_nodes_visited k.visited;
+  M.add m_fragment_matches fragment_matches;
+  M.add m_join_pairs !join_pairs;
+  if !pruned > 0 then M.add m_pruned !pruned;
+  ( List.map (fun v -> (v, kept.(v))) (Pg.outputs pattern),
+    { nodes_visited = k.visited; fragment_matches; join_pairs = !join_pairs } )
+
+let match_pattern ?prune ?deadline doc pattern ~context =
+  fst (match_pattern_with_stats ?prune ?deadline doc pattern ~context)

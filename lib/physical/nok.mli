@@ -1,27 +1,28 @@
 (** NoK pattern matching — the paper's navigational physical operator
-    (§4.2).
+    (§4.2), compiled into a kernel over the {!Xqp_xml.Document} arrays.
 
-    A NoK fragment (only local relationships) is matched by direct
-    navigation over the {!Xqp_storage.Succinct_store}: for each candidate
-    fragment root, one bounded walk of the subtree via the
-    first-child/next-sibling primitives of the balanced-parentheses
-    structure checks all local constraints — no structural joins and no
-    materialized intermediate streams for the fragment's internal arcs.
+    A general pattern is partitioned ({!Nok_partition}) into NoK
+    fragments (only local relationships: child, attribute,
+    following-sibling) joined by ancestor-descendant links. Per call,
+    each vertex test is resolved once to a symbol id (or a wildcard) and
+    a node kind. A fragment root's candidates are read from the
+    document's tag stream ({!Xqp_xml.Document.nodes_by_name_array}),
+    after the optional summary prune; a candidate is kept when its local
+    twig embeds below it, checked by scanning pre-order ranges, with each
+    existence branch stopping at its first witness. Links are joined over
+    sorted int arrays, the hybrid of navigational and join-based
+    evaluation the paper proposes. Outputs are appended in document order
+    to {!Xqp_xml.Node_set} buffers; no per-node step allocates.
 
-    A general pattern is partitioned ({!Nok_partition}) and the per-
-    fragment results are combined with stack-tree structural joins on the
-    ancestor-descendant links, "just as in the join-based approach": the
-    hybrid evaluation strategy the paper proposes.
-
-    Fragment-internal bindings are projected onto the {e interesting}
-    vertices early (outputs and link anchors), so the combination works on
-    narrow relations. Node identities are pre-order ranks, which coincide
-    with {!Xqp_xml.Document} ids. *)
+    {!Nok_paged} runs the older cursor-based matcher ({!Nok_engine}) over
+    the disk-resident store. *)
 
 type stats = {
-  nodes_visited : int;     (** navigation steps over the store *)
-  fragment_matches : int;  (** fragment embeddings found *)
-  join_pairs : int;        (** structural-join output pairs across links *)
+  nodes_visited : int;
+      (** fragment-root candidates read from the tag streams (or the
+          context), plus every node a local arc scan looked at *)
+  fragment_matches : int;  (** fragment-root candidates whose twig embeds *)
+  join_pairs : int;  (** link targets the top-down link joins kept *)
 }
 
 val supported : Xqp_algebra.Pattern_graph.t -> bool
@@ -31,23 +32,27 @@ val supported : Xqp_algebra.Pattern_graph.t -> bool
 
 val match_pattern :
   ?prune:(int -> (Xqp_xml.Document.node -> bool) option) ->
+  ?deadline:float ->
   Xqp_xml.Document.t ->
-  Xqp_storage.Succinct_store.t ->
   Xqp_algebra.Pattern_graph.t ->
   context:Xqp_xml.Document.node list ->
-  (int * Xqp_xml.Document.node list) list
-(** Per-output-vertex match sets (same contract as
-    {!Xqp_algebra.Operators.pattern_match}). The store must be built from
-    the same document (ranks must agree). [?prune] maps a pattern vertex
-    to an optional node filter (path-partition membership from the path
-    summary); fragment-root candidate streams drop nodes failing it before
-    any subtree navigation. Filters must be sound — rejecting only nodes
-    that cannot occur in any embedding. *)
+  (int * Xqp_xml.Node_set.t) list
+(** Per-output-vertex match sets (the contract of
+    {!Xqp_algebra.Operators.pattern_match}, as node sets). [?prune] maps
+    a pattern vertex to an optional node filter (path-partition
+    membership from the path summary); fragment-root candidate streams
+    drop nodes failing it before any scan. Filters must be sound —
+    rejecting only nodes that cannot occur in any embedding. [?deadline]
+    (an absolute [Unix.gettimeofday] instant) is checked once per 256
+    fragment-root candidates, the first included.
+    @raise Deadline.Exceeded (= [Executor.Deadline_exceeded]) past it. *)
 
 val match_pattern_with_stats :
   ?prune:(int -> (Xqp_xml.Document.node -> bool) option) ->
+  ?deadline:float ->
   Xqp_xml.Document.t ->
-  Xqp_storage.Succinct_store.t ->
   Xqp_algebra.Pattern_graph.t ->
   context:Xqp_xml.Document.node list ->
-  (int * Xqp_xml.Document.node list) list * stats
+  (int * Xqp_xml.Node_set.t) list * stats
+(** {!match_pattern} and the kernel's counts, which are also added to the
+    [engine.nok.*] counters once per call. *)

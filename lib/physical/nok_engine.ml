@@ -1,6 +1,6 @@
-(* The NoK matching engine, functorized over the store's navigation
-   primitives so the same algorithm runs on the in-memory succinct store
-   (module {!Nok}) and on the disk-resident paged store ({!Nok_paged}). *)
+(* The cursor-based NoK matcher, functorized over a store's navigation
+   primitives. Only the disk-resident paged store ({!Nok_paged}) still
+   runs it; in memory, {!Nok} is a kernel over the document arrays. *)
 
 module Doc = Xqp_xml.Document
 module Pg = Xqp_algebra.Pattern_graph
@@ -45,32 +45,6 @@ type vertex_test =
   | Never                    (* tag absent from this store *)
   | Any_element
   | Any_attribute
-
-let predicate_holds_on value pred =
-  let compare_result =
-    match pred.Pg.literal with
-    | Pg.Num lit -> (
-      match float_of_string_opt (String.trim value) with
-      | Some v' -> Some (Float.compare v' lit)
-      | None -> None)
-    | Pg.Str lit -> Some (String.compare value lit)
-  in
-  match pred.Pg.comparison with
-  | Pg.Contains -> (
-    match pred.Pg.literal with
-    | Pg.Str needle ->
-      let hl = String.length value and nl = String.length needle in
-      let rec scan i =
-        i + nl <= hl && (String.equal (String.sub value i nl) needle || scan (i + 1))
-      in
-      nl = 0 || scan 0
-    | Pg.Num _ -> false)
-  | Pg.Eq -> ( match compare_result with Some c -> c = 0 | None -> false)
-  | Pg.Ne -> ( match compare_result with Some c -> c <> 0 | None -> true)
-  | Pg.Lt -> ( match compare_result with Some c -> c < 0 | None -> false)
-  | Pg.Le -> ( match compare_result with Some c -> c <= 0 | None -> false)
-  | Pg.Gt -> ( match compare_result with Some c -> c > 0 | None -> false)
-  | Pg.Ge -> ( match compare_result with Some c -> c >= 0 | None -> false)
 
 module Make (S : STORE) = struct
   module M = Xqp_obs.Metrics
@@ -143,7 +117,7 @@ module Make (S : STORE) = struct
     | [] -> true
     | preds ->
       let value = S.text_content_at store cursor in
-      List.for_all (predicate_holds_on value) preds
+      List.for_all (fun pred -> Pg.predicate_holds_on pred value) preds
   in
   (* fragment membership / interesting flags *)
   let interesting_flag = Array.make n false in

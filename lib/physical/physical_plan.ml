@@ -35,7 +35,7 @@ let strategy_of_string name =
 type tau_engine =
   | Reference_match
   | Navigation_steps of Lp.t
-  | Nok_store
+  | Nok_kernel
   | Path_stack_join
   | Twig_stack_join
   | Binary_semijoin of { use_index : bool }
@@ -44,7 +44,7 @@ type tau_engine =
 let engine_strategy = function
   | Reference_match -> Reference
   | Navigation_steps _ -> Navigation
-  | Nok_store -> Nok
+  | Nok_kernel -> Nok
   | Path_stack_join -> Pathstack
   | Twig_stack_join -> Twigstack
   | Binary_semijoin _ -> Binary_default
@@ -93,14 +93,14 @@ let rec size p =
 let tau_engine_equal a b =
   match (a, b) with
   | Reference_match, Reference_match
-  | Nok_store, Nok_store
+  | Nok_kernel, Nok_kernel
   | Path_stack_join, Path_stack_join
   | Twig_stack_join, Twig_stack_join ->
     true
   | Navigation_steps p1, Navigation_steps p2 -> Lp.equal p1 p2
   | Binary_semijoin a1, Binary_semijoin a2 -> a1.use_index = a2.use_index
   | Binary_ordered o1, Binary_ordered o2 -> o1 = o2
-  | ( ( Reference_match | Navigation_steps _ | Nok_store | Path_stack_join | Twig_stack_join
+  | ( ( Reference_match | Navigation_steps _ | Nok_kernel | Path_stack_join | Twig_stack_join
       | Binary_semijoin _ | Binary_ordered _ ),
       _ ) ->
     false

@@ -15,7 +15,7 @@
 type strategy =
   | Reference   (** the algebra's executable specification *)
   | Navigation  (** naive navigational evaluation (τ expanded to steps) *)
-  | Nok         (** NoK fragments over the succinct store *)
+  | Nok         (** the NoK kernel over the document arrays *)
   | Pathstack   (** holistic path join on chains; TwigStack fallback *)
   | Twigstack
   | Binary_default (** binary structural joins, arcs in pattern order *)
@@ -36,7 +36,7 @@ type tau_engine =
   | Reference_match                 (** {!Xqp_algebra.Operators.pattern_match} *)
   | Navigation_steps of Xqp_algebra.Logical_plan.t
       (** pattern expanded to a relative step chain at compile time *)
-  | Nok_store                       (** NoK fragments over the succinct store *)
+  | Nok_kernel                      (** the NoK kernel over the document arrays *)
   | Path_stack_join
   | Twig_stack_join
   | Binary_semijoin of { use_index : bool }

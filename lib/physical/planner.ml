@@ -53,7 +53,7 @@ let compile_tau ?choose stats strategy pattern =
     | Pp.Reference -> Pp.Reference_match
     | Pp.Navigation ->
       Pp.Navigation_steps (Lp.of_steps ~base:Lp.Context (Navigation.steps_of_pattern pattern))
-    | Pp.Nok -> Pp.Nok_store
+    | Pp.Nok -> Pp.Nok_kernel
     | Pp.Pathstack -> Pp.Path_stack_join
     | Pp.Twigstack -> Pp.Twig_stack_join
     | Pp.Binary_default -> Pp.Binary_semijoin { use_index = Binary_join.index_answerable pattern }

@@ -105,5 +105,5 @@ val run :
     (including {!Executor.Deadline_exceeded}) is re-raised on the
     coordinating domain after the batch joins. [trace] receives the
     shard-tagged spans (coordinator-side; workers never touch it: each
-    shard task traces its documents' operators into a tracer of its
-    own). *)
+    document runs as a task of its own and traces its operators into a
+    tracer of its own). *)

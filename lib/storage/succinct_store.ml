@@ -181,32 +181,6 @@ let iter_nodes t f =
     if Balanced_parens.is_open t.bp pos then f pos
   done
 
-type cursor = { pos : node; rank : int }
-
-let cursor_of_rank t rank = { pos = node_of_rank t rank; rank }
-
-let first_child_cursor t cursor =
-  match first_child t cursor.pos with
-  | Some pos -> Some { pos; rank = cursor.rank + 1 }
-  | None -> None
-
-let next_sibling_cursor t cursor =
-  let close = Balanced_parens.find_close t.bp cursor.pos in
-  touch_structure t cursor.pos (close - cursor.pos + 2);
-  let after = close + 1 in
-  if after < Balanced_parens.length t.bp && Balanced_parens.is_open t.bp after then
-    Some { pos = after; rank = cursor.rank + ((close - cursor.pos + 1) / 2) }
-  else None
-
-let tag_at t cursor = read_tag t cursor.rank
-
-let content_at t cursor =
-  if Bitvector.get t.has_content cursor.rank then begin
-    let id = Bitvector.rank1 t.has_content cursor.rank in
-    Content_store.get t.contents id
-  end
-  else ""
-
 let text_content t pos =
   match kind_of t pos with
   | Text | Attribute -> content t pos

@@ -82,23 +82,6 @@ val depth : t -> node -> int
 val iter_nodes : t -> (node -> unit) -> unit
 (** Visit every node in pre-order (a single left-to-right scan). *)
 
-(** {2 Rank-threaded navigation}
-
-    Pre-order ranks follow navigation cheaply — [rank(first_child x) =
-    rank(x) + 1] and [rank(next_sibling x) = rank(x) + subtree_size x] —
-    so hot loops (the NoK matcher) carry [(position, rank)] pairs instead
-    of recomputing ranks with [rank1]. *)
-
-type cursor = { pos : node; rank : int }
-
-val cursor_of_rank : t -> int -> cursor
-val first_child_cursor : t -> cursor -> cursor option
-val next_sibling_cursor : t -> cursor -> cursor option
-val tag_at : t -> cursor -> int
-(** O(1) tag read through the cursor's rank. *)
-
-val content_at : t -> cursor -> string
-
 val footprint : t -> footprint
 val total_bytes : footprint -> int
 val pp_footprint : Format.formatter -> footprint -> unit

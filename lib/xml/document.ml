@@ -175,6 +175,7 @@ let first_child doc id = if doc.first_children.(id) = -1 then None else Some doc
 let next_sibling doc id =
   if doc.next_siblings.(id) = -1 then None else Some doc.next_siblings.(id)
 
+
 let first_content_child doc id =
   let rec skip child =
     if child = -1 then None
@@ -247,8 +248,11 @@ let text_content doc id =
   | Text | Attribute -> doc.contents.(id)
   | Comment | Pi -> ""
   | Element ->
-    let buffer = Buffer.create 32 in
     let stop = subtree_end doc id in
+    (* one text child and nothing else: its own string, no copy *)
+    if stop = id + 1 && doc.kinds.(stop) = Text then doc.contents.(stop)
+    else
+    let buffer = Buffer.create 32 in
     for d = id + 1 to stop do
       if doc.kinds.(d) = Text then Buffer.add_string buffer doc.contents.(d)
     done;
@@ -339,3 +343,13 @@ let pp_stats ppf doc =
   let max_level = Array.fold_left max 0 doc.levels in
   Format.fprintf ppf "nodes=%d elements=%d attributes=%d texts=%d depth=%d tags=%d" n
     doc.n_elements (count Attribute) (count Text) max_level (Symtab.cardinal doc.symtab)
+
+type arrays = {
+  kinds : kind array;
+  names : int array;
+  sizes : int array;
+  next_siblings : int array;
+}
+
+let arrays (doc : t) : arrays =
+  { kinds = doc.kinds; names = doc.names; sizes = doc.sizes; next_siblings = doc.next_siblings }

@@ -92,6 +92,19 @@ val first_content_child : t -> node -> node option
 (** First non-attribute child. *)
 
 val next_sibling : t -> node -> node option
+
+(** The structure arrays, indexed by node id, for kernels that scan
+    pre-order ranges without a call per node. They are the document's
+    own: never mutate them. *)
+type arrays = {
+  kinds : kind array;
+  names : int array;  (** {!name_id} *)
+  sizes : int array;  (** {!subtree_size} *)
+  next_siblings : int array;  (** {!next_sibling}, [-1] for none *)
+}
+
+val arrays : t -> arrays
+
 val prev_sibling : t -> node -> node option
 val level : t -> node -> int
 (** Depth; the root has level 0. Attribute nodes are one below their owner. *)
@@ -131,7 +144,8 @@ val iter_descendants : t -> node -> (node -> unit) -> unit
 val fold_descendants : t -> node -> ('a -> node -> 'a) -> 'a -> 'a
 val text_content : t -> node -> string
 (** Concatenated descendant-or-self text, in document order (attribute
-    value for attribute nodes). *)
+    value for attribute nodes). An element whose only content is one text
+    node returns that node's string, with no copy. *)
 
 val typed_value : t -> node -> string
 (** The string value used by value predicates: {!text_content}. *)

@@ -193,7 +193,7 @@ let chain_of_plan plan =
         match s.Lp.test with
         | Lp.Name n -> Some (Pg.Tag n)
         | Lp.Any -> Some Pg.Wildcard
-        | Lp.Text_node -> None
+        | Lp.Text_node | Lp.Node -> None
       in
       let preds =
         List.fold_left

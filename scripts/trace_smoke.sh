@@ -1,8 +1,9 @@
 #!/bin/sh
 # Observability smoke test: run `explain --analyze` over every workload
 # XPath query, export the combined Chrome trace, and validate it with the
-# structural checker; then run `query --request-trace` on a document and
-# on a 2-shard corpus catalog. Exits non-zero if any query fails to
+# structural checker; count the paged NoK's buffer-pool requests; then
+# run `query --request-trace` on a document and on a 2-shard corpus
+# catalog. Exits non-zero if any query fails to
 # analyze, a per-operator table is missing, a corpus table repeats an
 # operator path or misses its exact estimate, or the trace file does not
 # validate.
@@ -23,12 +24,14 @@ results=$(grep -c '^result:' "$out")
 [ "$queries" -ge 13 ] || { echo "trace-smoke: expected >= 13 queries, saw $queries"; exit 1; }
 [ "$tables" = "$queries" ] || { echo "trace-smoke: $tables operator tables for $queries queries"; exit 1; }
 [ "$results" = "$queries" ] || { echo "trace-smoke: $results result lines for $queries queries"; exit 1; }
-# pager I/O attribution: force a query through the store-backed NoK
-# engine (the cost model is free to prefer in-memory engines otherwise)
-nok_out="$dir/explain_nok.txt"
-run explain -g auction:600 --analyze -e nok \
-  "//person[profile/@income > 60000]/name" > "$nok_out"
-grep -q 'pager\.' "$nok_out" || { echo "trace-smoke: no pager I/O attributed to any operator"; exit 1; }
+# page I/O: the in-memory engines read the document arrays, so the one
+# store-backed NoK is the paged one; its buffer-pool requests must count
+run generate auction:600 -o "$dir/a.xml" > /dev/null
+run index -f "$dir/a.xml" -o "$dir/a.xqdb" > /dev/null
+pages_out="$dir/pages.txt"
+run pages -f "$dir/a.xqdb" "//person[profile/@income > 60000]/name" > "$pages_out"
+grep -q '^cold run: *requests=[1-9]' "$pages_out" || {
+  echo "trace-smoke: no buffer-pool requests counted for the paged NoK"; cat "$pages_out"; exit 1; }
 
 dune exec --no-print-directory scripts/check_trace.exe -- "$dir/trace.json"
 

@@ -152,12 +152,163 @@ let gen_doc_and_pattern = QCheck2.Gen.pair gen_doc gen_pattern
 
 let normalize result = List.sort compare (List.map (fun (v, ns) -> (v, List.sort compare ns)) result)
 
+let nok_lists = List.map (fun (v, s) -> (v, Node_set.to_list s))
+
 let engine_agrees name run =
   QCheck2.Test.make ~name ~count:200 gen_doc_and_pattern (fun (doc, pattern) ->
       let context = [ Operators.document_context ] in
       let expected = normalize (Operators.pattern_match doc pattern ~context) in
       let actual = normalize (run doc pattern context) in
       if expected <> actual then false else true)
+
+(* A wider generator: attribute and following-sibling arcs, predicates
+   on any vertex (inner ones included), up to two outputs, and context
+   sets of arbitrary nodes — nested ones and the virtual document node
+   among them. *)
+let gen_wide_pattern =
+  let open QCheck2.Gen in
+  let* n = int_range 1 5 in
+  let* rels =
+    list_repeat n
+      (frequency
+         [
+           (3, return Pattern_graph.Child);
+           (2, return Pattern_graph.Descendant);
+           (1, return Pattern_graph.Attribute);
+           (1, return Pattern_graph.Following_sibling);
+         ])
+  in
+  let* labels =
+    list_repeat n
+      (frequency
+         [
+           (5, map (fun t -> Pattern_graph.Tag t) (oneofl [ "a"; "b"; "c"; "d"; "k" ]));
+           (1, return Pattern_graph.Wildcard);
+         ])
+  in
+  let* parents =
+    let rec gen_parents i acc =
+      if i > n then return (List.rev acc)
+      else
+        let* p = int_range 0 (i - 1) in
+        gen_parents (i + 1) (p :: acc)
+    in
+    gen_parents 1 []
+  in
+  let* preds =
+    list_repeat n
+      (frequency
+         [
+           (4, return []);
+           ( 1,
+             map
+               (fun p -> [ p ])
+               (oneofl
+                  Pattern_graph.
+                    [
+                      { comparison = Eq; literal = Str "1" };
+                      { comparison = Lt; literal = Num 6.0 };
+                      { comparison = Ge; literal = Num 5.0 };
+                      { comparison = Contains; literal = Str "l" };
+                      { comparison = Ne; literal = Str "xy" };
+                    ]) );
+         ])
+  in
+  let* out1 = int_range 1 n in
+  let* out2 = int_range 1 n in
+  let vertices =
+    Array.init (n + 1) (fun v ->
+        if v = 0 then { Pattern_graph.label = Wildcard; predicates = []; output = false }
+        else
+          {
+            Pattern_graph.label = List.nth labels (v - 1);
+            predicates = List.nth preds (v - 1);
+            output = v = out1 || v = out2;
+          })
+  in
+  let arcs = List.mapi (fun i p -> (p, i + 1, List.nth rels i)) parents in
+  return (Pattern_graph.make ~vertices ~arcs)
+
+let gen_wide_case =
+  let open QCheck2.Gen in
+  let* doc = gen_doc in
+  let* pattern = gen_wide_pattern in
+  let* context =
+    frequency
+      [
+        (1, return [ Operators.document_context ]);
+        ( 3,
+          list_size (int_range 1 6)
+            (int_range (-1) (Document.node_count doc - 1)) );
+      ]
+  in
+  return (doc, pattern, context)
+
+(* Every engine that accepts the pattern, and the kernel itself, against
+   the reference τ from the generated context. *)
+let prop_wide_engines_agree =
+  QCheck2.Test.make ~name:"wide patterns and contexts: kernel and engines = reference τ"
+    ~count:300 gen_wide_case (fun (doc, pattern, context) ->
+      let reference = normalize (Operators.pattern_match doc pattern ~context) in
+      let exec = Executor.create doc in
+      let fail name =
+        QCheck2.Test.fail_reportf "%s disagrees on %a from [%s] over %s" name Pattern_graph.pp
+          pattern
+          (String.concat "; " (List.map string_of_int context))
+          (Serializer.to_string (Document.to_tree doc 0))
+      in
+      let agree name result = result = reference || fail name in
+      agree "nok kernel" (normalize (nok_lists (Nok.match_pattern doc pattern ~context)))
+      && List.for_all
+           (fun strategy ->
+             (not (Planner.supports strategy pattern))
+             ||
+             match (Executor.run_pattern exec strategy pattern ~context, reference) with
+             | [ (v1, n1) ], (v2, n2) :: _ when strategy = Executor.Navigation ->
+               (* navigation projects the first output only *)
+               (v1 = v2 && List.sort compare n1 = n2) || fail "navigation"
+             | result, _ -> agree (Executor.strategy_name strategy) (normalize result))
+           Executor.all_strategies)
+
+(* Nested // contexts over recursive lists (Q5's parlists): every text
+   below either parlist is found once, though it lies below both. *)
+let test_nok_nested_descendant_contexts () =
+  let doc =
+    Document.of_string ~strip:true
+      "<r><parlist><listitem><parlist><listitem><text>a</text></listitem></parlist>\
+       <text>b</text></listitem><listitem><text>c</text></listitem></parlist></r>"
+  in
+  let pattern = Xqp_xpath.Parser.parse_pattern "//listitem//text" in
+  let parlists = ids doc "parlist" in
+  let check_from context =
+    let reference = Operators.pattern_match doc pattern ~context in
+    let got = nok_lists (Nok.match_pattern doc pattern ~context) in
+    check_bool "nok = reference" true (normalize got = normalize reference);
+    List.iter
+      (fun (_, nodes) -> check_int "no duplicates" (List.length (List.sort_uniq compare nodes)) (List.length nodes))
+      got
+  in
+  check_int "two nested parlists" 2 (List.length parlists);
+  check_from parlists;
+  check_from [ Operators.document_context ];
+  match Nok.match_pattern doc pattern ~context:parlists with
+  | [ (_, texts) ] -> check_int "three texts" 3 (Node_set.length texts)
+  | _ -> Alcotest.fail "one output expected"
+
+(* The kernel checks the deadline itself: called directly (no executor
+   check before it) with one already past, it raises; with none it
+   answers in full. *)
+let test_nok_deadline () =
+  let doc = Xqp_workload.Gen_auction.packed ~seed:1 ~scale:2000 () in
+  let pattern = Xqp_xpath.Parser.parse_pattern "//item/name" in
+  let context = [ Operators.document_context ] in
+  (match Nok.match_pattern ~deadline:(Unix.gettimeofday () -. 1.0) doc pattern ~context with
+  | _ -> Alcotest.fail "an expired deadline was not checked"
+  | exception Executor.Deadline_exceeded -> ());
+  let full = nok_lists (Nok.match_pattern doc pattern ~context) in
+  check_bool "no deadline: the full answer" true
+    (normalize full = normalize (Operators.pattern_match doc pattern ~context));
+  check_bool "non-empty" true (List.exists (fun (_, nodes) -> nodes <> []) full)
 
 let prop_binary_join_agrees =
   engine_agrees "binary semijoin twig = reference τ" (fun doc pattern context ->
@@ -169,8 +320,7 @@ let prop_twigstack_agrees =
 
 let prop_nok_agrees =
   engine_agrees "NoK = reference τ" (fun doc pattern context ->
-      let store = Xqp_storage.Succinct_store.of_document doc in
-      Nok.match_pattern doc store pattern ~context)
+      nok_lists (Nok.match_pattern doc pattern ~context))
 
 let prop_nok_paged_agrees =
   let temp = Filename.temp_file "xqp_paged" ".xqdb" in
@@ -405,6 +555,22 @@ let test_auto_near_cheapest_engine () =
         Alcotest.failf "%s: auto binds %s at %.0f ns counted, cheapest engine %.0f ns" id
           (Cost_model.engine_name chosen) cost cheapest)
     patterns
+
+(* Under the checked-in weights, Auto binds the NoK kernel on every τ of
+   the workload: a refit that flipped a binding back would fail here. *)
+let test_auto_binds_nok () =
+  let exec = Lazy.force workload_exec in
+  let taus =
+    List.concat_map
+      (fun (q : Xqp_workload.Queries.query) ->
+        let c = Executor.prepare exec ~use_cache:false (Executor.Query q.Xqp_workload.Queries.xpath) in
+        List.map
+          (fun tau -> (q.Xqp_workload.Queries.id, Physical_plan.engine_label tau.Physical_plan.engine))
+          (Physical_plan.taus c.Executor.physical))
+      Xqp_workload.Queries.(auction_paths @ auction_complexity_sweep)
+  in
+  check_int "τ queries" 12 (List.length taus);
+  List.iter (fun (id, engine) -> Alcotest.(check string) (id ^ " binds") "nok" engine) taus
 
 let test_navigation_estimate_within_2x () =
   let exec = Lazy.force workload_exec in
@@ -713,6 +879,9 @@ let suite =
         qcheck prop_twigstack_agrees;
         qcheck prop_nok_agrees;
         qcheck prop_nok_paged_agrees;
+        qcheck prop_wide_engines_agree;
+        Alcotest.test_case "nested // contexts" `Quick test_nok_nested_descendant_contexts;
+        Alcotest.test_case "nok checks its deadline" `Quick test_nok_deadline;
         qcheck prop_pathstack_agrees;
         qcheck prop_join_orders_agree;
         qcheck prop_navigation_strategy_agrees;
@@ -733,6 +902,7 @@ let suite =
         Alcotest.test_case "estimates" `Quick test_statistics_estimates;
         Alcotest.test_case "cost model choices" `Quick test_cost_model_choices;
         Alcotest.test_case "join order spread" `Quick test_join_order_cost_spread;
+        Alcotest.test_case "auto binds nok on the workload" `Quick test_auto_binds_nok;
         Alcotest.test_case "auto within 1.15x of the cheapest engine" `Quick
           test_auto_near_cheapest_engine;
         Alcotest.test_case "navigation visits estimated within 2x" `Quick

@@ -232,10 +232,11 @@ let fixture =
 let golden_query = "//e | //e/@a | //e/text()"
 
 (* Captured over HTTP before the reply path was rewritten; only the
-   wall-clock fields are masked. *)
+   wall-clock fields are masked. "engine" is the engine Auto binds under
+   the checked-in cost weights. *)
 let golden_body ~request_id ~cache =
   Printf.sprintf
-    {|{"query":"//e | //e/@a | //e/text()","mode":"xpath","request_id":"%s","queue_ms":#,"status":"ok","results":["<e a=\"x&amp;y&quot;z&lt;&gt;\" b=\"back\\slash 'q' \t tab\">t&amp;&lt;&gt;\"'\\ café €\t|\r\n|\u0001|\u001f|<c k=\"&quot;\"/><!-- c\"\\ \t --><?pi b\"\\ ?></e>","@a=\"x&y\"z<>\"","t&<>\"'\\ café €\t|\r\n|\u0001|\u001f|","<e a=\"2\">plain</e>","@a=\"2\"","plain","<e/>"],"count":7,"engine":"binary-default","cache":"%s","time_ms":#}|}
+    {|{"query":"//e | //e/@a | //e/text()","mode":"xpath","request_id":"%s","queue_ms":#,"status":"ok","results":["<e a=\"x&amp;y&quot;z&lt;&gt;\" b=\"back\\slash 'q' \t tab\">t&amp;&lt;&gt;\"'\\ café €\t|\r\n|\u0001|\u001f|<c k=\"&quot;\"/><!-- c\"\\ \t --><?pi b\"\\ ?></e>","@a=\"x&y\"z<>\"","t&<>\"'\\ café €\t|\r\n|\u0001|\u001f|","<e a=\"2\">plain</e>","@a=\"2\"","plain","<e/>"],"count":7,"engine":"nok","cache":"%s","time_ms":#}|}
     request_id cache
 
 (* MD5 of the masked //x body, captured with the golden body. *)

@@ -323,6 +323,37 @@ let prop_parser_total_markupish =
       | exception Sax.Parse_error _ -> true
       | exception _ -> false)
 
+(* Node sets: a buffer freezes to the sorted distinct elements it was
+   given, truncation forgets a suffix, and [seek] from any previous
+   answer finds what a linear scan finds. *)
+let prop_node_set =
+  QCheck2.Test.make ~name:"Node_set buffer and seek = sorted-list model" ~count:300
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 0 40) (int_range (-1) 60))
+        (int_range 0 40)
+        (pair (int_range 0 41) (int_range (-2) 62)))
+    (fun (xs, cut, (from, lo)) ->
+      let b = Node_set.Buffer.create () in
+      List.iter (Node_set.Buffer.add b) xs;
+      let whole = Node_set.Buffer.contents b in
+      let model = List.sort_uniq compare xs in
+      let cut = min cut (List.length xs) in
+      Node_set.Buffer.truncate b cut;
+      let kept = List.sort_uniq compare (List.filteri (fun i _ -> i < cut) xs) in
+      let s = (whole :> int array) in
+      let linear =
+        let rec go i = if i < Array.length s && s.(i) <= lo then go (i + 1) else i in
+        go 0
+      in
+      let truncated = Node_set.to_list (Node_set.Buffer.contents b) in
+      (* appending after a freeze leaves the frozen sets alone *)
+      Node_set.Buffer.add b (-5);
+      Node_set.to_list whole = model
+      && truncated = kept
+      && Node_set.to_list (Node_set.of_list xs) = model
+      && Node_set.seek whole (min from (Array.length s)) lo = linear)
+
 let suite =
   [
     ( "xml.entity",
@@ -367,5 +398,6 @@ let suite =
         qcheck prop_intervals_consistent;
         qcheck prop_children_partition;
         qcheck prop_text_content_agrees;
+        qcheck prop_node_set;
       ] );
   ]

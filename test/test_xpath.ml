@@ -113,6 +113,7 @@ and step_to_xpath (s : Logical_plan.step) =
     | Logical_plan.Name n -> n
     | Logical_plan.Any -> "*"
     | Logical_plan.Text_node -> "text()"
+    | Logical_plan.Node -> "node()"
   in
   Printf.sprintf "%s::%s%s" (Axis.to_string s.Logical_plan.axis) test
     (String.concat "" (List.map pred_to_xpath s.Logical_plan.predicates))
