@@ -14,6 +14,7 @@ type t = {
   summary : Ps.t;
   pids : int array; (* node id -> summary node (path partition), -1 for text/comment/PI *)
   leaves : int array; (* summary node -> text/comment/PI children over its instances *)
+  anywhere : int list; (* the super-root and every summary node, in id order *)
 }
 
 (* One constructor for every source (what is exact in each mode: see the
@@ -86,6 +87,7 @@ let of_summary ?doc summary =
     summary;
     pids;
     leaves;
+    anywhere = Ps.super_root :: List.init n Fun.id;
   }
 
 let build doc = of_summary ~doc (Ps.of_document doc)
@@ -205,31 +207,33 @@ let step_of_arc (rel : Pg.rel) (label : Pg.label) =
   | Pg.Attribute, Pg.Wildcard -> Some { Ps.descendant = false; selector = Ps.Any_attribute }
   | Pg.Following_sibling, _ -> None
 
-let steps_of_path arcs =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | (rel, label) :: rest -> (
-      match step_of_arc rel label with None -> None | Some s -> go (s :: acc) rest)
+(* Summary nodes matching each vertex's projected context-to-vertex path,
+   indexed by vertex, in one pass down the pattern: a child's set is its
+   parent's advanced by the one step of their arc, so no vertex walks the
+   path above it again. [None] below an arc the summary cannot project. *)
+let vertex_summary_sets ?(from = [ Ps.super_root ]) t pattern =
+  let sets = Array.make (Pg.vertex_count pattern) None in
+  let rec down v ids =
+    sets.(v) <- Some ids;
+    List.iter
+      (fun (c, rel) ->
+        match step_of_arc rel (Pg.vertex pattern c).Pg.label with
+        | Some step -> down c (Ps.matching_from t.summary ids [ step ])
+        | None -> ())
+      (Pg.children pattern v)
   in
-  go [] arcs
+  down 0 (Ps.matching_from t.summary from []);
+  sets
 
-let vertex_steps pattern v = steps_of_path (Pg.vertex_path pattern v)
+let vertex_summary_nodes ?from t pattern v = (vertex_summary_sets ?from t pattern).(v)
 
-let vertex_summary_nodes ?(from = [ Ps.super_root ]) t pattern v =
-  Option.map (Ps.matching_from t.summary from) (vertex_steps pattern v)
+let anywhere_context t = t.anywhere
 
-let anywhere_context t =
-  Ps.super_root :: List.init (Ps.length t.summary) (fun i -> i)
-
+(* Empty path set for any projectable vertex means no embedding exists,
+   predicates and the rest of the twig notwithstanding. *)
 let pattern_certainly_empty ?(anywhere = false) t pattern =
-  let from = if anywhere then anywhere_context t else [ Ps.super_root ] in
-  (* Empty path set for any projectable vertex means no embedding exists,
-     predicates and the rest of the twig notwithstanding. *)
-  let rec any_vertex v =
-    (match vertex_summary_nodes ~from t pattern v with Some [] -> true | _ -> false)
-    || List.exists (fun (c, _) -> any_vertex c) (Pg.children pattern v)
-  in
-  any_vertex 0
+  let from = if anywhere then t.anywhere else [ Ps.super_root ] in
+  Array.exists (function Some [] -> true | _ -> false) (vertex_summary_sets ~from t pattern)
 
 let pattern_upper_bound t pattern =
   (* Every match of the output vertex lies on a root path matching its
@@ -247,7 +251,8 @@ let estimate_result_detail t pattern =
   match Pg.outputs pattern with
   | [] -> (0.0, Exact)
   | v :: _ -> (
-    match vertex_summary_nodes t pattern v with
+    let sets = vertex_summary_sets t pattern in
+    match sets.(v) with
     | None -> fallback ()
     | Some [] -> (0.0, Exact)
     | Some out_ids ->
@@ -262,7 +267,7 @@ let estimate_result_detail t pattern =
       let exception Fallback in
       let exception Empty in
       let card w =
-        match vertex_summary_nodes t pattern w with
+        match sets.(w) with
         | None -> raise Fallback
         | Some [] -> raise Empty
         | Some ids -> float_of_int (Ps.total_count t.summary ids)

@@ -85,15 +85,20 @@ val leaf_children : t -> int -> float
 val path_id : t -> Xqp_xml.Document.node -> int
 (** Summary node of a document node ([-1] for text/comment/PI). *)
 
-val vertex_steps :
-  Xqp_algebra.Pattern_graph.t -> int -> Xqp_storage.Path_summary.step list option
-(** Projection of a pattern vertex's context-to-vertex path onto summary
-    steps; [None] when an arc is not downward (following-sibling). *)
+val vertex_summary_sets :
+  ?from:int list -> t -> Xqp_algebra.Pattern_graph.t -> int list option array
+(** Per vertex, the summary nodes matching its context-to-vertex path
+    projected onto summary steps, from the document context by default;
+    [None] when an arc on the path is not downward (following-sibling).
+    One pass down the pattern. *)
 
 val vertex_summary_nodes :
   ?from:int list -> t -> Xqp_algebra.Pattern_graph.t -> int -> int list option
-(** Summary nodes matching a vertex's projected path, from the document
-    context by default. *)
+(** One vertex's entry of {!vertex_summary_sets}. *)
+
+val anywhere_context : t -> int list
+(** The super-root and every summary node: the [from] set of a
+    context-free match. *)
 
 val pattern_certainly_empty : ?anywhere:bool -> t -> Xqp_algebra.Pattern_graph.t -> bool
 (** No document node can match some vertex's projected path, so the
