@@ -1899,7 +1899,6 @@ let obsrec_run ~scale =
                 actual_rows = Some 118;
                 time_ms = Some 0.4;
                 q_error = Some (Xqp_obs.Op_row.q_error 120.0 118);
-                io = [];
               });
         cap_events = [];
         cap_wall = Unix.gettimeofday ();
@@ -1975,6 +1974,77 @@ let corpus_cleanup dir =
     Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
     Sys.rmdir dir
   end
+
+(* The value-predicate row: the shape of perfbench's corpus_adhoc catalog
+   (8 x auction:40000 + 2 x bib:3000 in 4 shards), where each query does
+   real work. Per query group and domain count: ms per query through
+   Session.query (plans cached: the row times scatter-gather and the
+   engines, not the compile) and the value predicates the NoK kernel
+   evaluated per query. *)
+let corpus_scan_row dir =
+  let module M = Xqp_obs.Metrics in
+  let docs =
+    List.init 8 (fun i ->
+        ( Printf.sprintf "auction%d" i,
+          fun () -> Workload.Gen_auction.packed ~seed:(16 + i) ~scale:40_000 () ))
+    @ List.init 2 (fun i ->
+          ( Printf.sprintf "bib%d" i,
+            fun () -> Workload.Gen_bib.packed ~seed:(24 + i) ~books:3_000 () ))
+  in
+  let output = Filename.concat dir "scan.xqdbc" in
+  ignore (Xqp_storage.Catalog.pack ~shards:4 ~output docs);
+  let mix = Workload.Queries.auction_paths @ Workload.Queries.auction_complexity_sweep in
+  let numeric =
+    List.filter
+      (fun (q : Workload.Queries.query) -> String.contains q.Workload.Queries.xpath '>')
+      mix
+  in
+  let groups = [ ("numeric", numeric); ("mix", mix) ] in
+  let tests = M.counter M.default "engine.nok.predicate_tests" in
+  Printf.printf "  scan row: 8 x auction:40000 + 2 x bib:3000, 4 shards\n";
+  Printf.printf "  %-8s %-8s %8s %12s %16s\n" "group" "domains" "queries" "ms/query"
+    "predicates/query";
+  let cells =
+    List.concat_map
+      (fun domains ->
+        let session = Result.get_ok (Xqp.Session.open_db ~domains output) in
+        Fun.protect ~finally:(fun () -> Xqp.Session.close session) @@ fun () ->
+        List.map
+          (fun (group, queries) ->
+            let xpaths = List.map (fun (q : Workload.Queries.query) -> q.Workload.Queries.xpath) queries in
+            let n = List.length xpaths in
+            let round () =
+              List.iter
+                (fun q ->
+                  match Xqp.Session.query session q with
+                  | Ok _ -> ()
+                  | Error e ->
+                    failwith (Printf.sprintf "CORPUS: %s failed: %s" q (Xqp.Error.message e)))
+                xpaths
+            in
+            round ();
+            let t0 = M.value tests in
+            round ();
+            let per_query = float_of_int (M.value tests - t0) /. float_of_int n in
+            let ms_per_query = ms (measure round) /. float_of_int n in
+            Printf.printf "  %-8s %-8d %8d %12.3f %16.0f\n%!" group domains n ms_per_query per_query;
+            J.Obj
+              [
+                ("group", J.Str group);
+                ("domains", jint domains);
+                ("queries", jint n);
+                ("ms_per_query", J.Num ms_per_query);
+                ("predicates_per_query", J.Num per_query);
+              ])
+          groups)
+      [ 1; 2 ]
+  in
+  J.Obj
+    [
+      ("corpus", J.Str "auction:40000 x8 + bib:3000 x2, 4 shards");
+      ("numeric_queries", J.Arr (List.map (fun (q : Workload.Queries.query) -> J.Str q.Workload.Queries.id) numeric));
+      ("cells", J.Arr cells);
+    ]
 
 let corpus_run ~scale =
   let module Catalog = Xqp_storage.Catalog in
@@ -2060,6 +2130,7 @@ let corpus_run ~scale =
     | Error e -> failwith (Xqp.Error.message e));
     (pruned_all, dispatched_none, touched_none, M.value m_dispatched - d1)
   in
+  let scan_row = corpus_scan_row dir in
   Printf.printf
     "  pruning: //nosuchtag pruned %d/4 shards (dispatched %d, docs opened + pages read %d); \
      //book/title dispatched %d shard\n"
@@ -2088,6 +2159,7 @@ let corpus_run ~scale =
         ("pruned_dispatched", jint dispatched_none);
         ("pruned_reads", jint touched_none);
         ("book_dispatched", jint book_dispatched);
+        ("scan_row", scan_row);
       ];
   }
 

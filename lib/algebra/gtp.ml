@@ -1,4 +1,3 @@
-module Doc = Xqp_xml.Document
 module Pg = Pattern_graph
 
 type t = {
@@ -59,30 +58,7 @@ let pattern t = t.pg
 let spine_length t = List.length t.spine
 let component_count t = List.length t.component_leaves
 
-(* Candidates reachable from [source] through one arc. *)
-let arc_candidates doc (rel : Pg.rel) source =
-  if source = Operators.document_context then
-    match rel with
-    | Pg.Child -> [ Doc.root doc ]
-    | Pg.Descendant ->
-      List.filter
-        (fun id -> Doc.kind doc id = Doc.Element)
-        (List.init (Doc.node_count doc) (fun i -> i))
-    | Pg.Attribute | Pg.Following_sibling -> []
-  else
-    match rel with
-    | Pg.Child -> Doc.children doc source
-    | Pg.Attribute -> Doc.attributes doc source
-    | Pg.Descendant ->
-      let acc = ref [] in
-      Doc.iter_descendants doc source (fun d ->
-          if Doc.kind doc d <> Doc.Attribute then acc := d :: !acc);
-      List.rev !acc
-    | Pg.Following_sibling ->
-      let rec chain id acc =
-        match Doc.next_sibling doc id with Some s -> chain s (s :: acc) | None -> List.rev acc
-      in
-      chain source []
+let arc_candidates = Operators.arc_candidates
 
 let match_groups doc t ~context =
   (* All embeddings of the spine: assignments of spine vertices, enumerated

@@ -59,6 +59,7 @@ let axis_nodes doc axis id =
   | Ancestor_or_self ->
     let rec climb id acc = match Doc.parent doc id with None -> acc | Some p -> climb p (p :: acc) in
     id :: List.rev (climb id [])
+  | Following_sibling when Doc.kind doc id = Doc.Attribute -> [] (* attributes have no siblings *)
   | Following_sibling ->
     let rec chain id acc =
       match Doc.next_sibling doc id with
@@ -101,7 +102,9 @@ let rel_holds doc (rel : Pg.rel) a d =
   | Pg.Descendant -> Doc.is_ancestor doc a d && Doc.kind doc d <> Doc.Attribute
   | Pg.Attribute -> Doc.is_parent doc a d && Doc.kind doc d = Doc.Attribute
   | Pg.Following_sibling ->
-    Doc.parent doc a = Doc.parent doc d && a < d && Doc.kind doc d <> Doc.Attribute
+    Doc.parent doc a = Doc.parent doc d && a < d
+    && Doc.kind doc a <> Doc.Attribute
+    && Doc.kind doc d <> Doc.Attribute
 
 let structural_join doc rel left right =
   let pairs = ref [] in
@@ -117,7 +120,7 @@ let select_value doc pred nodes = List.filter (Pg.predicate_holds doc pred) node
 let value_join doc comparison left right =
   let compare_values a d =
     let va = Doc.typed_value doc a and vd = Doc.typed_value doc d in
-    match (float_of_string_opt (String.trim va), float_of_string_opt (String.trim vd)) with
+    match (Pg.number_of_string va, Pg.number_of_string vd) with
     | Some x, Some y -> Float.compare x y
     | _ -> String.compare va vd
   in
@@ -167,6 +170,7 @@ let arc_candidates doc (rel : Pg.rel) source =
     Doc.iter_descendants doc source (fun d ->
         if Doc.kind doc d <> Doc.Attribute then acc := d :: !acc);
     List.rev !acc
+  | Pg.Following_sibling when Doc.kind doc source = Doc.Attribute -> []
   | Pg.Following_sibling ->
     let rec chain id acc =
       match Doc.next_sibling doc id with Some s -> chain s (s :: acc) | None -> List.rev acc

@@ -45,6 +45,13 @@ val value_join :
 
 (** {1 Hybrid operators} *)
 
+val arc_candidates : doc -> Pattern_graph.rel -> node -> node list
+(** The nodes one pattern arc reaches from a bound node, in document
+    order: children (content only), attributes, descendants (no
+    attributes) or following siblings — none from an attribute, which has
+    no siblings. From {!document_context}: the root element, or every
+    element. *)
+
 val pattern_match : doc -> Pattern_graph.t -> context:node list -> (int * node list) list
 (** τ, projected per output vertex: for each output vertex of the pattern,
     the distinct document-ordered list of nodes for which {e some} full

@@ -95,23 +95,90 @@ let contains hay needle =
   let rec scan i = i + nl <= hl && (at i 0 || scan (i + 1)) in
   scan 0
 
+(* --- numbers ---------------------------------------------------------
+
+   One reader for every value comparison. A string in the fast grammar —
+   blanks, digits, optionally '.' and more digits, blanks — whose digits
+   read as one integer m below 2^53 with at most 22 after the point is
+   the exact quotient m / 10^f: both operands are exact doubles, so the
+   one correctly rounded IEEE division gives the double nearest the
+   decimal, which is what strtod returns (Clinger's fast path). Every
+   other string (signs, exponents, '_', hex, nan/inf, long mantissas)
+   goes to [float_of_string_opt] after [String.trim], the rule this
+   reader reproduces bit for bit. *)
+
+let exact_pow10 = Array.init 23 (fun i -> float_of_string ("1e" ^ string_of_int i))
+let mantissa_limit = 1 lsl 53
+
+(* The blanks [String.trim] removes. *)
+let is_blank c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
+
+(* A fast-grammar string as [m * 32 + f] (m the digits as one integer, f
+   the digits after the point), or [-1]. Allocates nothing. *)
+let fast_number s =
+  let i = ref 0 and j = ref (String.length s) in
+  while !i < !j && is_blank (String.unsafe_get s !i) do
+    incr i
+  done;
+  while !j > !i && is_blank (String.unsafe_get s (!j - 1)) do
+    decr j
+  done;
+  let m = ref 0 and point = ref (-1) and k = ref !i and ok = ref (!i < !j) in
+  while !ok && !k < !j do
+    let c = String.unsafe_get s !k in
+    if c >= '0' && c <= '9' then begin
+      m := (!m * 10) + (Char.code c - 48);
+      ok := !m < mantissa_limit
+    end
+    else if c = '.' && !point < 0 && !k > !i && !k < !j - 1 then point := !k
+    else ok := false;
+    incr k
+  done;
+  let fraction = if !point < 0 then 0 else !j - !point - 1 in
+  if !ok && fraction < Array.length exact_pow10 then (!m lsl 5) lor fraction else -1
+
+let[@inline] fast_value code =
+  Float.of_int (code lsr 5) /. Array.unsafe_get exact_pow10 (code land 31)
+
+let number_of_string s =
+  let code = fast_number s in
+  if code >= 0 then Some (fast_value code) else float_of_string_opt (String.trim s)
+
+(* [Float.compare] of the number [s] denotes with [n], or [not_a_number]
+   when it denotes none: an immediate, so nothing is boxed. *)
+let not_a_number = 2
+
+let compare_number s n =
+  let code = fast_number s in
+  if code >= 0 then Float.compare (fast_value code) n
+  else
+    match float_of_string_opt (String.trim s) with
+    | Some x -> Float.compare x n
+    | None -> not_a_number
+
+(* --- value predicates ------------------------------------------------ *)
+
+(* The one comparison rule: [c] is a three-way comparison result. *)
+let order_holds comparison c =
+  match comparison with
+  | Eq -> c = 0
+  | Ne -> c <> 0
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
+  | Contains -> false
+
+(* A numeric literal compares numerically; a value that is no number
+   satisfies only [Ne]. A string literal compares as a string. *)
 let predicate_holds_on pred value =
-  let compare_result =
-    match pred.literal with
-    | Num n -> (
-      match float_of_string_opt (String.trim value) with
-      | Some v -> Some (Float.compare v n)
-      | None -> None)
-    | Str s -> Some (String.compare value s)
-  in
-  match pred.comparison with
-  | Contains -> ( match pred.literal with Str needle -> contains value needle | Num _ -> false)
-  | Eq -> ( match compare_result with Some c -> c = 0 | None -> false)
-  | Ne -> ( match compare_result with Some c -> c <> 0 | None -> true)
-  | Lt -> ( match compare_result with Some c -> c < 0 | None -> false)
-  | Le -> ( match compare_result with Some c -> c <= 0 | None -> false)
-  | Gt -> ( match compare_result with Some c -> c > 0 | None -> false)
-  | Ge -> ( match compare_result with Some c -> c >= 0 | None -> false)
+  match (pred.literal, pred.comparison) with
+  | Str needle, Contains -> contains value needle
+  | Str s, comparison -> order_holds comparison (String.compare value s)
+  | Num _, Contains -> false
+  | Num n, comparison ->
+    let c = compare_number value n in
+    if c = not_a_number then comparison = Ne else order_holds comparison c
 
 let predicate_holds doc pred node = predicate_holds_on pred (Doc.typed_value doc node)
 

@@ -68,11 +68,21 @@ val label_matches :
 (** Does a document node's name satisfy a label? (Wildcards match any
     element or attribute.) *)
 
+val number_of_string : string -> float option
+(** The number a node's text denotes: [float_of_string_opt (String.trim
+    s)], bit for bit. Digits with at most one inner point (and blanks
+    around them) are read without calling [strtod] — exactly, as one
+    integer below 2^53 divided by a power of ten up to 10^22; every other
+    string goes to [float_of_string_opt]. *)
+
 val predicate_holds :
   Xqp_xml.Document.t -> predicate -> Xqp_xml.Document.node -> bool
-(** Evaluate a value predicate against a node's typed value: numeric
-    comparison when the literal is numeric and the value parses, string
-    comparison otherwise; [Contains] is substring search. *)
+(** Evaluate a value predicate against a node's typed value. A numeric
+    literal compares with the number the value denotes
+    ({!number_of_string}; a value that is no number satisfies only [!=],
+    and never [contains]); a string literal compares as a string;
+    [Contains] is substring search. Allocates nothing when the value is in
+    {!number_of_string}'s fast grammar. *)
 
 val predicate_holds_on : predicate -> string -> bool
 (** {!predicate_holds} on a value already read. *)

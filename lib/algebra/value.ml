@@ -31,7 +31,7 @@ let number_of_item doc item =
   | Int i -> Some (float_of_int i)
   | Float f -> Some f
   | Bool b -> Some (if b then 1.0 else 0.0)
-  | Node _ | Str _ | Frag _ -> float_of_string_opt (String.trim (string_of_item doc item))
+  | Node _ | Str _ | Frag _ -> Pattern_graph.number_of_string (string_of_item doc item)
 
 let effective_boolean (_ : Doc.t) seq =
   match seq with

@@ -303,6 +303,7 @@ let annotations =
     ("Paged_store.byte_pop", Safe_immutable, "256-entry popcount table, read-only after init");
     ("Entity.classes", Safe_immutable, "256-entry escape class table, read-only after init");
     ("Entity.json_escapes", Safe_immutable, "per-byte JSON escape strings, read-only after init");
+    ("Pattern_graph.exact_pow10", Safe_immutable, "powers of ten 10^0..10^22, read-only after init");
     (* lib/workload: word-pool array literals for the synthetic document
        generators; written never, only Array.length/get *)
     ("Gen_auction.words", Safe_immutable, "generator word pool, read-only");

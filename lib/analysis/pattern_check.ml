@@ -109,7 +109,7 @@ let contradiction preds =
       in
       match str_eq with
       | Some s when has_num_constraint -> (
-        match float_of_string_opt (String.trim s) with
+        match Pg.number_of_string s with
         | None -> Some (Printf.sprintf "value pinned to non-numeric %S but numerically constrained" s)
         | Some v ->
           if float_in Float.compare num_iv v then None

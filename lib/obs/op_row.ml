@@ -7,7 +7,6 @@ type t = {
   actual_rows : int option;
   time_ms : float option;
   q_error : float option;
-  io : (string * int) list;
 }
 
 let q_error est actual =
@@ -19,21 +18,18 @@ let round3 x = Float.round (x *. 1000.0) /. 1000.0
 let to_json r =
   let opt f = function Some v -> f v | None -> Json.Null in
   Json.Obj
-    ([
-       ("path", Json.Str r.path);
-       ("op", Json.Str r.op);
-       ("engine", opt (fun e -> Json.Str e) r.engine);
-       ("est_rows", Json.Num (round3 r.est_rows));
-       ("actual_rows", opt (fun n -> Json.Num (float_of_int n)) r.actual_rows);
-       ("ms", opt (fun ms -> Json.Num (round3 ms)) r.time_ms);
-     ]
-    @
-    if r.io = [] then []
-    else [ ("io", Json.Obj (List.map (fun (k, v) -> (k, Json.Num (float_of_int v))) r.io)) ])
+    [
+      ("path", Json.Str r.path);
+      ("op", Json.Str r.op);
+      ("engine", opt (fun e -> Json.Str e) r.engine);
+      ("est_rows", Json.Num (round3 r.est_rows));
+      ("actual_rows", opt (fun n -> Json.Num (float_of_int n)) r.actual_rows);
+      ("ms", opt (fun ms -> Json.Num (round3 ms)) r.time_ms);
+    ]
 
 let pp_table ppf rows =
   let opt f = function Some v -> f v | None -> "-" in
-  let header = [ "path"; "operator"; "engine"; "est"; "actual"; "q-err"; "ms"; "io" ] in
+  let header = [ "path"; "operator"; "engine"; "est"; "actual"; "q-err"; "ms" ] in
   let cells r =
     [
       r.path;
@@ -43,8 +39,6 @@ let pp_table ppf rows =
       opt string_of_int r.actual_rows;
       opt (Printf.sprintf "%.2f") r.q_error;
       opt (Printf.sprintf "%.3f") r.time_ms;
-      (if r.io = [] then "-"
-       else String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) r.io));
     ]
   in
   let lines = header :: List.map cells rows in
@@ -54,10 +48,8 @@ let pp_table ppf rows =
       (List.map (fun _ -> 0) header)
       lines
   in
-  (* names left-aligned, numbers right-aligned, the io list unpadded *)
-  let pad i w c =
-    if i = 7 then c else if i < 3 then Printf.sprintf "%-*s" w c else Printf.sprintf "%*s" w c
-  in
+  (* names left-aligned, numbers right-aligned *)
+  let pad i w c = if i < 3 then Printf.sprintf "%-*s" w c else Printf.sprintf "%*s" w c in
   List.iter
     (fun line ->
       Format.fprintf ppf "%s@."

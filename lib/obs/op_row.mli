@@ -17,8 +17,6 @@ type t = {
   actual_rows : int option;  (** measured output cardinality *)
   time_ms : float option;    (** inclusive wall-clock time *)
   q_error : float option;    (** {!q_error} of a measured τ or Step row *)
-  io : (string * int) list;  (** nonzero storage-counter deltas, e.g.
-                                 [("pager.logical_reads", 410)] *)
 }
 
 val q_error : float -> int -> float
@@ -28,10 +26,9 @@ val q_error : float -> int -> float
 
 val to_json : t -> Json.t
 (** [{"path","op","engine","est_rows","actual_rows","ms"}] (numbers
-    rounded to 3 decimals, [null] for what was not measured), plus an
-    ["io"] object when some counter moved. *)
+    rounded to 3 decimals, [null] for what was not measured). *)
 
 val pp_table : Format.formatter -> t list -> unit
 (** An aligned table, one line per row in the order given: path,
-    indented operator, engine, est, actual, q-err, ms, io ([-] for what
-    was not measured). *)
+    indented operator, engine, est, actual, q-err, ms ([-] for what was
+    not measured). *)

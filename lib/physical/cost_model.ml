@@ -129,13 +129,36 @@ let unit_names = function
    children, so one forward pass sums over ancestors and one backward
    pass over descendants. *)
 let slot i = i + 1
+
+(* Dense arrays come from a per-domain free list and go back to it once
+   read, so a compile on a warm domain allocates none: on a corpus
+   summary of a few hundred paths each would be a major-heap block.
+   [take n] is a zeroed array of at least [n] slots. *)
+let free_dense : float array list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+
+let take n =
+  let free = Domain.DLS.get free_dense in
+  match !free with
+  | a :: rest when Array.length a >= n ->
+    free := rest;
+    Array.fill a 0 n 0.0;
+    a
+  | _ :: rest ->
+    free := rest;
+    Array.make n 0.0
+  | [] -> Array.make n 0.0
+
+let give a =
+  let free = Domain.DLS.get free_dense in
+  free := a :: !free
+
 let s_count summary i = if i = Ps.super_root then 1.0 else float_of_int (Ps.count summary i)
 let s_children summary i = if i = Ps.super_root then Ps.roots summary else Ps.children summary i
 let is_attribute_label l = String.length l > 0 && l.[0] = '@'
 
 (* [acc.(slot i)] = Σ of [dense] over the proper ancestors of [i]. *)
 let ancestor_sums summary dense =
-  let acc = Array.make (Ps.length summary + 1) 0.0 in
+  let acc = take (Ps.length summary + 1) in
   for i = 0 to Ps.length summary - 1 do
     let p = slot (Ps.parent summary i) in
     acc.(slot i) <- acc.(p) +. dense.(p)
@@ -143,7 +166,7 @@ let ancestor_sums summary dense =
   acc
 
 let dense_of summary dist =
-  let d = Array.make (Ps.length summary + 1) 0.0 in
+  let d = take (Ps.length summary + 1) in
   List.iter (fun (i, w) -> d.(slot i) <- d.(slot i) +. w) dist;
   d
 
@@ -158,9 +181,10 @@ let total_count summary ids = float_of_int (Ps.total_count summary ids)
 let merge summary dist =
   let d = dense_of summary dist in
   let out = ref [] in
-  for x = Array.length d - 1 downto 0 do
+  for x = Ps.length summary downto 0 do
     if d.(x) > 0.0 then out := (x - 1, Float.min d.(x) (s_count summary (x - 1))) :: !out
   done;
+  give d;
   !out
 
 (* Every summary node [d] passing [keep], weighted [f d] when that is
@@ -207,8 +231,11 @@ let chain_ways stats pattern =
             nodes_where summary matches (fun d -> from.(slot (Ps.parent summary d)))
           | Pg.Descendant ->
             let above = ancestor_sums summary from in
-            nodes_where summary matches (fun d -> above.(slot d))
+            let w = nodes_where summary matches (fun d -> above.(slot d)) in
+            give above;
+            w
           | Pg.Following_sibling -> []);
+        give from;
         fill c)
       (Pg.children pattern v)
   in
@@ -261,7 +288,7 @@ let navigation_units stats pattern =
         | Lp.Node -> (ids (fun _ -> true), true)
       in
       let skip = Ps.skip_labels summary ~targets ~self in
-      let below = Array.make (len + 1) 0.0 in
+      let below = take (len + 1) in
       for i = len - 1 downto 0 do
         let lab = Ps.label summary i in
         if not (is_attribute_label lab) then begin
@@ -320,9 +347,13 @@ let navigation_units stats pattern =
       let dense = dense_of summary (List.map (fun ((i, _) as c) -> (i, per c)) contexts) in
       let above = ancestor_sums summary dense in
       let matches d = test_matches s.Lp.test ~attribute:false d in
-      ( visited,
+      let found =
         nodes_where summary matches (fun d ->
-            (above.(slot d) +. if self then dense.(slot d) else 0.0) *. s_count summary d) )
+            (above.(slot d) +. if self then dense.(slot d) else 0.0) *. s_count summary d)
+      in
+      give above;
+      give dense;
+      (visited, found)
     | Axis.Self ->
       ( total contexts,
         List.filter
@@ -366,7 +397,9 @@ let navigation_units stats pattern =
       (0.0, matches) preds
   in
   let plan = Lp.of_steps ~base:Lp.Context (Navigation.steps_of_pattern pattern) in
-  [| fst (run [ (Ps.super_root, 1.0) ] plan) |]
+  let visited = fst (run [ (Ps.super_root, 1.0) ] plan) in
+  Hashtbl.iter (fun _ below -> give below) scans;
+  [| visited |]
 
 (* NoK, as the kernel counts: per fragment, one visit per root candidate
    the summary prune keeps (one for the context), then per embedding the
@@ -462,13 +495,18 @@ let nok_units stats pattern =
   let join_pairs =
     List.fold_left
       (fun acc (src, dst) ->
-        let above =
-          ancestor_sums summary
-            (dense_of summary (List.map (fun (s, w) -> (s, w /. s_count summary s)) reached.(src)))
+        let dense =
+          dense_of summary (List.map (fun (s, w) -> (s, w /. s_count summary s)) reached.(src))
         in
-        List.fold_left
-          (fun acc (d, wd) -> acc +. (wd *. Float.min 1.0 above.(slot d)))
-          acc reached.(dst))
+        let above = ancestor_sums summary dense in
+        let acc =
+          List.fold_left
+            (fun acc (d, wd) -> acc +. (wd *. Float.min 1.0 above.(slot d)))
+            acc reached.(dst)
+        in
+        give above;
+        give dense;
+        acc)
       0.0 parts.Nok_partition.links
   in
   [| !visited; join_pairs |]

@@ -362,22 +362,6 @@ let run_pattern t strategy pattern ~context =
 (* --- instrumented physical-plan interpretation -------------------------- *)
 
 module Tr = Xqp_obs.Trace
-module M = Xqp_obs.Metrics
-
-(* The storage counters whose per-operator deltas become span attributes
-   (DESIGN.md §7). Registration is get-or-create, so the handles are the
-   same objects the storage layer bumps. *)
-let io_counters =
-  List.map
-    (fun name -> (name, M.counter M.default name))
-    [
-      "pager.logical_reads";
-      "pager.physical_reads";
-      "pager.hits";
-      "pool.requests";
-      "pool.page_faults";
-      "pool.hits";
-    ]
 
 (* When a deadline is set, a long [Step] over many context nodes is
    evaluated in batches so the cooperative check fires between batches,
@@ -398,23 +382,14 @@ let run_physical t ?deadline ?(trace = Tr.default) physical ~context =
      direct call. *)
   let instr path (p : Pp.t) f =
     if not (Tr.enabled tr) then f Tr.null_span
-    else begin
-      let before = List.map (fun (_, c) -> M.value c) io_counters in
+    else
       Tr.with_span tr
         ~attrs:[ ("path", Tr.Str path); ("est", Tr.Float p.Pp.est_rows) ]
         (Pp.op_label p)
         (fun span ->
           let out = f span in
-          let deltas =
-            List.filter_map
-              (fun ((name, c), v0) ->
-                let d = M.value c - v0 in
-                if d = 0 then None else Some (name, Tr.Int d))
-              (List.combine io_counters before)
-          in
-          Tr.add_attrs span (("out", Tr.Int (List.length out)) :: deltas);
+          Tr.add_attrs span [ ("out", Tr.Int (List.length out)) ];
           out)
-    end
   in
   let rec go path (p : Pp.t) ctx =
     check_deadline deadline;

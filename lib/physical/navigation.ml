@@ -87,6 +87,7 @@ let axis_nodes_all doc axis id =
     | Axis.Ancestor_or_self ->
       let rec climb i acc = match Doc.parent doc i with None -> acc | Some p -> climb p (p :: acc) in
       id :: List.rev (climb id [])
+    | Axis.Following_sibling when Doc.kind doc id = Doc.Attribute -> [] (* attributes have no siblings *)
     | Axis.Following_sibling ->
       let rec chain i acc =
         match Doc.next_sibling doc i with Some s -> chain s (s :: acc) | None -> List.rev acc

@@ -25,6 +25,7 @@ let m_nodes_visited = M.counter M.default "engine.nok.nodes_visited"
 let m_fragment_matches = M.counter M.default "engine.nok.fragment_matches"
 let m_join_pairs = M.counter M.default "engine.nok.join_pairs"
 let m_pruned = M.counter M.default "engine.nok.pruned"
+let m_predicate_tests = M.counter M.default "engine.nok.predicate_tests"
 
 (* Name tests: a symbol id of the document, or one of these. *)
 let any = -1
@@ -56,13 +57,15 @@ type kernel = {
   marks : int array array; (* rollback marks, for vertices with several collect arcs *)
   mutable root_node : int; (* the fragment-root candidate being matched *)
   mutable visited : int;
+  mutable tested : int; (* value predicates evaluated *)
 }
 
 let end_of k n = if n < 0 then k.last else n + k.sizes.(n) - 1
 
 (* The nodes one local arc reaches from [n], as a first/next pair over
    ids; [-1] ends. [stop] is [n]'s subtree end, read once per scan. The
-   virtual document node ([n < 0]) has one child, the root element. *)
+   virtual document node ([n < 0]) has one child, the root element; an
+   attribute has no following sibling. *)
 let stop_of k n = if n < 0 then 0 else n + k.sizes.(n) - 1
 
 let first k (rel : Pg.rel) n stop =
@@ -71,7 +74,7 @@ let first k (rel : Pg.rel) n stop =
     match rel with
     | Pg.Child -> if n < stop then n + 1 else -1
     | Pg.Attribute -> if n < stop && k.kinds.(n + 1) = Doc.Attribute then n + 1 else -1
-    | Pg.Following_sibling -> k.next_siblings.(n)
+    | Pg.Following_sibling -> if k.kinds.(n) = Doc.Attribute then -1 else k.next_siblings.(n)
     | Pg.Descendant -> -1
 
 let next k (rel : Pg.rel) stop d =
@@ -83,9 +86,11 @@ let next k (rel : Pg.rel) stop d =
   | Pg.Following_sibling -> k.next_siblings.(d)
   | Pg.Descendant -> -1
 
-let rec preds_hold doc d = function
+let rec preds_hold k value = function
   | [] -> true
-  | p :: rest -> Pg.predicate_holds_on p (Doc.typed_value doc d) && preds_hold doc d rest
+  | p :: rest ->
+    k.tested <- k.tested + 1;
+    Pg.predicate_holds_on p value && preds_hold k value rest
 
 (* The vertex's own test: name (most scanned nodes fail here), node
    kind, value predicates. *)
@@ -95,7 +100,8 @@ let kind_ok k v d =
   | Doc.Attribute -> k.attr.(v)
   | Doc.Text | Doc.Comment | Doc.Pi -> false
 
-let preds_ok k v d = match k.preds.(v) with [] -> true | preds -> preds_hold k.doc d preds
+let preds_ok k v d =
+  match k.preds.(v) with [] -> true | preds -> preds_hold k (Doc.typed_value k.doc d) preds
 
 let node_ok k v d =
   (k.sym.(v) = any || k.names.(d) = k.sym.(v)) && kind_ok k v d && preds_ok k v d
@@ -272,6 +278,7 @@ let compile doc pattern (parts : Nok_partition.t) =
           if List.compare_length_with collect_arcs.(v) 1 > 0 then Array.make n 0 else [||]);
     root_node = -1;
     visited = 0;
+    tested = 0;
   }
 
 (* Fragments bottom-up (targets of a fragment's links before it), then
@@ -368,6 +375,7 @@ let match_pattern_with_stats ?prune ?deadline doc pattern ~context =
   M.add m_fragment_matches fragment_matches;
   M.add m_join_pairs !join_pairs;
   if !pruned > 0 then M.add m_pruned !pruned;
+  if k.tested > 0 then M.add m_predicate_tests k.tested;
   ( List.map (fun v -> (v, kept.(v))) (Pg.outputs pattern),
     { nodes_visited = k.visited; fragment_matches; join_pairs = !join_pairs } )
 

@@ -159,7 +159,10 @@ module Make (S : STORE) = struct
         let start =
           match (rel : Pg.rel) with
           | Pg.Child | Pg.Attribute -> S.first_child_cursor store cursor
-          | Pg.Following_sibling -> S.next_sibling_cursor store cursor
+          | Pg.Following_sibling ->
+            (* attributes have no siblings *)
+            if sym_is_attribute.(S.tag_at store cursor) then None
+            else S.next_sibling_cursor store cursor
           | Pg.Descendant -> None
         in
         let rec collect c acc =

@@ -10,7 +10,6 @@ type row = Xqp_obs.Op_row.t = {
   actual_rows : int option;
   time_ms : float option;
   q_error : float option;
-  io : (string * int) list;
 }
 
 (* One walk over the compiled plan, children first so rows come out in
@@ -44,7 +43,6 @@ let walk physical measure =
         actual_rows = None;
         time_ms = None;
         q_error = None;
-        io = [];
       }
     in
     measure ~produces row :: acc
@@ -52,9 +50,6 @@ let walk physical measure =
   List.rev (go "0" 0 physical [])
 
 let rows_of_physical physical = walk physical (fun ~produces:_ row -> row)
-
-let is_io_attr name =
-  String.starts_with ~prefix:"pager." name || String.starts_with ~prefix:"pool." name
 
 let rows_of_spans physical events =
   let by_path = Hashtbl.create 16 in
@@ -74,11 +69,6 @@ let rows_of_spans physical events =
           q_error =
             (if produces then Option.map (Xqp_obs.Op_row.q_error row.est_rows) actual_rows
              else None);
-          io =
-            List.filter_map
-              (fun (name, v) ->
-                match v with Tr.Int d when is_io_attr name -> Some (name, d) | _ -> None)
-              e.Tr.attrs;
         })
 
 (* A tracer of its own, sized to the plan (one span per operator), so a

@@ -7,8 +7,8 @@
     the static half — operator labels, bound engines and the planner's
     estimated cardinalities; {!rows_of_spans} joins the operator spans one
     run recorded ({!Executor.run_physical}, DESIGN.md §7) onto those rows
-    by operator path, adding actual cardinality, wall-clock time, q-error
-    and the I/O counter deltas. The spans are the only per-operator
+    by operator path, adding actual cardinality, wall-clock time and
+    q-error. The spans are the only per-operator
     record; every measured row comes out of {!rows_of_spans}. *)
 
 type row = Xqp_obs.Op_row.t = {
@@ -20,7 +20,6 @@ type row = Xqp_obs.Op_row.t = {
   actual_rows : int option;
   time_ms : float option;
   q_error : float option;
-  io : (string * int) list;
 }
 (** {!Xqp_obs.Op_row.t}, which documents the fields and renders rows
     ({!Xqp_obs.Op_row.pp_table}, {!Xqp_obs.Op_row.to_json}). *)
@@ -34,8 +33,8 @@ val rows_of_spans : Physical_plan.t -> Xqp_obs.Trace.event list -> row list
 (** {!rows_of_physical} with each row's measured half read off the span
     whose [path] attribute matches (the latest one, if several runs share
     the events): [actual_rows] from [out], [time_ms] from the span's
-    duration, [engine] from [engine], [io] from the [pager.*]/[pool.*]
-    deltas, and [q_error] for τ and Step rows. Rows with no matching span
+    duration, [engine] from [engine], and [q_error] for τ and Step
+    rows. Rows with no matching span
     stay static. *)
 
 val analyze_physical :

@@ -306,15 +306,12 @@ type run_result = {
   reports : shard_report list;
 }
 
-(* Corpus profile rows: one row per operator path, actual rows, time and
-   I/O summed across documents, q-error recomputed against the plan's
+(* Corpus profile rows: one row per operator path, actual rows and time
+   summed across documents, q-error recomputed against the plan's
    corpus-wide estimate. Every document runs the same plan, so row lists
    line up one for one; [] is "nothing ran yet". *)
 let sum_rows a b =
   let add f x y = match (x, y) with Some x, Some y -> Some (f x y) | _ -> None in
-  let add_io io (k, v) =
-    (k, v + Option.value ~default:0 (List.assoc_opt k io)) :: List.remove_assoc k io
-  in
   if a = [] then b
   else if b = [] then a
   else
@@ -328,7 +325,6 @@ let sum_rows a b =
           q_error =
             Option.bind x.Profile.q_error (fun _ ->
                 Option.map (Xqp_obs.Op_row.q_error x.Profile.est_rows) actual_rows);
-          io = List.fold_left add_io x.Profile.io y.Profile.io;
         })
       a b
 

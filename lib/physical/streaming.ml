@@ -74,30 +74,6 @@ let create pattern =
 let label_matches_name label name =
   match (label : Pg.label) with Pg.Wildcard -> true | Pg.Tag t -> String.equal t name
 
-let attr_pred_holds pred value =
-  let compare_result =
-    match pred.Pg.literal with
-    | Pg.Num lit -> (
-      match float_of_string_opt (String.trim value) with
-      | Some v -> Some (Float.compare v lit)
-      | None -> None)
-    | Pg.Str lit -> Some (String.compare value lit)
-  in
-  match pred.Pg.comparison with
-  | Pg.Contains -> (
-    match pred.Pg.literal with
-    | Pg.Str needle ->
-      let hl = String.length value and nl = String.length needle in
-      let rec scan i = i + nl <= hl && (String.equal (String.sub value i nl) needle || scan (i + 1)) in
-      nl = 0 || scan 0
-    | Pg.Num _ -> false)
-  | Pg.Eq -> ( match compare_result with Some c -> c = 0 | None -> false)
-  | Pg.Ne -> ( match compare_result with Some c -> c <> 0 | None -> true)
-  | Pg.Lt -> ( match compare_result with Some c -> c < 0 | None -> false)
-  | Pg.Le -> ( match compare_result with Some c -> c <= 0 | None -> false)
-  | Pg.Gt -> ( match compare_result with Some c -> c > 0 | None -> false)
-  | Pg.Ge -> ( match compare_result with Some c -> c >= 0 | None -> false)
-
 let feed m event =
   m.events <- m.events + 1;
   match (event : Sax.event) with
@@ -146,7 +122,7 @@ let feed m event =
           if
             List.mem owner activated
             && label_matches_name vx.Pg.label key
-            && List.for_all (fun pred -> attr_pred_holds pred value) vx.Pg.predicates
+            && List.for_all (fun pred -> Pg.predicate_holds_on pred value) vx.Pg.predicates
           then m.results <- (element_id + 1 + i) :: m.results)
         attrs
     | None -> ());

@@ -33,12 +33,12 @@ let refine doc (rel : Pg.rel) a d =
   | Pg.Following_sibling -> false (* not a containment relation *)
 
 let sibling_join doc ancestors descendants =
-  (* (a, d) with same parent and a before d; the virtual document node has
-     no siblings. *)
+  (* (a, d) with same parent and a before d; the virtual document node and
+     attributes have no siblings. *)
   let pairs = ref [] in
   Array.iter
     (fun a ->
-      if a <> Xqp_algebra.Operators.document_context then
+      if a <> Xqp_algebra.Operators.document_context && Doc.kind doc a <> Doc.Attribute then
       Array.iter
         (fun d ->
           if

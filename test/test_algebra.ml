@@ -131,6 +131,91 @@ let test_pattern_graph_predicates () =
   check_bool "contains empty" true (holds Pattern_graph.Contains (Str ""));
   check_bool "contains miss" false (holds Pattern_graph.Contains (Str "zzz"))
 
+(* The number reader against the rule it stands for,
+   [float_of_string_opt (String.trim s)], bit for bit. The generator
+   aims at both sides of the fast grammar's edges: leading zeros, a
+   point at either end, signs, blanks, exponents, '_', hex, nan/inf,
+   mantissas around 2^53, 20-25 fraction digits, the empty string and
+   random bytes. *)
+let gen_number_text =
+  let open QCheck2.Gen in
+  let digits lo hi = string_size ~gen:(char_range '0' '9') (int_range lo hi) in
+  let blanks = string_size ~gen:(oneofl [ ' '; '\t'; '\n'; '\r'; '\012' ]) (int_range 0 2) in
+  let near_2_53 =
+    map
+      (fun d -> string_of_int ((1 lsl 53) + d))
+      (int_range (-3000) 3000)
+  in
+  let body =
+    frequency
+      [
+        (4, digits 1 8);
+        (4, map2 (fun a b -> a ^ "." ^ b) (digits 1 6) (digits 1 6));
+        (2, map (fun d -> "000" ^ d) (digits 1 5));
+        (2, map (fun d -> d ^ ".") (digits 1 4));
+        (2, map (fun d -> "." ^ d) (digits 1 4));
+        (2, map2 (fun sign d -> sign ^ d) (oneofl [ "-"; "+" ]) (digits 1 5));
+        (2, map2 (fun d e -> d ^ e) (digits 1 4) (oneofl [ "e3"; "E-2"; "e+10"; "e400"; "e-400" ]));
+        (1, oneofl [ "1_000"; "1__0.5"; "_1"; "0x10"; "0X1p3"; "0x"; "nan"; "-nan"; "NaN";
+                     "nan(0x7)"; "inf"; "-inf"; "infinity"; "1e"; "."; "-"; "1..2"; "1.2.3" ]);
+        (3, near_2_53);
+        (2, digits 15 17);
+        (2, map2 (fun a b -> a ^ "." ^ b) (digits 1 17) (digits 1 17));
+        (3, map2 (fun a b -> a ^ "." ^ b) (digits 1 3) (digits 20 25));
+        (1, return "");
+        (2, string_size ~gen:char (int_range 0 8));
+        (1, string_size ~gen:(oneofl [ '0'; '1'; '.'; '-'; 'e'; '_'; ' '; 'x' ]) (int_range 0 6));
+      ]
+  in
+  map3 (fun l b r -> l ^ b ^ r) blanks body blanks
+
+let same_number a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> false
+
+let prop_number_reader_exact =
+  QCheck2.Test.make ~name:"number_of_string = float_of_string_opt (String.trim s), bit for bit"
+    ~count:25_000 ~print:(Printf.sprintf "%S") gen_number_text (fun s ->
+      same_number (Pattern_graph.number_of_string s) (float_of_string_opt (String.trim s)))
+
+let test_number_reader_edges () =
+  let expect s =
+    if not (same_number (Pattern_graph.number_of_string s) (float_of_string_opt (String.trim s)))
+    then Alcotest.failf "number_of_string %S disagrees with float_of_string_opt" s
+  in
+  List.iter expect
+    [ "0"; "0.0"; "-0"; "-0.0"; "12"; " 12 "; "12."; ".5"; "007"; "9007199254740991";
+      "9007199254740992"; "9007199254740993"; "0.1"; "0.3"; "1.7976931348623157";
+      "123456789.123456"; "0.1234567890123456789012"; "0.12345678901234567890123"; "1e22";
+      "nan"; "inf"; ""; " "; "abc" ];
+  let holds comparison n value =
+    Pattern_graph.predicate_holds_on { Pattern_graph.comparison; literal = Num n } value
+  in
+  check_bool "no number: only !=" true (holds Ne 1.0 "abc" && not (holds Lt 1.0 "abc"));
+  check_bool "fast path compares" true (holds Gt 20.0 " 20.5 ");
+  check_bool "fallback compares" true (holds Lt 0.0 "-3");
+  check_bool "nan text is a number" true (holds Lt 1.0 "nan" && not (holds Ne nan "nan"))
+
+(* A numeric predicate over the fast grammar allocates nothing. *)
+let test_number_reader_allocation () =
+  let values = [| "123"; "45.25"; " 0.5"; "19.99 "; "1000000"; "7" |] in
+  let gt = { Pattern_graph.comparison = Gt; literal = Num 20.0 } in
+  let hits = ref 0 in
+  let run () =
+    for i = 0 to 9_999 do
+      let v = Array.unsafe_get values (i mod 6) in
+      if Pattern_graph.predicate_holds_on gt v then incr hits
+    done
+  in
+  run ();
+  let w0 = Gc.minor_words () in
+  run ();
+  let w1 = Gc.minor_words () in
+  check_int "half of the 20 k tests hold" 10_000 !hits;
+  Alcotest.(check (float 0.0)) "minor words across 10 k calls" 0.0 (w1 -. w0)
+
 (* ------------------------------------------------------------------ *)
 (* Operators: axes and joins                                           *)
 (* ------------------------------------------------------------------ *)
@@ -520,6 +605,9 @@ let suite =
         Alcotest.test_case "shape" `Quick test_pattern_graph_shape;
         Alcotest.test_case "validation" `Quick test_pattern_graph_validation;
         Alcotest.test_case "predicates" `Quick test_pattern_graph_predicates;
+        Alcotest.test_case "number reader edges" `Quick test_number_reader_edges;
+        Alcotest.test_case "number reader allocates nothing" `Quick test_number_reader_allocation;
+        qcheck prop_number_reader_exact;
       ] );
     ( "algebra.operators",
       [

@@ -321,7 +321,6 @@ let golden_row ~time_ms =
     actual_rows = Some 3;
     time_ms = Some time_ms;
     q_error = Some (Op_row.q_error 4.0 3);
-    io = [];
   }
 
 (* The /debug/slow wire format, pinned byte for byte. *)

@@ -295,6 +295,103 @@ let test_nok_nested_descendant_contexts () =
   | [ (_, texts) ] -> check_int "three texts" 3 (Node_set.length texts)
   | _ -> Alcotest.fail "one output expected"
 
+(* Every engine that accepts [pattern], run from [context]: the NoK
+   kernel, NoK over the paged store, the standalone joins and stacks,
+   every executor strategy and, from the document node, the streaming
+   matcher over [source] (the text [doc] was parsed from, unstripped).
+   Each must equal the reference τ; [expect], when given, pins it. *)
+let check_every_engine ?expect ~source doc pattern ~context =
+  let reference = normalize (Operators.pattern_match doc pattern ~context) in
+  (match expect with
+  | Some e -> check_bool "reference τ as expected" true (reference = normalize e)
+  | None -> ());
+  let agree name result =
+    if normalize result <> reference then
+      Alcotest.failf "%s disagrees with the reference τ on %a from [%s]" name Pattern_graph.pp
+        pattern
+        (String.concat "; " (List.map string_of_int context))
+  in
+  agree "nok kernel" (nok_lists (Nok.match_pattern doc pattern ~context));
+  let temp = Filename.temp_file "xqp_paged" ".xqdb" in
+  Xqp_storage.Store_io.save (Xqp_storage.Succinct_store.of_document doc) temp;
+  let paged = Xqp_storage.Paged_store.open_store ~page_size:256 ~pool_pages:8 temp in
+  agree "nok paged" (Nok_paged.match_pattern doc paged pattern ~context);
+  Xqp_storage.Paged_store.close paged;
+  Sys.remove temp;
+  if Binary_join.supported pattern then
+    agree "binary join" (Binary_join.match_pattern doc pattern ~context);
+  if Twig_stack.supported pattern then
+    agree "twigstack" (Twig_stack.match_pattern doc pattern ~context);
+  if Path_stack.supported pattern then
+    agree "pathstack" (Path_stack.match_pattern doc pattern ~context);
+  let exec = Executor.create doc in
+  List.iter
+    (fun strategy ->
+      if Planner.supports strategy pattern then
+        match (Executor.run_pattern exec strategy pattern ~context, reference) with
+        | [ first ], _ :: others when strategy = Executor.Navigation ->
+          (* navigation projects the first output only *)
+          agree "navigation" (first :: others)
+        | result, _ -> agree (Executor.strategy_name strategy) result)
+    Executor.all_strategies;
+  if Streaming.supported pattern && context = [ Operators.document_context ] then
+    agree "streaming"
+      (List.map (fun v -> (v, Streaming.run_string pattern source)) (Pattern_graph.outputs pattern))
+
+(* Numeric predicates over values on both sides of the number reader's
+   fast grammar, in element text and in attributes. *)
+let edge_values =
+  [ "12"; "12."; ".5"; "-3"; " 7 "; "007"; "12.50"; "1e3"; "1_000"; "0x10"; "nan"; "inf"; "-0";
+    "9007199254740993"; "9007199254740992"; "0.1234567890123456789012345"; "0.3"; ""; "abc" ]
+
+let test_numeric_edges_every_engine () =
+  let source =
+    "<r>"
+    ^ String.concat ""
+        (List.map (fun v -> Printf.sprintf "<v>%s</v><w a=\"%s\"/>" v v) edge_values)
+    ^ "</r>"
+  in
+  let doc = Document.of_string source in
+  let literals = [ 0.0; 0.3; 0.5; 7.0; 12.0; 12.5; 16.0; 1000.0; 9007199254740992.0; -3.0; Float.nan ] in
+  let comparisons = Pattern_graph.[ Gt; Lt; Eq; Ne; Ge; Le ] in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun comparison ->
+          let pred = { Pattern_graph.comparison; literal = Num n } in
+          List.iter
+            (fun pattern ->
+              check_every_engine ~source doc pattern ~context:[ Operators.document_context ])
+            [
+              Pattern_graph.path [ (Descendant, Tag "v", [ pred ]) ];
+              Pattern_graph.path [ (Descendant, Tag "w", []); (Attribute, Tag "a", [ pred ]) ];
+              Pattern_graph.path [ (Child, Tag "r", []); (Child, Tag "v", [ pred ]) ];
+            ])
+        comparisons)
+    literals
+
+(* Attributes have no siblings: the shrunk counterexample
+   [*[/fs::*{out}][/fs::a]] from an attribute context is empty in every
+   engine (it once reached the owner's later attributes and children). *)
+let test_attribute_has_no_siblings () =
+  let source = {|<r k="5" j="6"><a/><b/><a k="5"/></r>|} in
+  let doc = Document.of_string source in
+  let vertex ?(output = false) label = { Pattern_graph.label; predicates = []; output } in
+  let pattern =
+    Pattern_graph.make
+      ~vertices:[| vertex Wildcard; vertex ~output:true Wildcard; vertex (Tag "a") |]
+      ~arcs:[ (0, 1, Following_sibling); (0, 2, Following_sibling) ]
+  in
+  let attributes = Document.attributes doc (Document.root doc) in
+  check_int "two attributes on the root" 2 (List.length attributes);
+  List.iter
+    (fun k ->
+      check_every_engine ~expect:[ (1, []) ] ~source doc pattern ~context:[ k ])
+    attributes;
+  (* from an element the same pattern still answers *)
+  check_every_engine ~expect:[ (1, [ ids doc "b" |> List.hd; List.nth (ids doc "a") 1 ]) ]
+    ~source doc pattern ~context:[ List.hd (ids doc "a") ]
+
 (* The kernel checks the deadline itself: called directly (no executor
    check before it) with one already past, it raises; with none it
    answers in full. *)
@@ -882,6 +979,10 @@ let suite =
         qcheck prop_wide_engines_agree;
         Alcotest.test_case "nested // contexts" `Quick test_nok_nested_descendant_contexts;
         Alcotest.test_case "nok checks its deadline" `Quick test_nok_deadline;
+        Alcotest.test_case "numeric edge values, every engine" `Quick
+          test_numeric_edges_every_engine;
+        Alcotest.test_case "attributes have no siblings, every engine" `Quick
+          test_attribute_has_no_siblings;
         qcheck prop_pathstack_agrees;
         qcheck prop_join_orders_agree;
         qcheck prop_navigation_strategy_agrees;
