@@ -618,56 +618,58 @@ let e11_run ~scale =
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
-(* E12: lazy (output-oriented) evaluation, §6                          *)
+(* E12: output-oriented evaluation, §6: a row limit in the NoK kernel   *)
 (* ------------------------------------------------------------------ *)
 
 let e12_cases =
-  (* (label, query, consumer) — consumer says how much of the output the
-     caller actually needs *)
+  (* (label, query, rows the consumer needs, gated): a gated row must
+     visit at most a tenth of the full run's nodes *)
   [
-    ("exists, early hit", "//item[quantity > 1]", `Exists);
-    ("exists, late hit", "//category/name", `Exists);
-    ("first 3 results", "//person/address/city", `Take 3);
-    ("full result", "//person/address/city", `All);
+    ("exists, early hit", "//item[quantity > 1]", 1, true);
+    ("exists, absolute path", "/site/people/person", 1, true);
+    ("exists, late in document", "//category/name", 1, false);
+    ("first 3 results", "//person/address/city", 3, false);
   ]
 
+(* Each query compiles once (Auto, the plan Session.first/exists run) and
+   runs with the limit and in full; nodes_visited is the kernel's
+   [engine.nok.nodes_visited] over one run. The checks are counts, so
+   they hold on any host. *)
 let e12_run ~scale =
   let nodes = match scale with `Small -> 20_000 | `Full -> 80_000 in
   let doc = Workload.Gen_auction.packed ~scale:nodes () in
+  let exec = Executor.create doc in
+  let m_visited = Xqp_obs.Metrics.(counter default "engine.nok.nodes_visited") in
   Printf.printf "  document: %d nodes\n" (Document.node_count doc);
-  Printf.printf "  %-20s %-28s | %10s %10s | %10s %10s\n" "consumer" "query" "lazy(ms)"
-    "eager(ms)" "lazy-pull" "eager-pull";
+  Printf.printf "  %-24s %-22s %6s | %9s %9s | %11s %11s\n" "consumer" "query" "engine"
+    "limit(ms)" "full(ms)" "limit-visit" "full-visit";
   let context = [ Operators.document_context ] in
   List.iter
-    (fun (label, q, consumer) ->
-      let plan = Rewrite.simplify (Xqp_xpath.Parser.parse q) in
-      let lazy_run () =
-        let seq, stats = Pipelined.eval_seq_with_stats doc plan ~context in
-        let value =
-          match consumer with
-          | `Exists -> if Seq.is_empty seq then 0 else 1
-          | `Take k -> List.length (List.of_seq (Seq.take k seq))
-          | `All -> List.length (List.of_seq seq)
-        in
-        (value, (stats ()).Pipelined.nodes_pulled)
+    (fun (label, q, limit, gated) ->
+      let physical = (Executor.prepare exec (Executor.Query q)).Executor.physical in
+      let run ?limit () = Executor.run_physical exec ?limit physical ~context in
+      let visits ?limit () =
+        let before = Xqp_obs.Metrics.value m_visited in
+        let result = run ?limit () in
+        (result, Xqp_obs.Metrics.value m_visited - before)
       in
-      let eager_run () =
-        let result, stats = Navigation.eval_plan_with_stats doc plan ~context in
-        let value =
-          match consumer with
-          | `Exists -> if result = [] then 0 else 1
-          | `Take k -> min k (List.length result)
-          | `All -> List.length result
-        in
-        (value, stats.Navigation.nodes_visited)
+      let limited, limited_visits = visits ~limit () in
+      let full, full_visits = visits () in
+      if limited <> List.filteri (fun i _ -> i < limit) full then
+        failwith ("E12: the limited run is not a prefix of the full run on " ^ q);
+      if gated && (full_visits = 0 || 10 * limited_visits > full_visits) then
+        failwith
+          (Printf.sprintf "E12: %s visits %d nodes with limit %d against %d in full" q
+             limited_visits limit full_visits);
+      let t_limited = measure (fun () -> run ~limit ()) in
+      let t_full = measure (fun () -> run ()) in
+      let engine =
+        match Physical_plan.taus physical with
+        | tau :: _ -> Physical_plan.engine_label tau.Physical_plan.engine
+        | [] -> "navigation"
       in
-      let lazy_value, lazy_pull = lazy_run () in
-      let eager_value, eager_pull = eager_run () in
-      if lazy_value <> eager_value then failwith ("E12: lazy consumer diverges on " ^ q);
-      let t_lazy = measure (fun () -> fst (lazy_run ())) in
-      let t_eager = measure (fun () -> fst (eager_run ())) in
-      Printf.printf "  %-20s %-28s | %10.3f %10.3f | %10d %10d\n" label q (ms t_lazy)
-        (ms t_eager) lazy_pull eager_pull)
+      Printf.printf "  %-24s %-22s %6s | %9.4f %9.4f | %11d %11d\n" label q engine (ms t_limited)
+        (ms t_full) limited_visits full_visits)
     e12_cases
 
 (* ------------------------------------------------------------------ *)
@@ -941,48 +943,35 @@ let prim_run ~scale =
   { Harness.gates = []; fields = [ ("unit", J.Str "ns/op"); ("documents", J.Arr documents) ] }
 
 (* ------------------------------------------------------------------ *)
-(* QMET: per-query metrics — spans, pager I/O, pool hit rate           *)
+(* QMET: per-query metrics — time and operator spans                   *)
 (* ------------------------------------------------------------------ *)
 
 (* One run of every workload XPath query with tracing on: per-operator
-   rows from the profiler, plus the pager counter deltas for the whole
-   query, into BENCH_query_metrics.json. *)
+   rows from the profiler, into BENCH_query_metrics.json. *)
 let qmet_run ~scale =
   let doc_scale = match scale with `Small -> 100_000 | `Full -> 300_000 in
   let doc = Workload.Gen_auction.packed ~scale:doc_scale () in
-  let pager = Xqp_storage.Pager.create () in
-  let exec = Executor.create ~pager doc in
+  let exec = Executor.create doc in
   let context = [ Operators.document_context ] in
   let queries = Workload.Queries.auction_paths @ Workload.Queries.auction_complexity_sweep in
-  Printf.printf "  %-4s %-10s %8s %10s %10s %8s %8s\n" "id" "engine" "results" "time(ms)"
-    "pages(lr)" "faults" "hit%";
+  Printf.printf "  %-4s %-10s %8s %10s\n" "id" "engine" "results" "time(ms)";
   let query_objs =
     List.map
       (fun (q : Workload.Queries.query) ->
         let optimized = Rewrite.optimize (Xqp_xpath.Parser.parse q.Workload.Queries.xpath) in
-        (* timing without tracing, on a warm pool *)
+        (* timing without tracing *)
         let time_ms =
           ms (measure (fun () -> Executor.execute exec ~context (Executor.Plan optimized)))
         in
-        (* one traced run for the per-operator rows and I/O counters *)
-        Xqp_storage.Pager.reset_stats pager;
+        (* one traced run for the per-operator rows *)
         let result, rows = Profile.analyze exec optimized ~context in
-        let ps = Xqp_storage.Pager.stats pager in
-        let touches =
-          ps.Xqp_storage.Pager.logical_reads + ps.Xqp_storage.Pager.logical_writes
-        in
-        let hit_rate =
-          if touches = 0 then 1.0
-          else float_of_int ps.Xqp_storage.Pager.hits /. float_of_int touches
-        in
         let engine =
           match List.find_map (fun (r : Profile.row) -> r.Profile.engine) rows with
           | Some e -> e
           | None -> "navigation"
         in
-        Printf.printf "  %-4s %-10s %8d %10.3f %10d %8d %7.1f%%\n" q.Workload.Queries.id engine
-          (List.length result) time_ms ps.Xqp_storage.Pager.logical_reads
-          ps.Xqp_storage.Pager.physical_reads (100.0 *. hit_rate);
+        Printf.printf "  %-4s %-10s %8d %10.3f\n" q.Workload.Queries.id engine
+          (List.length result) time_ms;
         J.Obj
           [
             ("id", J.Str q.Workload.Queries.id);
@@ -990,14 +979,6 @@ let qmet_run ~scale =
             ("engine", J.Str engine);
             ("results", J.Num (float_of_int (List.length result)));
             ("time_ms", J.Num time_ms);
-            ( "pager",
-              J.Obj
-                [
-                  ("logical_reads", J.Num (float_of_int ps.Xqp_storage.Pager.logical_reads));
-                  ("physical_reads", J.Num (float_of_int ps.Xqp_storage.Pager.physical_reads));
-                  ("hits", J.Num (float_of_int ps.Xqp_storage.Pager.hits));
-                  ("hit_rate", J.Num hit_rate);
-                ] );
             ("operators", J.Arr (List.map Xqp_obs.Op_row.to_json rows));
           ])
       queries
@@ -2198,14 +2179,13 @@ let experiments =
     report "E10" "E10: content index ablation (B+-tree over the separated content, §4.2)"
       e10_run;
     report "E11" "E11: NoK over the disk-resident store (measured page faults)" e11_run;
-    report "E12" "E12: lazy (output-oriented) evaluation — the strategy planned in §6"
+    report "E12" "E12: output-oriented evaluation (§6): first/exists through the kernel's row limit"
       e12_run;
     report "E13" "E13: FLWOR evaluated as one generalized tree pattern ([9], discussed in §5)"
       e13_run;
     gated "PRIM" "PRIM: prim_nav — broadword navigation primitives vs seed kernels (ns/op)"
       "prim_nav" prim_run;
-    gated "QMET" "QMET: per-query operator spans, pager I/O and pool hit rate" "query_metrics"
-      qmet_run;
+    gated "QMET" "QMET: per-query time and operator spans" "query_metrics" qmet_run;
     gated "PCACHE" "PCACHE: plan-cache amortization over the workload queries" "plan_cache"
       pcache_run;
     gated "PSUM" "PSUM: path-summary estimates, plan-time pruning, skip-ahead navigation"

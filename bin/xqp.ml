@@ -29,10 +29,9 @@ let generated_document spec =
     Document.of_tree (Xqp_workload.Gen_synthetic.deep_chain ~depth:(int_of_string n) "a")
   | _ -> failwith "unknown generator; use auction:N[:SEED], bib:N[:SEED] or chain:N"
 
-(* A saved succinct store opens through the one packed-open path: the
-   loaded store, its DOM and its summary-derived statistics, no rebuild. *)
-let open_store ?pager path =
-  Executor.of_packed ?pager ~path (Xqp_storage.Store_io.read_file path)
+(* A saved succinct store opens through the one packed-open path: its DOM
+   and its summary-derived statistics. *)
+let open_store path = Executor.of_packed ~path (Xqp_storage.Store_io.read_file path)
 
 (* An XML file or a generator spec, parsed or generated into a document. *)
 let parsed_document ~file ~gen =
@@ -48,11 +47,11 @@ let refuse_catalog path =
    ^ ": is a corpus catalog (.xqdbc); this command operates on a single document — query, \
       serve and explain accept catalogs, or open one shard's .xqdb directly")
 
-let load_executor ?pager ~file ~gen () =
+let load_executor ~file ~gen () =
   match (file, gen) with
   | Some path, None when Xqp_storage.Catalog.is_catalog_path path -> refuse_catalog path
-  | Some path, None when Filename.check_suffix path ".xqdb" -> open_store ?pager path
-  | _ -> Executor.create ?pager (parsed_document ~file ~gen)
+  | Some path, None when Filename.check_suffix path ".xqdb" -> open_store path
+  | _ -> Executor.create (parsed_document ~file ~gen)
 
 (* Session-level source loading: a [.xqdbc] corpus catalog opens as a
    scatter-gather session and a [.xqdb] store through [Session.open_db]
@@ -563,10 +562,7 @@ let run_explain file gen strategy analyze rewrites trace_out no_cache workload q
   let exec =
     match session with
     | Some s -> Xqp.Session.executor s
-    | None ->
-      (* Attach a pager so the simulated-I/O counters are live under
-         --analyze; plain explain never forces the store. *)
-      load_executor ~pager:(Xqp_storage.Pager.create ()) ~file ~gen ()
+    | None -> load_executor ~file ~gen ()
   in
   Fun.protect ~finally:(fun () -> Option.iter Xqp.Session.close session) @@ fun () ->
   let queries =

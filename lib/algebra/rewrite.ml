@@ -211,7 +211,6 @@ and fuse_predicate = function
 
 let optimize plan = fuse (simplify plan)
 
-let simplify_traced plan = collect_fires (fun () -> simplify plan)
 let optimize_traced plan = collect_fires (fun () -> optimize plan)
 
 let pp_rule_fire ppf f =

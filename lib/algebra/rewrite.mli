@@ -32,10 +32,9 @@ type rule_fire = {
   after_ops : int;       (** operator count of the replacement *)
 }
 
-val simplify_traced : Logical_plan.t -> Logical_plan.t * rule_fire list
 val optimize_traced : Logical_plan.t -> Logical_plan.t * rule_fire list
-(** Same result as {!simplify}/{!optimize}, plus the rule fires in
-    application order. *)
+(** Same result as {!optimize}, plus the rule fires in application
+    order. *)
 
 val op_count : Logical_plan.t -> int
 (** Number of plan operators, counting nested existential predicates. *)

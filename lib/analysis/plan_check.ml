@@ -81,7 +81,7 @@ let axis_from_kind k (axis : Axis.t) =
 let axis_kinds ctx axis =
   List.fold_left (fun acc k -> acc lor axis_from_kind k axis) 0 (kind_list ctx)
 
-(* The node test's kind filter ({!Xqp_physical.Navigation.test_matches}):
+(* The node test's kind filter (navigation's [test_matches]):
    name tests see elements — attributes on the attribute axis; [*]
    additionally passes the virtual document node on a bare [self::*];
    [text()] sees text nodes. *)

@@ -1,4 +1,3 @@
-module St = Xqp_algebra.Schema_tree
 module Doc = Xqp_xml.Document
 module SS = Set.Make (String)
 module SM = Map.Make (String)
@@ -20,40 +19,9 @@ let add_entry t name f =
 
 let add_child t parent child = add_entry t parent (fun e -> { e with children = SS.add child e.children })
 let add_attr t parent attr = add_entry t parent (fun e -> { e with attrs = SS.add attr e.attrs })
-let mark_open t name = add_entry t name (fun e -> { e with open_ = true })
 let ensure t name = add_entry t name (fun e -> e)
 
 (* --- sources ----------------------------------------------------------- *)
-
-let of_schema_tree tree =
-  (* [walk parent acc node]: [parent = None] at the top. For_group /
-     For_component / If_component are transparent repetition or conditional
-     containers; their children belong to the enclosing element. *)
-  let rec walk parent acc node =
-    match (node : St.t) with
-    | St.Text _ -> acc
-    | St.Placeholder _ -> (
-      (* statically unknown content in this position *)
-      match parent with Some p -> mark_open acc p | None -> acc)
-    | St.For_group kids | St.For_component (_, kids) | St.If_component (_, kids) ->
-      List.fold_left (walk parent) acc kids
-    | St.Element e ->
-      let acc =
-        match parent with
-        | Some p -> add_child acc p e.name
-        | None -> { acc with roots = SS.add e.name acc.roots }
-      in
-      let acc = ensure acc e.name in
-      let acc =
-        List.fold_left
-          (fun acc (k, a) ->
-            let acc = add_attr acc e.name k in
-            match a with St.From_component _ -> acc | St.Fixed _ -> acc)
-          acc e.attrs
-      in
-      List.fold_left (walk (Some e.name)) acc e.children
-  in
-  walk None empty tree
 
 let of_document doc =
   let root = Doc.root doc in
@@ -98,11 +66,6 @@ let children_of t name =
   match entry_of t name with
   | None -> Some []
   | Some e -> if e.open_ then None else Some (SS.elements e.children)
-
-let attributes_of t name =
-  match entry_of t name with
-  | None -> Some []
-  | Some e -> if e.open_ then None else Some (SS.elements e.attrs)
 
 let child_of t ~parents name =
   List.exists

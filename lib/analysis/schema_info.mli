@@ -7,19 +7,15 @@
     tests that are unsatisfiable — the static counterpart of the paper's
     schema-tree-guided construction (§3.2).
 
-    Summaries come from two sources: a constructor {!Xqp_algebra.Schema_tree}
-    (the shapes XQuery return clauses build) or a document instance (the
-    workload generators' output). Elements whose content is not statically
-    known (schema placeholders / components) are {e open}: anything may
-    appear below them, so the analysis never reports a false emptiness. *)
+    Summaries come from document instances (the workload generators'
+    output), merged, and are exact. The queries below answer [None] for an
+    {e open} element, one whose content is not statically known, so the
+    analysis never reports a false emptiness; no document summary has
+    one. *)
 
 type t
 
 val empty : t
-
-val of_schema_tree : Xqp_algebra.Schema_tree.t -> t
-(** Summarize a constructor schema. [Placeholder] and [From_component]
-    positions make the enclosing element open. *)
 
 val of_document : Xqp_xml.Document.t -> t
 (** Summarize a document instance (exact: no open elements). *)
@@ -36,8 +32,6 @@ val roots : t -> string list
 val children_of : t -> string -> string list option
 (** Child element names of the given element; [None] when the element is
     open (statically unknown content). *)
-
-val attributes_of : t -> string -> string list option
 
 val descendant_of : t -> parents:string list -> string -> bool
 (** Can an element with the given name appear strictly below {e some}

@@ -247,25 +247,21 @@ let run ?engine ?optimize ?use_cache ?deadline_ms t q =
 let query ?engine ?optimize ?use_cache ?deadline_ms t q =
   Result.map (fun r -> r.nodes) (run ?engine ?optimize ?use_cache ?deadline_ms t q)
 
-(* Early exit: on a single document a plan in the downward fragment runs
-   lazily and stops at its first hit. A corpus session's [document] is the
-   planner's placeholder, so it answers from the scatter-gather run, whose
-   head is the first hit in global document order. *)
-let early_exit t q ~lazily ~of_nodes =
-  let lazy_plan () =
-    let plan = Algebra.Rewrite.simplify (Xqp_xpath.Parser.parse q) in
-    if t.corpus = None && Physical.Pipelined.supported plan then Some plan else None
-  in
-  match catching_query lazy_plan with
-  | Error e -> Error e
-  | Ok (Some plan) ->
-    catching_query (fun () -> lazily (document t) plan ~context:[ Ops.document_context ])
-  | Ok None -> Result.map of_nodes (query t q)
-
+(* [first]/[exists]: the plan [query] runs (plan cache, Auto), run for
+   one row — the NoK kernel stops at its first witness where it can, any
+   other plan is cut — on a document or across a corpus. Not recorded: a
+   one-row sample would skew its fingerprint's row statistics. *)
 let first t q =
-  early_exit t q ~lazily:Physical.Pipelined.first ~of_nodes:(fun nodes -> List.nth_opt nodes 0)
+  catching_query (fun () ->
+      let { Executor.physical; _ } = Executor.prepare t.exec (Executor.Query q) in
+      let nodes =
+        match t.corpus with
+        | None -> Executor.run_physical t.exec ~limit:1 physical ~context:[ Ops.document_context ]
+        | Some sg -> (Sg.run sg ~limit:1 physical).Sg.nodes
+      in
+      match nodes with node :: _ -> Some node | [] -> None)
 
-let exists t q = early_exit t q ~lazily:Physical.Pipelined.exists ~of_nodes:(( <> ) [])
+let exists t q = Result.map Option.is_some (first t q)
 
 type xquery_result = { value : Algebra.Value.t; time_ms : float }
 

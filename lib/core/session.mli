@@ -10,7 +10,7 @@
     A session is cheap to create and safe to share across domains for
     read-only querying: the underlying executor's artifacts (succinct
     store, statistics, content index) build at most once — an opened
-    store brings its store and statistics with it (DESIGN.md §15) — the
+    store brings its statistics with it (DESIGN.md §15) — the
     shared plan cache is mutex-sharded, and metrics are atomic
     (DESIGN.md §11). *)
 
@@ -35,9 +35,9 @@ val open_db : ?domains:int -> string -> (t, Error.t) result
     inline; ignored for single stores); result node ids are tagged with
     their document's ordinal, and every entry point below works
     unchanged. A single store opens through
-    {!Xqp_physical.Executor.of_packed}: its store is adopted, its DOM
-    built straight from it, and its statistics read off the packed path
-    summary after a recount against the document.
+    {!Xqp_physical.Executor.of_packed}: its DOM is built straight from
+    the loaded store, which is then dropped, and its statistics read off
+    the packed path summary after a recount against the document.
     [Error (Bad_request _)] if the path ends in neither suffix;
     [Error (Io _)] on missing or corrupt files, including a packed
     summary whose counts disagree with the document — for a corpus, from
@@ -83,14 +83,16 @@ val query :
 (** {!run} projected to its node list. *)
 
 val first : t -> string -> (node option, Error.t) result
-(** The first result in document order. On a single document a query in
-    the downward fragment ({!Xqp_physical.Pipelined.supported}) stops at
-    its first hit; a corpus session answers from the scatter-gather run
-    (the head in global document order, an ordinal-tagged id). *)
+(** The first result in document order: the plan {!query} runs (plan
+    cache, [Auto]), run with a limit of one row
+    ({!Xqp_physical.Executor.run_physical} [~limit:1]; a corpus session
+    through {!Xqp_physical.Scatter_gather.run}, answering an
+    ordinal-tagged id). A top-level τ bound to the NoK kernel stops at
+    its first witness where the kernel's stop rule allows; any other
+    plan runs in full. Not fed to the flight recorder. *)
 
 val exists : t -> string -> (bool, Error.t) result
-(** Whether the query has any result, with the same early exit as
-    {!first}. *)
+(** Whether the query has any result: {!first} is [Some _]. *)
 
 type profiled = {
   result : query_result;

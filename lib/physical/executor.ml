@@ -57,15 +57,15 @@ let create ?pager document =
     ~stats_lazy:(lazy (Statistics.build document))
 
 (* The open path for packed images, single stores and corpus shards
-   alike: the loaded store is adopted, the DOM comes straight from its
-   pre-order scan, and statistics derive from the packed path summary —
-   checked against the DOM by the pass that assigns per-node path ids, so
-   a summary that lies fails the open instead of steering a plan. Without
-   [keep_store] the loaded store is dropped once the document is built
-   and rebuilt from it only if asked for. *)
-let of_packed ?pager ?(keep_store = true) ~path image =
+   alike: the DOM comes straight from the loaded store's pre-order scan,
+   and statistics derive from the packed path summary — checked against
+   the DOM by the pass that assigns per-node path ids, so a summary that
+   lies fails the open instead of steering a plan. Queries run on the
+   DOM, so the loaded store is dropped once it is built and [store]
+   rebuilds it, byte for byte, only if asked for. *)
+let of_packed ~path image =
   let corrupt what = failwith (Printf.sprintf "%s: corrupt store file (%s)" path what) in
-  let store = Xqp_storage.Store_io.load_bytes ?pager ~path image in
+  let store = Xqp_storage.Store_io.load_bytes ~path image in
   let document =
     try Store.to_document store with Invalid_argument m -> corrupt m
   in
@@ -74,10 +74,9 @@ let of_packed ?pager ?(keep_store = true) ~path image =
     try Statistics.of_summary ~doc:document summary
     with Failure m -> corrupt ("path summary: " ^ m)
   in
-  let store_lazy =
-    if keep_store then Lazy.from_val store else lazy (Store.of_document ?pager document)
-  in
-  make document ~store_lazy ~stats_lazy:(Lazy.from_val stats)
+  make document
+    ~store_lazy:(lazy (Store.of_document document))
+    ~stats_lazy:(Lazy.from_val stats)
 
 (* A planning-only executor whose statistics are injected rather than
    derived from a document — the corpus path plans against the catalog's
@@ -295,7 +294,7 @@ let compile_query_info t ?strategy ?optimize ?use_cache text =
 (* τ dispatch is a direct jump to the bound engine: every decision —
    engine, join order, index use, step expansion — was fixed by the
    planner, so nothing here consults the cost model or resolves [Auto]. *)
-let run_tau ?deadline t (tau : Pp.tau) ~context =
+let run_tau ?deadline ?limit t (tau : Pp.tau) ~context =
   match tau.Pp.engine with
   | Pp.Reference_match -> Ops.pattern_match t.document tau.Pp.pattern ~context
   | Pp.Nok_kernel ->
@@ -303,7 +302,7 @@ let run_tau ?deadline t (tau : Pp.tau) ~context =
       (fun (v, nodes) -> (v, Xqp_xml.Node_set.to_list nodes))
       (Nok.match_pattern
          ?prune:(summary_prune t tau.Pp.pattern ~context)
-         ?deadline t.document tau.Pp.pattern ~context)
+         ?deadline ?limit t.document tau.Pp.pattern ~context)
   | Pp.Path_stack_join ->
     Path_stack.match_pattern
       ?prune:(summary_prune t tau.Pp.pattern ~context)
@@ -317,7 +316,7 @@ let run_tau ?deadline t (tau : Pp.tau) ~context =
        matters for the tuple-materializing mode *)
     fst (Binary_join.evaluate_with_order t.document tau.Pp.pattern ~context ~order)
   | Pp.Navigation_steps plan ->
-    let nodes = Navigation.eval_plan ~hints:(hints t) t.document plan ~context in
+    let nodes = Navigation.eval_plan ~hints:(hints t) ?deadline t.document plan ~context in
     let output = match Pg.outputs tau.Pp.pattern with v :: _ -> v | [] -> 0 in
     [ (output, nodes) ]
 
@@ -363,14 +362,7 @@ let run_pattern t strategy pattern ~context =
 
 module Tr = Xqp_obs.Trace
 
-(* When a deadline is set, a long [Step] over many context nodes is
-   evaluated in batches so the cooperative check fires between batches,
-   not only between operators. Union-of-batches preserves semantics: a
-   single step's result is the dedup/sorted union of per-context-node
-   results, which [eval_plan] already produces per batch. *)
-let step_batch = 256
-
-let run_physical t ?deadline ?(trace = Tr.default) physical ~context =
+let run_physical t ?deadline ?limit ?(trace = Tr.default) physical ~context =
   check_deadline deadline;
   if Atomic.get verify_plans then verify_physical t physical ~context;
   let tr = trace in
@@ -403,31 +395,8 @@ let run_physical t ?deadline ?(trace = Tr.default) physical ~context =
         | Pp.Step (base, s) ->
           let base_nodes = go (path ^ ".0") base ctx in
           if Tr.enabled tr then Tr.add_attrs span [ ("in", Tr.Int (List.length base_nodes)) ];
-          let eval_step nodes =
-            Navigation.eval_plan ~hints:(hints t) t.document (Lp.Step (Lp.Context, s))
-              ~context:nodes
-          in
-          if deadline = None || List.compare_length_with base_nodes step_batch <= 0 then
-            eval_step base_nodes
-          else begin
-            let split_at k nodes =
-              let rec take acc k = function
-                | rest when k = 0 -> (List.rev acc, rest)
-                | [] -> (List.rev acc, [])
-                | x :: rest -> take (x :: acc) (k - 1) rest
-              in
-              take [] k nodes
-            in
-            let rec batches acc nodes =
-              check_deadline deadline;
-              match nodes with
-              | [] -> List.sort_uniq compare (List.concat acc)
-              | _ ->
-                let batch, rest = split_at step_batch nodes in
-                batches (eval_step batch :: acc) rest
-            in
-            batches [] base_nodes
-          end
+          Navigation.eval_plan ~hints:(hints t) ?deadline t.document (Lp.Step (Lp.Context, s))
+            ~context:base_nodes
         | Pp.Tau (base, tau) -> (
           let base_nodes = go (path ^ ".0") base ctx in
           if Tr.enabled tr then
@@ -436,11 +405,15 @@ let run_physical t ?deadline ?(trace = Tr.default) physical ~context =
                 ("in", Tr.Int (List.length base_nodes));
                 ("engine", Tr.Str (Pp.engine_label tau.Pp.engine));
               ];
-          match run_tau ?deadline t tau ~context:base_nodes with
+          (* the limit reaches the engine only for the plan's own τ from
+             the document root, whose rows are the plan's rows *)
+          let limit = match base.Pp.op with Pp.Root when p == physical -> limit | _ -> None in
+          match run_tau ?deadline ?limit t tau ~context:base_nodes with
           | [ (_, nodes) ] -> nodes
           | several -> List.sort_uniq compare (List.concat_map snd several)))
   in
-  go "0" physical context
+  let nodes = go "0" physical context in
+  match limit with None -> nodes | Some l -> List.filteri (fun i _ -> i < l) nodes
 
 let execute t ?strategy ?optimize ?use_cache ?deadline ?(context = [ Ops.document_context ])
     source =

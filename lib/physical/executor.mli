@@ -30,20 +30,16 @@ val create : ?pager:Xqp_storage.Pager.t -> Xqp_xml.Document.t -> t
     counts no pager I/O; the paged store ({!Nok_paged}) is where page
     I/O is measured. *)
 
-val of_packed :
-  ?pager:Xqp_storage.Pager.t -> ?keep_store:bool -> path:string -> string -> t
+val of_packed : path:string -> string -> t
 (** Open a packed store image ({!Xqp_storage.Store_io.to_bytes}; [path]
     labels errors) — the one open path behind [Session.open_db], corpus
-    shards and the CLI. The loaded store is adopted as {!store}; the
-    document is built straight from it
-    ({!Xqp_storage.Succinct_store.to_document}); {!statistics} derive from
-    the packed path summary ({!Statistics.of_summary} [~doc]), recounted
-    against the document before anything plans off it. Nothing is
-    re-derived that the image already holds. [keep_store] (default true)
-    set to false drops the loaded store once the document is built:
-    {!store} then rebuilds it from the document on first use. A corpus
-    document only answers queries, which run on the document, so it does
-    not keep a second copy of itself.
+    shards and the CLI. The document is built straight from the loaded
+    store ({!Xqp_storage.Succinct_store.to_document}); {!statistics}
+    derive from the packed path summary ({!Statistics.of_summary}
+    [~doc]), recounted against the document before anything plans off
+    it. Queries run on the document, so the loaded store is not kept:
+    {!store} rebuilds it from the document on first use, byte-identical
+    to the image's store.
     @raise Failure on a corrupt image, including a summary whose paths,
     counts or text flags disagree with the document. *)
 
@@ -76,10 +72,11 @@ exception Ill_sorted of string
 exception Deadline_exceeded
 (** Raised by {!run_physical} (and everything layered on it) when the
     [?deadline] passes: the drive loop checks cooperatively before every
-    operator and, under a deadline, between 256-node batches of a [Step]'s
-    context, so a runaway query surfaces as this exception rather than
-    holding its domain indefinitely. Individual τ engine invocations are
-    not interrupted mid-match. *)
+    operator, navigation ({!Navigation.eval_plan}: [Step]s and the
+    [Navigation_steps] τ) once per 256 context nodes of a step, and the
+    NoK kernel once per 256 fragment-root candidates, so a runaway query
+    surfaces as this exception rather than holding its domain
+    indefinitely. The other τ engines are not interrupted mid-match. *)
 
 val check_deadline : float option -> unit
 (** [check_deadline (Some d)] raises {!Deadline_exceeded} when
@@ -148,20 +145,26 @@ val compile_query_info :
     compile probe of [perfbench/xbench.ml]; other callers use {!prepare}. *)
 
 val run_physical :
-  t -> ?deadline:float -> ?trace:Xqp_obs.Trace.t ->
+  t -> ?deadline:float -> ?limit:int -> ?trace:Xqp_obs.Trace.t ->
   Physical_plan.t -> context:Xqp_xml.Document.node list ->
   Xqp_xml.Document.node list
 (** Interpret a compiled plan: each operator gets a span (when [trace] —
     default {!Xqp_obs.Trace.default} — is enabled) carrying its tree
-    [path], the IR's [est] annotation, input/output cardinalities, the
-    bound [engine] for τ, and storage-counter deltas. Passing a
-    request-scoped [trace] keeps concurrent requests' span trees
-    isolated (DESIGN.md §13). These spans are the only per-operator
-    record: {!Profile.rows_of_spans} reads the profile rows off them.
-    Dispatch reads the baked-in bindings only — no cost model, no
-    [Auto], no fallback decisions at run time. [deadline] is an absolute [Unix.gettimeofday]
-    instant; past it the drive loop raises {!Deadline_exceeded} at the
-    next cooperative check. *)
+    [path], the IR's [est] annotation, input/output cardinalities and
+    the bound [engine] for τ. Passing a request-scoped [trace] keeps
+    concurrent requests' span trees isolated (DESIGN.md §13). These
+    spans are the only per-operator record: {!Profile.rows_of_spans}
+    reads the profile rows off them. Dispatch reads the baked-in
+    bindings only — no cost model, no [Auto], no fallback decisions at
+    run time. [deadline] is an absolute [Unix.gettimeofday] instant; past
+    it the run raises {!Deadline_exceeded} at the next cooperative
+    check.
+
+    [limit] ([>= 1]) returns only the first [limit] nodes of the result.
+    A plan that is one τ from the document root bound to the NoK kernel
+    passes it to {!Nok.match_pattern}, which stops as soon as no later
+    work can precede those nodes; any other plan runs in full and is
+    cut. [Session.first]/[exists] run with [limit = 1]. *)
 
 val run_pattern :
   t -> strategy -> Xqp_algebra.Pattern_graph.t ->

@@ -132,10 +132,14 @@ let test_matches doc axis test id =
     | Doc.Attribute -> axis = Axis.Attribute && String.equal (Doc.name doc id) name
     | Doc.Text | Doc.Comment | Doc.Pi -> false)
 
-let eval_plan_with_stats ?hints doc plan ~context =
+(* A step checks the deadline once per this many context nodes. *)
+let deadline_every = 256
+
+let eval_plan_with_stats ?hints ?deadline doc plan ~context =
   let visited = ref 0 in
   let steps = ref 0 in
   let skipped = ref 0 in
+  let contexts = ref 0 in
   (* Descendant scan with summary skip-ahead: walk the pre-order id range,
      jumping over the whole subtree of any element whose tag provably has
      no matching node below it. Candidate semantics match
@@ -193,6 +197,8 @@ let eval_plan_with_stats ?hints doc plan ~context =
       incr steps;
       let c = go base ctx in
       let per_context id =
+        if !contexts land (deadline_every - 1) = 0 then Deadline.check deadline;
+        incr contexts;
         let selected =
           List.filter
             (fun cand ->
@@ -219,7 +225,8 @@ let eval_plan_with_stats ?hints doc plan ~context =
   M.add m_skipped_subtrees !skipped;
   (result, { nodes_visited = !visited; steps_evaluated = !steps })
 
-let eval_plan ?hints doc plan ~context = fst (eval_plan_with_stats ?hints doc plan ~context)
+let eval_plan ?hints ?deadline doc plan ~context =
+  fst (eval_plan_with_stats ?hints ?deadline doc plan ~context)
 
 (* Expand a pattern back into navigational steps (used by the Navigation
    strategy so that it really is the step-at-a-time baseline): the spine is

@@ -25,6 +25,7 @@ val make_hints : Xqp_xml.Document.t -> Xqp_storage.Path_summary.t -> hints
 
 val eval_plan :
   ?hints:hints ->
+  ?deadline:float ->
   Xqp_xml.Document.t ->
   Xqp_algebra.Logical_plan.t ->
   context:Xqp_xml.Document.node list ->
@@ -32,28 +33,19 @@ val eval_plan :
 (** Evaluate a plan. [Root] denotes the virtual document node; it never
     appears in results (a plan consisting only of [Root] yields the
     document element). [Tpm] nodes are evaluated with the reference τ
-    (callers wanting a specific engine go through {!Executor}). *)
+    (callers wanting a specific engine go through {!Executor}). [?deadline]
+    (an absolute [Unix.gettimeofday] instant) is checked once per 256
+    context nodes of a step, counted over the whole call, the first
+    included.
+    @raise Deadline.Exceeded (= [Executor.Deadline_exceeded]) past it. *)
 
 val eval_plan_with_stats :
   ?hints:hints ->
+  ?deadline:float ->
   Xqp_xml.Document.t ->
   Xqp_algebra.Logical_plan.t ->
   context:Xqp_xml.Document.node list ->
   Xqp_xml.Document.node list * stats
-
-val test_matches :
-  Xqp_xml.Document.t -> Xqp_algebra.Axis.t -> Xqp_algebra.Logical_plan.node_test ->
-  Xqp_xml.Document.node -> bool
-(** Node-test semantics shared with the pipelined evaluator: name tests see
-    elements (attributes on the attribute axis), [text()] sees text nodes;
-    the virtual document node passes only a bare [self::*]. *)
-
-val axis_nodes_all :
-  Xqp_xml.Document.t -> Xqp_algebra.Axis.t -> Xqp_xml.Document.node ->
-  Xqp_xml.Document.node list
-(** Like {!Xqp_algebra.Operators.axis_nodes} but including text, comment
-    and PI nodes (needed by [text()] node tests). Accepts the virtual
-    document node. *)
 
 val steps_of_pattern :
   Xqp_algebra.Pattern_graph.t -> Xqp_algebra.Logical_plan.step list

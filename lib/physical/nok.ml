@@ -9,7 +9,8 @@
    top-down pass then keeps the target roots below a surviving link
    source (one merge over sorted arrays) and the bindings whose fragment
    root survived. Nothing on a per-node path allocates: counts live in
-   the kernel record, bindings go to [Node_set] buffers. *)
+   the kernel record, bindings go to [Node_set] buffers. A row limit
+   stops the output's fragment early ([take_until], [Enough]). *)
 
 module Doc = Xqp_xml.Document
 module Ns = Xqp_xml.Node_set
@@ -55,6 +56,9 @@ type kernel = {
   owner : Ns.Buffer.t array; (* ... and the fragment-root node of each *)
   below : int list array; (* recorded vertices under a vertex, its fragment *)
   marks : int array array; (* rollback marks, for vertices with several collect arcs *)
+  mutable stop_at : int; (* the output, when [limit] of one root's bindings end it; else -1 *)
+  mutable limit : int; (* the row limit; [max_int] without one *)
+  mutable root_start : int; (* [found.(stop_at)]'s length when this root began *)
   mutable root_node : int; (* the fragment-root candidate being matched *)
   mutable visited : int;
   mutable tested : int; (* value predicates evaluated *)
@@ -85,6 +89,11 @@ let next k (rel : Pg.rel) stop d =
   | Pg.Attribute -> if d < stop && k.kinds.(d + 1) = Doc.Attribute then d + 1 else -1
   | Pg.Following_sibling -> k.next_siblings.(d)
   | Pg.Descendant -> -1
+
+(* Raised once the current root has recorded [limit] output bindings and
+   nothing recorded can be rolled back: the rest of that root's scans
+   could only add later bindings. *)
+exception Enough
 
 let rec preds_hold k value = function
   | [] -> true
@@ -157,6 +166,7 @@ and all_scan k n = function
 and scan k c rel n =
   let stop = stop_of k n in
   let d = ref (first k rel n stop) and hit = ref false in
+  let limited = c = k.stop_at in
   while !d >= 0 do
     let x = !d in
     k.visited <- k.visited + 1;
@@ -164,7 +174,9 @@ and scan k c rel n =
       hit := true;
       if k.record.(c) then begin
         Ns.Buffer.add k.found.(c) x;
-        Ns.Buffer.add k.owner.(c) k.root_node
+        Ns.Buffer.add k.owner.(c) k.root_node;
+        if limited && Ns.Buffer.length k.found.(c) - k.root_start >= k.limit then
+          raise_notrace Enough
       end
     end;
     d := next k rel stop x
@@ -276,18 +288,100 @@ let compile doc pattern (parts : Nok_partition.t) =
     marks =
       Array.init n (fun v ->
           if List.compare_length_with collect_arcs.(v) 1 > 0 then Array.make n 0 else [||]);
+    stop_at = -1;
+    limit = max_int;
+    root_start = 0;
     root_node = -1;
     visited = 0;
     tested = 0;
   }
 
+(* Where a row limit can stop early: the fragment holding the single
+   output, when it is the document fragment or hangs off vertex 0 under
+   the document context. The top-down pass keeps every root of such a
+   fragment, so a binding is final once its root has embedded. Inside
+   one root, the scans stop after [limit] bindings when every vertex on
+   the way down to the output has one binding arc, a child or attribute
+   arc: then nothing recorded can be rolled back and the bindings arrive
+   in document order, each once. *)
+let limited_fragment k pattern (parts : Nok_partition.t) ~context =
+  match Pg.outputs pattern with
+  | [ out ] ->
+    let f =
+      List.find (fun (f : Nok_partition.fragment) -> List.mem out f.members) parts.fragments
+    in
+    let r = f.root in
+    let rec one_path v =
+      v = r
+      ||
+      match Pg.parent pattern v with
+      | Some (p, (Pg.Child | Pg.Attribute)) ->
+        List.compare_length_with k.collect_arcs.(p) 1 = 0 && one_path p
+      | Some _ | None -> false
+    in
+    if r = 0 || (context = [ Xqp_algebra.Operators.document_context ] && List.mem (0, r) parts.links)
+    then begin
+      if out <> r && one_path out then k.stop_at <- out;
+      Some (r, out)
+    end
+    else None
+  | _ -> None
+
+(* The limited fragment's roots: candidates [nth 0 .. count - 1], in
+   document order, until the output holds [limit] distinct bindings that
+   all precede the next candidate. A root's bindings all follow it, so no
+   later root can enter the first [limit]; a nested later root can still
+   precede an earlier root's bindings, hence the test against each next
+   candidate. [least] holds the [limit] smallest bindings so far, sorted. *)
+let take_until k ~root ~out count nth keep =
+  let limit = k.limit in
+  let least = Array.make limit max_int and have = ref 0 and seen = ref 0 in
+  let note b =
+    let n = !have in
+    if n < limit || b < least.(n - 1) then begin
+      let i = ref 0 in
+      while !i < n && least.(!i) < b do
+        incr i
+      done;
+      if !i = n || least.(!i) <> b then begin
+        Array.blit least !i least (!i + 1) (min n (limit - 1) - !i);
+        least.(!i) <- b;
+        have := min limit (n + 1)
+      end
+    end
+  in
+  let kept = Ns.Buffer.create () and found = k.found.(out) in
+  let i = ref 0 in
+  while !i < count && not (!have = limit && least.(limit - 1) < nth !i) do
+    let d = nth !i in
+    k.root_start <- Ns.Buffer.length found;
+    if (try keep d with Enough -> true) then begin
+      Ns.Buffer.add kept d;
+      if out = root then note d
+    end;
+    for j = !seen to Ns.Buffer.length found - 1 do
+      note (Ns.Buffer.get found j)
+    done;
+    seen := Ns.Buffer.length found;
+    incr i
+  done;
+  Ns.Buffer.contents kept
+
 (* Fragments bottom-up (targets of a fragment's links before it), then
    top-down: the link joins narrow each fragment's roots to those below a
    surviving source, and a recorded vertex keeps the bindings whose root
    survived. *)
-let match_pattern_with_stats ?prune ?deadline doc pattern ~context =
+let match_pattern_with_stats ?prune ?deadline ?limit doc pattern ~context =
   let parts = Nok_partition.partition pattern in
   let k = compile doc pattern parts in
+  let limited =
+    match limit with
+    | None -> None
+    | Some l ->
+      if l < 1 then invalid_arg "Nok.match_pattern: limit below 1";
+      k.limit <- l;
+      limited_fragment k pattern parts ~context
+  in
   let pre = Pg.vertices_in_document_order pattern in
   let position = Array.make (Pg.vertex_count pattern) 0 in
   List.iteri (fun i v -> position.(v) <- i) pre;
@@ -313,37 +407,44 @@ let match_pattern_with_stats ?prune ?deadline doc pattern ~context =
         k.root_node <- d;
         collect k r d
       in
+      (* the candidate stream ([None]: every node) and its test *)
+      let stream, candidate =
+        if r = 0 then
+          ( Some (Ns.of_list context :> int array),
+            fun c ->
+              visit ();
+              embeds c )
+        else begin
+          let keep = match prune with None -> None | Some p -> p r in
+          (* a stream node carries the name: test the kind and values *)
+          let candidate d =
+            if match keep with None -> true | Some f -> f d then begin
+              visit ();
+              kind_ok k r d && preds_ok k r d && embeds d
+            end
+            else begin
+              tick ();
+              incr pruned;
+              false
+            end
+          in
+          if k.sym.(r) = any then (None, candidate)
+          else if k.sym.(r) >= 0 then (Some (Doc.nodes_by_name_array doc k.sym.(r)), candidate)
+          else (Some [||], candidate)
+        end
+      in
       k.roots.(r) <-
-        (if r = 0 then
-           Ns.filter_sorted (Ns.of_list context :> int array) (fun c ->
-               visit ();
-               embeds c)
-         else begin
-           let keep = match prune with None -> None | Some p -> p r in
-           (* a stream node carries the name: test the kind and values *)
-           let candidate d =
-             if match keep with None -> true | Some f -> f d then begin
-               visit ();
-               kind_ok k r d && preds_ok k r d && embeds d
-             end
-             else begin
-               tick ();
-               incr pruned;
-               false
-             end
-           in
-           if k.sym.(r) <> any then
-             Ns.filter_sorted
-               (if k.sym.(r) >= 0 then Doc.nodes_by_name_array doc k.sym.(r) else [||])
-               candidate
-           else begin
-             let out = Ns.Buffer.create () in
-             for d = 0 to k.last do
-               if candidate d then Ns.Buffer.add out d
-             done;
-             Ns.Buffer.contents out
-           end
-         end))
+        (match (limited, stream) with
+        | Some (root, out), Some s when root = r ->
+          take_until k ~root ~out (Array.length s) (Array.get s) candidate
+        | Some (root, out), None when root = r -> take_until k ~root ~out (k.last + 1) Fun.id candidate
+        | _, Some s -> Ns.filter_sorted s candidate
+        | _, None ->
+          let out = Ns.Buffer.create () in
+          for d = 0 to k.last do
+            if candidate d then Ns.Buffer.add out d
+          done;
+          Ns.Buffer.contents out))
     (List.rev fragments);
   let fragment_matches =
     List.fold_left
@@ -376,8 +477,15 @@ let match_pattern_with_stats ?prune ?deadline doc pattern ~context =
   M.add m_join_pairs !join_pairs;
   if !pruned > 0 then M.add m_pruned !pruned;
   if k.tested > 0 then M.add m_predicate_tests k.tested;
-  ( List.map (fun v -> (v, kept.(v))) (Pg.outputs pattern),
+  let output v =
+    match limit with
+    | Some l when Pg.outputs pattern = [ v ] ->
+      let taken = ref 0 in
+      (v, Ns.filter_sorted (kept.(v) :> int array) (fun _ -> incr taken; !taken <= l))
+    | _ -> (v, kept.(v))
+  in
+  ( List.map output (Pg.outputs pattern),
     { nodes_visited = k.visited; fragment_matches; join_pairs = !join_pairs } )
 
-let match_pattern ?prune ?deadline doc pattern ~context =
-  fst (match_pattern_with_stats ?prune ?deadline doc pattern ~context)
+let match_pattern ?prune ?deadline ?limit doc pattern ~context =
+  fst (match_pattern_with_stats ?prune ?deadline ?limit doc pattern ~context)

@@ -33,6 +33,7 @@ val supported : Xqp_algebra.Pattern_graph.t -> bool
 val match_pattern :
   ?prune:(int -> (Xqp_xml.Document.node -> bool) option) ->
   ?deadline:float ->
+  ?limit:int ->
   Xqp_xml.Document.t ->
   Xqp_algebra.Pattern_graph.t ->
   context:Xqp_xml.Document.node list ->
@@ -45,11 +46,25 @@ val match_pattern :
     rejecting only nodes that cannot occur in any embedding. [?deadline]
     (an absolute [Unix.gettimeofday] instant) is checked once per 256
     fragment-root candidates, the first included.
-    @raise Deadline.Exceeded (= [Executor.Deadline_exceeded]) past it. *)
+
+    [?limit] ([>= 1]) cuts a single-output pattern's set to its first
+    [limit] bindings, and stops the kernel once no later work can
+    precede them. That happens when the output's fragment is the
+    document fragment, or hangs off vertex 0 while [context] is the
+    document node: the fragment then stops taking root candidates once
+    the output holds [limit] bindings that all precede the next
+    candidate, and, when every vertex from its root down to the output
+    has a single binding arc (child or attribute), stops a root's scans
+    after [limit] of that root's bindings. [exists]/[first] on
+    [/site/people/person] or [//item[quantity > 1]] touch a handful of
+    nodes. Any other shape runs to completion before the cut.
+    @raise Deadline.Exceeded (= [Executor.Deadline_exceeded]) past it.
+    @raise Invalid_argument when [limit < 1]. *)
 
 val match_pattern_with_stats :
   ?prune:(int -> (Xqp_xml.Document.node -> bool) option) ->
   ?deadline:float ->
+  ?limit:int ->
   Xqp_xml.Document.t ->
   Xqp_algebra.Pattern_graph.t ->
   context:Xqp_xml.Document.node list ->

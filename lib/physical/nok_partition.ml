@@ -50,11 +50,6 @@ let partition pattern =
   in
   { fragments; links }
 
-let fragment_of t v =
-  match List.find_opt (fun f -> List.mem v f.members) t.fragments with
-  | Some f -> f
-  | None -> invalid_arg "Nok_partition.fragment_of: unknown vertex"
-
 let pp ppf t =
   Format.fprintf ppf "fragments:";
   List.iter

@@ -28,7 +28,4 @@ val partition : Xqp_algebra.Pattern_graph.t -> t
     context-vertex handling: the context vertex starts its own fragment
     when its outgoing arcs are descendant arcs). *)
 
-val fragment_of : t -> int -> fragment
-(** Fragment containing a vertex. *)
-
 val pp : Format.formatter -> t -> unit

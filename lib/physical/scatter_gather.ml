@@ -261,7 +261,7 @@ let slot_executor t ss slot doc_in_shard =
         Printf.sprintf "%s[%d]" (Catalog.shard_file t.catalog ss.shard_index) doc_in_shard
       in
       let exec =
-        try Executor.of_packed ~keep_store:false ~path (shard_images t ss).(doc_in_shard)
+        try Executor.of_packed ~path (shard_images t ss).(doc_in_shard)
         with Failure m | Sys_error m -> raise (Shard_error m)
       in
       slot.exec <- Some exec;
@@ -328,7 +328,7 @@ let sum_rows a b =
         })
       a b
 
-let run t ?deadline ?trace physical =
+let run t ?deadline ?limit ?trace physical =
   let logical = Pp.to_logical physical in
   let n = Array.length t.shard_states in
   (* Per-shard emptiness proof off the catalog summaries: a pruned shard is
@@ -363,11 +363,11 @@ let run t ?deadline ?trace physical =
            let exec = slot_executor t ss slot doc_in_shard in
            let context = [ Ops.document_context ] in
            let nodes =
-             if not profiled then Executor.run_physical exec ?deadline physical ~context
+             if not profiled then Executor.run_physical exec ?deadline ?limit physical ~context
              else begin
                let tr = Tr.create ~capacity:(List.length (Profile.rows_of_physical physical)) () in
                Tr.set_enabled tr true;
-               let nodes = Executor.run_physical exec ?deadline ~trace:tr physical ~context in
+               let nodes = Executor.run_physical exec ?deadline ?limit ~trace:tr physical ~context in
                doc_ops.(i).(doc_in_shard) <- Profile.rows_of_spans physical (Tr.events tr);
                nodes
              end
@@ -436,4 +436,5 @@ let run t ?deadline ?trace physical =
             (fun _ -> ()))
         !reports
   | _ -> ());
-  { nodes = !nodes; ops = Array.fold_left sum_rows [] shard_ops; reports = !reports }
+  let nodes = match limit with None -> !nodes | Some l -> List.filteri (fun i _ -> i < l) !nodes in
+  { nodes; ops = Array.fold_left sum_rows [] shard_ops; reports = !reports }

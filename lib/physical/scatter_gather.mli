@@ -97,13 +97,16 @@ type run_result = {
 val run :
   t ->
   ?deadline:float ->
+  ?limit:int ->
   ?trace:Xqp_obs.Trace.t ->
   Physical_plan.t ->
   run_result
 (** Fan a compiled plan across the unpruned shards and merge. The
     deadline applies to every per-document run; a worker's exception
     (including {!Executor.Deadline_exceeded}) is re-raised on the
-    coordinating domain after the batch joins. [trace] receives the
+    coordinating domain after the batch joins. [limit] ([>= 1]) reaches
+    every per-document run ({!Executor.run_physical}) and cuts the merged
+    [nodes] to their first [limit]. [trace] receives the
     shard-tagged spans (coordinator-side; workers never touch it: each
     document runs as a task of its own and traces its operators into a
     tracer of its own). *)

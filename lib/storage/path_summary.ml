@@ -285,27 +285,6 @@ let matching t steps = matching_from t [ super_root ] steps
 let total_count t ids =
   List.fold_left (fun acc id -> acc + if id = super_root then 1 else t.counts.(id)) 0 ids
 
-let descendant_or_self_set t ids =
-  let marks = Array.make (max 1 (length t)) false in
-  let rec down id =
-    List.iter
-      (fun c ->
-        if not marks.(c) then begin
-          marks.(c) <- true;
-          down c
-        end)
-      (children_of t id)
-  in
-  List.iter
-    (fun id ->
-      if id = super_root then Array.fill marks 0 (Array.length marks) true
-      else if not marks.(id) then begin
-        marks.(id) <- true;
-        down id
-      end)
-    ids;
-  marks
-
 let skip_labels t ~targets ~self =
   let allowed = Hashtbl.create 16 in
   let marked = Bytes.make (max 1 (length t)) '\000' in

@@ -113,10 +113,6 @@ val matching : t -> step list -> int list
 val total_count : t -> int list -> int
 (** Sum of {!count} over a node set ({!super_root} counts as 1). *)
 
-val descendant_or_self_set : t -> int list -> bool array
-(** Membership array (length {!length}) of the descendant-or-self closure
-    of a node set; [super_root] marks everything. *)
-
 val skip_labels : t -> targets:int list -> self:bool -> string -> bool
 (** [skip_labels t ~targets ~self label] is [true] when no target node is a
     proper descendant ([self = false]) or descendant-or-self ([self = true])

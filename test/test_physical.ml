@@ -407,6 +407,21 @@ let test_nok_deadline () =
     (normalize full = normalize (Operators.pattern_match doc pattern ~context));
   check_bool "non-empty" true (List.exists (fun (_, nodes) -> nodes <> []) full)
 
+(* Navigation checks the deadline itself, once per 256 context nodes of a
+   step: called directly with one already past, it raises; with none it
+   answers in full. *)
+let test_navigation_deadline () =
+  let doc = Xqp_workload.Gen_auction.packed ~seed:1 ~scale:2000 () in
+  let plan = Xqp_xpath.Parser.parse "//item/name" in
+  let context = [ Operators.document_context ] in
+  (match Navigation.eval_plan ~deadline:(Unix.gettimeofday () -. 1.0) doc plan ~context with
+  | _ -> Alcotest.fail "an expired deadline was not checked"
+  | exception Executor.Deadline_exceeded -> ());
+  let full = Navigation.eval_plan doc plan ~context in
+  check_bool "no deadline: the full answer" true
+    (full = Executor.execute (Executor.create doc) ~strategy:Executor.Reference (Executor.Plan plan));
+  check_bool "non-empty" true (full <> [])
+
 let prop_binary_join_agrees =
   engine_agrees "binary semijoin twig = reference τ" (fun doc pattern context ->
       Binary_join.match_pattern doc pattern ~context)
@@ -850,62 +865,154 @@ let prop_streaming_agrees =
       streamed = reference)
 
 (* ------------------------------------------------------------------ *)
-(* Pipelined (lazy) evaluation                                         *)
+(* Row limits: first/exists through the kernel                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_pipelined_basics () =
+let prefix k nodes = List.filteri (fun i _ -> i < k) nodes
+
+(* [Executor.run_physical ~limit:k] from the document root under every
+   strategy: the first [k] nodes of the full run. *)
+let limited_runs_agree exec q =
+  let context = [ Operators.document_context ] in
+  List.for_all
+    (fun strategy ->
+      let physical = (Executor.prepare exec ~strategy (Executor.Query q)).Executor.physical in
+      let full = Executor.run_physical exec physical ~context in
+      List.for_all
+        (fun k -> Executor.run_physical exec ~limit:k physical ~context = prefix k full)
+        [ 1; 2; 3; 4; 5 ])
+    (Executor.Auto :: Executor.Reference :: Executor.all_strategies)
+
+let test_row_limit_basics () =
   let doc = bib () in
-  let context = [ Operators.document_context ] in
-  let plan q = Rewrite.simplify (Xqp_xpath.Parser.parse q) in
+  let exec = Executor.create doc in
   List.iter
-    (fun q ->
-      let p = plan q in
-      check_bool (q ^ " supported") true (Pipelined.supported p);
-      let lazy_result = List.of_seq (Pipelined.eval_seq doc p ~context) in
-      let eager = Navigation.eval_plan doc p ~context in
-      if lazy_result <> eager then Alcotest.failf "%s: lazy diverges" q)
+    (fun q -> if not (limited_runs_agree exec q) then Alcotest.failf "%s: a limited run diverges" q)
     [ "/bib/book/title"; "//author"; "//book[author]/title"; "//book[price > 100]";
-      "/bib/book/@year"; "//book/title | //article/author"; "//*[author]" ];
-  (* unsupported shapes are rejected *)
+      "/bib/book/@year"; "//book/title | //article/author"; "//*[author]"; "/bib/book[2]";
+      "/bib/book/title/.." ];
+  let db = Xqp.Session.of_document doc in
+  let get = Result.get_ok in
+  check_bool "exists true" true (get (Xqp.Session.exists db "//author"));
+  check_bool "exists false" false (get (Xqp.Session.exists db "//nothing"));
+  check_bool "first is smallest" true
+    (get (Xqp.Session.first db "//book/author")
+    = List.nth_opt (get (Xqp.Session.query db "//book/author")) 0);
+  check_int "limit 2" 2
+    (List.length
+       (Executor.run_physical exec ~limit:2
+          (Executor.prepare exec (Executor.Query "//book/author")).Executor.physical
+          ~context:[ Operators.document_context ]))
+
+(* With limit 1 the kernel stops at its first witness: a // fragment off
+   the document node and an absolute child path each visit under a tenth
+   of the nodes the full match visits. *)
+let test_row_limit_early_exit () =
+  let doc = Xqp_workload.Gen_auction.packed ~seed:1 ~scale:8000 () in
+  let context = [ Operators.document_context ] in
   List.iter
     (fun q ->
-      check_bool (q ^ " unsupported") false (Pipelined.supported (plan q)))
-    [ "/bib/book[2]"; "/bib/book/title/.." ];
-  (* helpers *)
-  check_bool "exists true" true (Pipelined.exists doc (plan "//author") ~context);
-  check_bool "exists false" false (Pipelined.exists doc (plan "//nothing") ~context);
-  check_bool "first is smallest" true
-    (Pipelined.first doc (plan "//author") ~context
-    = List.nth_opt (Navigation.eval_plan doc (plan "//author") ~context) 0);
-  check_int "take 2" 2 (List.length (Pipelined.take 2 doc (plan "//author") ~context))
+      let pattern = Xqp_xpath.Parser.parse_pattern q in
+      let full, s_full = Nok.match_pattern_with_stats doc pattern ~context in
+      let first, s_first = Nok.match_pattern_with_stats ~limit:1 doc pattern ~context in
+      let nodes r = List.concat_map (fun (_, s) -> Node_set.to_list s) r in
+      check_bool (q ^ ": the first node") true (nodes first = prefix 1 (nodes full));
+      check_bool (q ^ ": non-empty") true (nodes first <> []);
+      if s_first.Nok.nodes_visited * 10 >= s_full.Nok.nodes_visited then
+        Alcotest.failf "%s: limit 1 visits %d nodes against %d in full" q
+          s_first.Nok.nodes_visited s_full.Nok.nodes_visited)
+    [ "//item"; "/site/people/person" ]
 
-let test_pipelined_early_exit () =
-  (* exists() must stop pulling once the first hit is found *)
-  let doc = Document.of_tree (Xqp_workload.Gen_auction.document ~scale:8000 ()) in
-  let context = [ Operators.document_context ] in
-  let plan = Rewrite.simplify (Xqp_xpath.Parser.parse "//item") in
-  let seq, stats = Pipelined.eval_seq_with_stats doc plan ~context in
-  check_bool "non-empty" true (not (Seq.is_empty seq));
-  let pulled_for_exists = (stats ()).Pipelined.nodes_pulled in
-  let seq_all, stats_all = Pipelined.eval_seq_with_stats doc plan ~context in
-  ignore (List.of_seq seq_all);
-  let pulled_for_all = (stats_all ()).Pipelined.nodes_pulled in
-  check_bool "early exit pulls far less" true (pulled_for_exists * 10 < pulled_for_all)
+(* The two ways a root's scans could stop too soon. A binding recorded
+   before a later binding branch fails is rolled back (a[b{out}][c//d]:
+   no c has a d below), and a sibling arc re-finds bindings (the second
+   x reaches the first p's second b again, while the second p holds a
+   third b). *)
+let test_row_limit_rollback_and_siblings () =
+  let check doc pattern =
+    let context = [ Operators.document_context ] in
+    match Nok.match_pattern doc pattern ~context with
+    | [ (v, full) ] ->
+      List.iter
+        (fun k ->
+          let expect = Node_set.to_list full |> prefix k in
+          match Nok.match_pattern ~limit:k doc pattern ~context with
+          | [ (v', got) ] when v' = v && Node_set.to_list got = expect -> ()
+          | _ -> Alcotest.failf "%a: limit %d is not the prefix" Pattern_graph.pp pattern k)
+        [ 1; 2; 3; 4 ]
+    | _ -> Alcotest.fail "one output expected"
+  in
+  let vertex ?(output = false) label = { Pattern_graph.label; predicates = []; output } in
+  let rollback =
+    Pattern_graph.make
+      ~vertices:
+        [| vertex Wildcard; vertex (Tag "a"); vertex ~output:true (Tag "b"); vertex (Tag "c");
+           vertex (Tag "d") |]
+      ~arcs:[ (0, 1, Child); (1, 2, Child); (1, 3, Child); (3, 4, Descendant) ]
+  in
+  check (Document.of_string "<a><b/><b/><c/></a>") rollback;
+  check (Document.of_string "<a><b/><b/><c><d/></c></a>") rollback;
+  check
+    (Document.of_string "<r><p><x/><b/><x/><b/></p><p><x/><b/></p></r>")
+    (Pattern_graph.make
+       ~vertices:
+         [| vertex Wildcard; vertex (Tag "r"); vertex Wildcard; vertex (Tag "x");
+            vertex ~output:true (Tag "b") |]
+       ~arcs:[ (0, 1, Child); (1, 2, Child); (2, 3, Child); (3, 4, Following_sibling) ])
 
-let prop_pipelined_agrees =
-  QCheck2.Test.make ~name:"pipelined = eager navigation on the downward fragment" ~count:200
-    QCheck2.Gen.(
-      pair gen_doc
-        (oneofl
-           [ "/r/a"; "//a"; "//a/b"; "//a//b"; "//a[b]/c"; "//a[k]"; "//*[b][c]"; "//a/@k";
-             "//a[@k = \"5\"]"; "/r//b[c]/d"; "//a | //b/c"; "//a//b//c" ]))
-    (fun (doc, q) ->
-      let plan = Rewrite.simplify (Xqp_xpath.Parser.parse q) in
-      let context = [ Operators.document_context ] in
-      if not (Pipelined.supported plan) then false
-      else
-        List.of_seq (Pipelined.eval_seq doc plan ~context)
-        = Navigation.eval_plan doc plan ~context)
+(* Absolute child paths, // under nested tags, branches, attribute
+   outputs, a fragment linked from a non-zero vertex (no early exit),
+   unions, wildcards and sibling arcs. *)
+let limit_queries =
+  [ "/r/a"; "/r/a/b"; "/r/*/c"; "//a//b"; "//a/b"; "//a/b/c"; "//a[b]/c"; "//*[b][c]";
+    "//a[c]//b"; "//a/@k"; "/r/a/@k"; "//b[@k = \"5\"]/c"; "/r//b[c]/d"; "//a | //b/c";
+    "/r/a | /r/b"; "//a"; "//*/d"; "//a/following-sibling::b"; "/r/a/following-sibling::*";
+    "/r/*/a/following-sibling::b" ]
+
+let prop_limit_prefix =
+  QCheck2.Test.make ~name:"every strategy: limit k is the first k of the full run" ~count:200
+    QCheck2.Gen.(pair gen_doc (oneofl limit_queries))
+    (fun (doc, q) -> limited_runs_agree (Executor.create doc) q)
+
+(* The kernel alone, from arbitrary contexts, over wide patterns (sibling
+   and attribute arcs, value tests, two outputs): a single output is cut
+   to its first [k] bindings, two outputs answer in full. *)
+let prop_kernel_limit_prefix =
+  QCheck2.Test.make ~name:"kernel limit k = prefix, wide patterns and contexts" ~count:300
+    gen_wide_case (fun (doc, pattern, context) ->
+      let full = Nok.match_pattern doc pattern ~context in
+      List.for_all
+        (fun k ->
+          let limited = Nok.match_pattern ~limit:k doc pattern ~context in
+          match full with
+          | [ (v, nodes) ] ->
+            limited = [ (v, Node_set.of_list (prefix k (Node_set.to_list nodes))) ]
+          | _ -> limited = full)
+        [ 1; 2; 3; 4; 5 ])
+
+(* [Session.first] is the head of [Session.query] and [exists] is
+   [query <> []], on each document and on a two-shard corpus of them. *)
+let prop_first_exists =
+  QCheck2.Test.make ~name:"first/exists agree with query, document and corpus" ~count:40
+    QCheck2.Gen.(pair (list_repeat 3 gen_doc) (list_repeat 4 (oneofl limit_queries)))
+    (fun (docs, queries) ->
+      let module S = Xqp.Session in
+      let agrees session =
+        List.for_all
+          (fun q ->
+            let nodes = Result.get_ok (S.query session q) in
+            Result.get_ok (S.first session q) = List.nth_opt nodes 0
+            && Result.get_ok (S.exists session q) = (nodes <> []))
+          queries
+      in
+      List.for_all (fun doc -> agrees (S.of_document doc)) docs
+      && Test_corpus.with_temp_dir (fun dir ->
+             let path =
+               Test_corpus.pack_docs ~dir ~shards:2
+                 (List.mapi (fun i doc -> ("doc" ^ string_of_int i, doc)) docs)
+             in
+             let session = Result.get_ok (S.open_db path) in
+             Fun.protect ~finally:(fun () -> S.close session) (fun () -> agrees session)))
 
 let prop_random_plans_all_strategies =
   (* end-to-end: random logical plans (any axes, predicates, unions) are
@@ -922,16 +1029,6 @@ let prop_random_plans_all_strategies =
         (fun strategy ->
           Executor.execute exec ~strategy ~context (Executor.Plan optimized) = expected)
         (Executor.Auto :: Executor.all_strategies))
-
-let prop_pipelined_take_prefix =
-  QCheck2.Test.make ~name:"take k is a prefix of the full result" ~count:100
-    QCheck2.Gen.(pair gen_doc (int_range 0 5))
-    (fun (doc, k) ->
-      let plan = Rewrite.simplify (Xqp_xpath.Parser.parse "//a//b") in
-      let context = [ Operators.document_context ] in
-      let full = List.of_seq (Pipelined.eval_seq doc plan ~context) in
-      let prefix = Pipelined.take k doc plan ~context in
-      prefix = List.filteri (fun i _ -> i < k) full)
 
 let prop_gtp_matches_eval =
   (* random documents, a pool of Fig-1-class queries: one generalized
@@ -979,6 +1076,7 @@ let suite =
         qcheck prop_wide_engines_agree;
         Alcotest.test_case "nested // contexts" `Quick test_nok_nested_descendant_contexts;
         Alcotest.test_case "nok checks its deadline" `Quick test_nok_deadline;
+        Alcotest.test_case "navigation checks its deadline" `Quick test_navigation_deadline;
         Alcotest.test_case "numeric edge values, every engine" `Quick
           test_numeric_edges_every_engine;
         Alcotest.test_case "attributes have no siblings, every engine" `Quick
@@ -996,6 +1094,7 @@ let suite =
         Alcotest.test_case "optimize on/off agree" `Quick test_executor_unoptimized_agrees;
         Alcotest.test_case "engine-choice memo bounded" `Quick test_engine_cache_bounded;
         qcheck prop_rewrite_preserves_results;
+        qcheck prop_gtp_matches_eval;
       ] );
     ( "physical.stats_cost",
       [
@@ -1017,13 +1116,14 @@ let suite =
       ] );
     ("physical.nok_partition", [ Alcotest.test_case "shapes" `Quick test_nok_partition_shapes ]);
     ( "physical.path_stack", [ Alcotest.test_case "basics" `Quick test_pathstack_basics ] );
-    ( "physical.pipelined",
+    ( "physical.row_limit",
       [
-        Alcotest.test_case "basics" `Quick test_pipelined_basics;
-        Alcotest.test_case "early exit" `Quick test_pipelined_early_exit;
-        qcheck prop_pipelined_agrees;
-        qcheck prop_pipelined_take_prefix;
-        qcheck prop_gtp_matches_eval;
+        Alcotest.test_case "basics" `Quick test_row_limit_basics;
+        Alcotest.test_case "early exit" `Quick test_row_limit_early_exit;
+        Alcotest.test_case "rollback and sibling arcs" `Quick test_row_limit_rollback_and_siblings;
+        qcheck prop_limit_prefix;
+        qcheck prop_kernel_limit_prefix;
+        qcheck prop_first_exists;
       ] );
     ( "physical.streaming",
       [
