@@ -1543,9 +1543,11 @@ let serve_run ~scale =
    the reply path used to have: a Tree.t per result node
    (Document.to_tree), rendered to a string (Serializer.to_string), the
    strings wrapped in a Json.t object and printed. The current encoder
-   is Response.write into one reused buffer, as a server worker holds
-   it. Both must produce the same bytes; the gate asks the current
-   encoder for a 3x speed-up over the mix. Writes BENCH_encode.json. *)
+   is Response.write into a server worker's kept reply sink
+   (Server.new_reply, Server.clear_reply after each reply). Both must
+   produce the same bytes; the gate asks the current encoder for a 3x
+   speed-up over the mix. Minor and major-heap words per pass are
+   recorded for both. Writes BENCH_encode.json. *)
 
 let encode_scale = 300_000
 let encode_gate = 3.0
@@ -1573,11 +1575,18 @@ let encode_reference session ~query (r : Xqp.Session.query_result) =
          ("time_ms", J.Num (round3 r.Xqp.Session.time_ms));
        ])
 
-(* Encode into a worker-style buffer: cleared per reply, dropped for a
-   fresh one once a reply grew it past 1 MiB. *)
-let encode_current buf session ~query r =
-  if Buffer.length buf > 1_048_576 then Buffer.reset buf else Buffer.clear buf;
-  Xqp.Response.write buf (Xqp.Response.of_query_result session ~query r)
+(* Encode as a worker does, into its kept sink. *)
+let encode_current sink session ~query r =
+  Xqp.Server.clear_reply sink;
+  Xqp.Response.write sink (Xqp.Response.of_query_result session ~query r)
+
+(* Words one call of [f] allocates: in the minor heap, and straight in
+   the major heap (large blocks; promotions are not counted twice). *)
+let alloc_words f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  (Float.round (minor1 -. minor0), Float.round (major1 -. major0 -. (promoted1 -. promoted0)))
 
 let encode_run ~scale:_ =
   let session = Xqp.Session.of_document (Workload.Gen_auction.packed ~scale:encode_scale ()) in
@@ -1588,24 +1597,28 @@ let encode_run ~scale:_ =
         (q.Workload.Queries.id, xpath, Result.get_ok (Xqp.Session.run session xpath)))
       (Workload.Queries.auction_paths @ Workload.Queries.auction_complexity_sweep)
   in
-  let buf = Buffer.create 65536 in
+  let sink = Xqp.Server.new_reply () in
   let bytes =
     List.map
       (fun (id, query, r) ->
         let reference = encode_reference session ~query r in
-        encode_current buf session ~query r;
-        if Buffer.contents buf <> reference then
+        encode_current sink session ~query r;
+        if Sink.contents sink <> reference then
           failwith (Printf.sprintf "ENCODE: %s: reply differs from the reference encoder" id);
         String.length reference)
       mix
   in
   (* whole-mix passes, reference and current interleaved *)
   let pass encode () = List.iter (fun (_, query, r) -> encode ~query r) mix in
-  let p =
-    Harness.pair ~rounds:7
-      (pass (fun ~query r -> ignore (Sys.opaque_identity (encode_reference session ~query r))))
-      (pass (encode_current buf session))
+  let reference_pass =
+    pass (fun ~query r -> ignore (Sys.opaque_identity (encode_reference session ~query r)))
   in
+  let current_pass = pass (encode_current sink session) in
+  let p = Harness.pair ~rounds:7 reference_pass current_pass in
+  (* after the timed passes, so the sink is as warm as a worker's *)
+  let ref_minor, ref_major = alloc_words reference_pass in
+  let cur_minor, cur_major = alloc_words current_pass in
+  let per_query w = w /. float_of_int (List.length mix) in
   let reference_ms = ms p.Harness.a.Harness.median in
   let current_ms = ms p.Harness.b.Harness.median in
   let speedup = p.Harness.speedup in
@@ -1613,7 +1626,9 @@ let encode_run ~scale:_ =
   Printf.printf "  auction:%d, %d queries, %d reply bytes per pass (identical both ways)\n"
     encode_scale (List.length mix) total_bytes;
   Printf.printf "  reference (to_tree + to_string + Json.t): %8.2f ms/pass\n" reference_ms;
-  Printf.printf "  current (Response.write, one buffer):      %8.2f ms/pass\n" current_ms;
+  Printf.printf "  current (Response.write, a worker's sink): %8.2f ms/pass\n" current_ms;
+  Printf.printf "  words per pass, minor/major: reference %.0f/%.0f, current %.0f/%.0f (%.0f per query)\n"
+    ref_minor ref_major cur_minor cur_major (per_query (cur_minor +. cur_major));
   Printf.printf "  speed-up %.2fx (quartiles %.2f-%.2f over %d interleaved pairs)\n"
     speedup.Harness.median speedup.Harness.q1 speedup.Harness.q3 speedup.Harness.runs;
   {
@@ -1626,6 +1641,13 @@ let encode_run ~scale:_ =
         ("reference_ms", J.Num reference_ms);
         ("current_ms", J.Num current_ms);
         ("speedup", Harness.stat_json speedup);
+        ( "words_per_pass",
+          J.Obj
+            [
+              ("reference", J.Obj [ ("minor", J.Num ref_minor); ("major", J.Num ref_major) ]);
+              ("current", J.Obj [ ("minor", J.Num cur_minor); ("major", J.Num cur_major) ]);
+            ] );
+        ("current_words_per_query", J.Num (per_query (cur_minor +. cur_major)));
         ( "replies",
           J.Arr
             (List.map2

@@ -201,7 +201,6 @@ let infer ?(context = any_node) plan =
 type nameset = Top | Names of SS.t
 
 let names_of_list l = Names (SS.of_list l)
-let names_opt = function Some l -> names_of_list l | None -> Top
 
 let union_ns a b =
   match (a, b) with Top, _ | _, Top -> Top | Names x, Names y -> Names (SS.union x y)
@@ -292,8 +291,8 @@ let schema_step schema ctx (s : Lp.step) ~path report =
       | None -> Top
       | Some parents ->
         let base = Schema_info.all_children schema ~parents in
-        if ctx.at_doc then union_ns (names_opt base) (names_of_list (Schema_info.roots schema))
-        else names_opt base
+        if ctx.at_doc then union_ns (names_of_list base) (names_of_list (Schema_info.roots schema))
+        else names_of_list base
     in
     { at_doc = false; elems }
   | (Axis.Descendant | Axis.Descendant_or_self), Lp.Any ->
@@ -301,13 +300,13 @@ let schema_step schema ctx (s : Lp.step) ~path report =
       match parents_of schema ctx with
       | None -> Top
       | Some parents ->
-        let below = names_opt (Schema_info.all_descendants schema ~parents) in
+        let below = names_of_list (Schema_info.all_descendants schema ~parents) in
         let self = if s.Lp.axis = Axis.Descendant_or_self then ctx.elems else Names SS.empty in
         let roots =
           if ctx.at_doc then
             union_ns
               (names_of_list (Schema_info.roots schema))
-              (names_opt (Schema_info.all_descendants schema ~parents:(Schema_info.roots schema)))
+              (names_of_list (Schema_info.all_descendants schema ~parents:(Schema_info.roots schema)))
           else Names SS.empty
         in
         union_ns (union_ns below self) roots

@@ -5,13 +5,12 @@ module SM = Map.Make (String)
 type entry = {
   children : SS.t;   (** child element names *)
   attrs : SS.t;      (** attribute names *)
-  open_ : bool;      (** content not statically known *)
 }
 
 type t = { elements : entry SM.t; roots : SS.t }
 
 let empty = { elements = SM.empty; roots = SS.empty }
-let empty_entry = { children = SS.empty; attrs = SS.empty; open_ = false }
+let empty_entry = { children = SS.empty; attrs = SS.empty }
 
 let add_entry t name f =
   let prev = match SM.find_opt name t.elements with Some e -> e | None -> empty_entry in
@@ -43,12 +42,7 @@ let merge a b =
     elements =
       SM.union
         (fun _ ea eb ->
-          Some
-            {
-              children = SS.union ea.children eb.children;
-              attrs = SS.union ea.attrs eb.attrs;
-              open_ = ea.open_ || eb.open_;
-            })
+          Some { children = SS.union ea.children eb.children; attrs = SS.union ea.attrs eb.attrs })
         a.elements b.elements;
     roots = SS.union a.roots b.roots;
   }
@@ -62,67 +56,44 @@ let element_count t = SM.cardinal t.elements
 
 let entry_of t name = SM.find_opt name t.elements
 
-let children_of t name =
-  match entry_of t name with
-  | None -> Some []
-  | Some e -> if e.open_ then None else Some (SS.elements e.children)
-
 let child_of t ~parents name =
   List.exists
-    (fun p ->
-      match entry_of t p with
-      | None -> false
-      | Some e -> e.open_ || SS.mem name e.children)
+    (fun p -> match entry_of t p with None -> false | Some e -> SS.mem name e.children)
     parents
 
 let attribute_on t ~parents name =
   List.exists
-    (fun p ->
-      match entry_of t p with
-      | None -> false
-      | Some e -> e.open_ || SS.mem name e.attrs)
+    (fun p -> match entry_of t p with None -> false | Some e -> SS.mem name e.attrs)
     parents
 
-(* Reachability below a seed set, open elements absorbing everything. *)
+(* Element names reachable strictly below a seed set. *)
 let closure t parents =
-  let rec grow seen frontier open_hit =
-    match frontier with
-    | [] -> (seen, open_hit)
+  let rec grow seen = function
+    | [] -> seen
     | p :: rest -> (
       match entry_of t p with
-      | None -> grow seen rest open_hit
+      | None -> grow seen rest
       | Some e ->
-        if e.open_ then grow seen rest true
-        else
-          let fresh = SS.diff e.children seen in
-          grow (SS.union seen fresh) (SS.elements fresh @ rest) open_hit)
+        let fresh = SS.diff e.children seen in
+        grow (SS.union seen fresh) (SS.elements fresh @ rest))
   in
-  grow SS.empty parents false
+  grow SS.empty parents
 
-let descendant_of t ~parents name =
-  let reachable, open_hit = closure t parents in
-  open_hit || SS.mem name reachable
+let descendant_of t ~parents name = SS.mem name (closure t parents)
 
 let all_children t ~parents =
-  let rec gather acc = function
-    | [] -> Some (SS.elements acc)
-    | p :: rest -> (
-      match entry_of t p with
-      | None -> gather acc rest
-      | Some e -> if e.open_ then None else gather (SS.union acc e.children) rest)
-  in
-  gather SS.empty parents
+  SS.elements
+    (List.fold_left
+       (fun acc p -> match entry_of t p with None -> acc | Some e -> SS.union acc e.children)
+       SS.empty parents)
 
-let all_descendants t ~parents =
-  let reachable, open_hit = closure t parents in
-  if open_hit then None else Some (SS.elements reachable)
+let all_descendants t ~parents = SS.elements (closure t parents)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>roots: %s@," (String.concat " " (SS.elements t.roots));
   SM.iter
     (fun name e ->
-      Format.fprintf ppf "%s%s -> {%s}%s@," name
-        (if e.open_ then " (open)" else "")
+      Format.fprintf ppf "%s -> {%s}%s@," name
         (String.concat " " (SS.elements e.children))
         (if SS.is_empty e.attrs then ""
          else Printf.sprintf " @[%s]" (String.concat " " (SS.elements e.attrs))))

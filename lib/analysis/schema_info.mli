@@ -8,17 +8,14 @@
     schema-tree-guided construction (§3.2).
 
     Summaries come from document instances (the workload generators'
-    output), merged, and are exact. The queries below answer [None] for an
-    {e open} element, one whose content is not statically known, so the
-    analysis never reports a false emptiness; no document summary has
-    one. *)
+    output), merged, and are exact. *)
 
 type t
 
 val empty : t
 
 val of_document : Xqp_xml.Document.t -> t
-(** Summarize a document instance (exact: no open elements). *)
+(** Summarize a document instance. *)
 
 val merge : t -> t -> t
 (** Union of two summaries (e.g. the auction and bib workload shapes). *)
@@ -29,22 +26,17 @@ val has_attribute : t -> string -> bool
 
 val roots : t -> string list
 
-val children_of : t -> string -> string list option
-(** Child element names of the given element; [None] when the element is
-    open (statically unknown content). *)
-
 val descendant_of : t -> parents:string list -> string -> bool
 (** Can an element with the given name appear strictly below {e some}
-    element in [parents]? Openness propagates: below an open element
-    everything is reachable. *)
+    element in [parents]? *)
 
 val child_of : t -> parents:string list -> string -> bool
 val attribute_on : t -> parents:string list -> string -> bool
 
-val all_children : t -> parents:string list -> string list option
-(** All possible child element names below [parents]; [None] = unbounded. *)
+val all_children : t -> parents:string list -> string list
+(** All possible child element names below [parents]. *)
 
-val all_descendants : t -> parents:string list -> string list option
+val all_descendants : t -> parents:string list -> string list
 
 val element_count : t -> int
 val pp : Format.formatter -> t -> unit

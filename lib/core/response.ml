@@ -59,65 +59,74 @@ let http_status t =
    format), so encode∘decode∘encode is the identity on emitted strings. *)
 let round3 ms = Float.round (ms *. 1000.0) /. 1000.0
 
-let write buf t =
+module Sink = Xqp_xml.Sink
+
+let json_raw = Xqp_xml.Entity.(json raw)
+
+let add_json_string sink s =
+  Sink.add_char sink '"';
+  Xqp_xml.Entity.add json_raw sink s;
+  Sink.add_char sink '"'
+
+let write sink t =
   let field name =
-    Buffer.add_string buf ",\"";
-    Buffer.add_string buf name;
-    Buffer.add_string buf "\":"
+    Sink.add_string sink ",\"";
+    Sink.add_string sink name;
+    Sink.add_string sink "\":"
   in
-  Buffer.add_string buf "{\"query\":";
-  J.escape_into buf t.query;
+  Sink.add_string sink "{\"query\":";
+  add_json_string sink t.query;
   field "mode";
-  J.escape_into buf t.mode;
+  add_json_string sink t.mode;
   (* [request_id]/[queue_ms] are served-request provenance: emitted only
      when present, so embedded/CLI responses are byte-identical to the
      pre-request-id schema. *)
   Option.iter
     (fun id ->
       field "request_id";
-      J.escape_into buf id)
+      add_json_string sink id)
     t.request_id;
   Option.iter
     (fun q ->
       field "queue_ms";
-      Buffer.add_string buf (J.num_to_string (round3 q)))
+      Sink.add_string sink (J.num_to_string (round3 q)))
     t.queue_ms;
   (match t.outcome with
   | Ok p ->
     field "status";
-    J.escape_into buf "ok";
+    add_json_string sink "ok";
     field "results";
-    Buffer.add_char buf '[';
+    Sink.add_char sink '[';
     (match p.results with
     | Items items ->
       List.iteri
         (fun i s ->
-          if i > 0 then Buffer.add_char buf ',';
-          J.escape_into buf s)
+          if i > 0 then Sink.add_char sink ',';
+          add_json_string sink s)
         items
     | Nodes (session, nodes) ->
       List.iteri
         (fun i id ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          Session.add_node ~json:true session buf id;
-          Buffer.add_char buf '"')
+          if i > 0 then Sink.add_char sink ',';
+          Sink.add_char sink '"';
+          Session.add_node ~json:true session sink id;
+          Sink.add_char sink '"')
         nodes);
-    Buffer.add_char buf ']';
+    Sink.add_char sink ']';
     field "count";
-    Buffer.add_string buf (J.num_to_string (float_of_int p.count));
+    Sink.add_string sink (J.num_to_string (float_of_int p.count));
     field "engine";
-    J.escape_into buf p.engine;
+    add_json_string sink p.engine;
     field "cache";
-    J.escape_into buf p.cache;
+    add_json_string sink p.cache;
     field "time_ms";
-    Buffer.add_string buf (J.num_to_string (round3 p.time_ms))
+    Sink.add_string sink (J.num_to_string (round3 p.time_ms))
   | Error e ->
     field "status";
-    J.escape_into buf "error";
+    add_json_string sink "error";
     field "error";
-    Buffer.add_string buf (J.to_string (Error.to_json e)));
-  Buffer.add_char buf '}'
+    Sink.add_string sink (J.to_string (Error.to_json e)));
+  Sink.add_char sink '}'
 
 let of_json json =
   let str field = Option.bind (J.member field json) J.to_str in
@@ -162,9 +171,9 @@ let of_json json =
           | None -> Result.Error "response lacks \"status\""))
 
 let to_string t =
-  let buf = Buffer.create 256 in
-  write buf t;
-  Buffer.contents buf
+  let sink = Sink.create 256 in
+  write sink t;
+  Sink.contents sink
 
 let of_string s =
   match J.parse s with

@@ -25,10 +25,10 @@
     Both are omitted, not null, for CLI/embedded responses.
 
     One encoder, {!write}, produces every body: it appends the response
-    to a caller's buffer, and an XPath payload writes each result node
+    to a caller's sink, and an XPath payload writes each result node
     straight from the document ({!Session.add_node}), with no string per
-    result and no JSON tree. {!to_string} is [write] into a fresh
-    buffer. {!of_json} inverts it (covered by a round-trip test), so the
+    result, no JSON tree and no allocation per row. {!to_string} is
+    [write] into a fresh sink. {!of_json} inverts it (covered by a round-trip test), so the
     schema cannot drift between the producers. *)
 
 type results =
@@ -79,11 +79,11 @@ val of_xquery_result :
 val http_status : t -> int
 (** 200 for ok; {!Error.http_status} otherwise. *)
 
-val write : Buffer.t -> t -> unit
-(** Append the response's JSON to the buffer. *)
+val write : Xqp_xml.Sink.t -> t -> unit
+(** Append the response's JSON to the sink. *)
 
 val to_string : t -> string
-(** {!write} into a fresh buffer. *)
+(** {!write} into a fresh sink. *)
 
 val of_json : Xqp_obs.Json.t -> (t, string) result
 val of_string : string -> (t, string) result

@@ -35,9 +35,10 @@
       trace JSON, while it remains in the bounded request log (256
       entries; evicted traces 404).
 
-    Every served query runs under its own request-scoped tracer
-    (DESIGN.md §13) — concurrent domains never share an open-span
-    stack — and is folded into {!Xqp_obs.Flight_recorder.default}.
+    Every served query runs under a request-scoped tracer — its
+    worker's own, cleared per request (DESIGN.md §13) — so concurrent
+    domains never share an open-span stack, and is folded into
+    {!Xqp_obs.Flight_recorder.default}.
 
     No toplevel mutable state: everything lives in the handle returned
     by {!start}, so [xqp lint --domains] stays clean. *)
@@ -79,3 +80,21 @@ val stop : t -> unit
 (** Graceful shutdown: stop accepting, then drain — every request
     already admitted is answered before the workers exit. Blocks until
     all domains are joined. *)
+
+(** {1 The reply sink}
+
+    Each worker keeps one {!Xqp_xml.Sink.t} for every reply it writes:
+    room for the HTTP header is kept free at its head, so header and body
+    leave in one write with no copy, and the sink keeps what it grew to
+    between requests, up to {!max_kept_reply} bytes. *)
+
+val max_kept_reply : int
+(** 8 MiB: a reply that grew the sink past this gives the storage back
+    after it is sent. *)
+
+val new_reply : unit -> Xqp_xml.Sink.t
+(** A sink as a worker creates it: 64 KiB, with header room. *)
+
+val clear_reply : Xqp_xml.Sink.t -> unit
+(** What a worker does after each reply: {!Xqp_xml.Sink.clear}, or
+    {!Xqp_xml.Sink.reset} past {!max_kept_reply}. *)

@@ -343,41 +343,28 @@ let xquery ?engine ?deadline_ms t q =
 
 (* --- results ------------------------------------------------------------- *)
 
-(* Resolve a (possibly ordinal-tagged) result node to its owning document
-   and within-document id. Single-document sessions pass through. *)
+(* A (possibly ordinal-tagged) result node's owning document.
+   Single-document sessions pass through. *)
 let owning_doc t id =
   match t.corpus with
-  | None -> (document t, id)
+  | None -> document t
   | Some sg ->
-    let ordinal, node = Sg.decode id in
-    if ordinal < 0 then (document t, id) else (Sg.document sg ~ordinal, node)
+    let ordinal = Sg.ordinal_of id in
+    if ordinal < 0 then document t else Sg.document sg ~ordinal
 
-(* The result rules, once: an attribute as [@name="value"] and a text
-   node as its content, both unescaped as XML; any other node as the XML
-   of its subtree. *)
-let add_node ?(json = false) t buffer id =
-  let doc, id = owning_doc t id in
-  let raw = Xml.Entity.add (if json then Xml.Entity.(json raw) else Xml.Entity.raw) buffer in
-  match Xml.Document.kind doc id with
-  | Xml.Document.Attribute ->
-    raw "@";
-    raw (Xml.Document.name doc id);
-    raw "=\"";
-    raw (Xml.Document.content doc id);
-    raw "\""
-  | Xml.Document.Text -> raw (Xml.Document.content doc id)
-  | _ -> Xml.Document.add_subtree ~json buffer doc id
+(* The row rules are [Document.add_item]'s; resolving the row allocates
+   nothing, so a reply costs no words per row. *)
+let add_node ?(json = false) t sink id =
+  Xml.Document.add_item ~json sink (owning_doc t id) (Sg.node_of id)
 
 let to_xml t nodes =
-  let buffer = Buffer.create 256 in
-  List.iter (add_node t buffer) nodes;
-  Buffer.contents buffer
+  let sink = Xml.Sink.create 256 in
+  List.iter (add_node t sink) nodes;
+  Xml.Sink.contents sink
 
 let node_string t id = to_xml t [ id ]
 
-let text t id =
-  let doc, id = owning_doc t id in
-  Xml.Document.typed_value doc id
+let text t id = Xml.Document.typed_value (owning_doc t id) (Sg.node_of id)
 
 let xquery_result_strings t value =
   match t.corpus with
@@ -394,9 +381,11 @@ let xquery_result_strings t value =
         let exec_for, item =
           match item with
           | Algebra.Value.Node id ->
-            let ordinal, node = Sg.decode id in
+            let ordinal = Sg.ordinal_of id in
             if ordinal < 0 then ((fun f -> f t.exec), item)
-            else ((fun f -> Sg.with_doc_executor sg ~ordinal f), Algebra.Value.Node node)
+            else
+              ( (fun f -> Sg.with_doc_executor sg ~ordinal f),
+                Algebra.Value.Node (Sg.node_of id) )
           | _ -> ((fun f -> f t.exec), item)
         in
         exec_for (fun exec ->

@@ -155,14 +155,15 @@ val xquery_string :
 
 (** {1 Results} *)
 
-val add_node : ?json:bool -> t -> Buffer.t -> node -> unit
+val add_node : ?json:bool -> t -> Xqp_xml.Sink.t -> node -> unit
 (** Append one result node the way results travel on the wire: an
     element (or comment, PI) as the XML of its subtree, an attribute as
     [@name="value"], a text node as its content — the value and the text
     unescaped. Written straight from the owning document's pre-order
-    arrays by {!Xqp_xml.Document.add_subtree}; with [~json:true],
+    arrays by {!Xqp_xml.Document.add_item}; with [~json:true],
     JSON-string-escaped in the same pass (the surrounding quotes are the
-    caller's). Corpus ids resolve to their shard's document. *)
+    caller's). Corpus ids resolve to their shard's document. A warm sink
+    allocates nothing per node. *)
 
 val node_string : t -> node -> string
 (** {!add_node} of one node, as a string. *)

@@ -21,14 +21,11 @@ val to_string : ?pretty:bool -> t -> string
 
 (** {1 The printer's pieces}
 
-    For encoders that stream a document into a caller's buffer without
-    building a {!t} first. *)
-
-val escape_into : Buffer.t -> string -> unit
-(** Append a string literal, quotes included: the double quote and the
-    backslash get a backslash, newline, return and tab their short
-    forms, every other byte below 0x20 a u00XX escape; all other bytes
-    (UTF-8 included) go through unchanged. *)
+    For encoders that stream a document into a caller's sink without
+    building a {!t} first. {!to_string} escapes a string literal thus:
+    the double quote and the backslash get a backslash, newline, return
+    and tab their short forms, every other byte below 0x20 a u00XX
+    escape; all other bytes (UTF-8 included) go through unchanged. *)
 
 val num_to_string : float -> string
 (** A number as {!to_string} prints it. *)

@@ -395,8 +395,10 @@ let run_physical t ?deadline ?limit ?(trace = Tr.default) physical ~context =
         | Pp.Step (base, s) ->
           let base_nodes = go (path ^ ".0") base ctx in
           if Tr.enabled tr then Tr.add_attrs span [ ("in", Tr.Int (List.length base_nodes)) ];
-          Navigation.eval_plan ~hints:(hints t) ?deadline t.document (Lp.Step (Lp.Context, s))
-            ~context:base_nodes
+          (* a lone step from the document root stops at the limit *)
+          let limit = match base.Pp.op with Pp.Root when p == physical -> limit | _ -> None in
+          Navigation.eval_plan ~hints:(hints t) ?limit ?deadline t.document
+            (Lp.Step (Lp.Context, s)) ~context:base_nodes
         | Pp.Tau (base, tau) -> (
           let base_nodes = go (path ^ ".0") base ctx in
           if Tr.enabled tr then

@@ -163,8 +163,9 @@ val run_physical :
     [limit] ([>= 1]) returns only the first [limit] nodes of the result.
     A plan that is one τ from the document root bound to the NoK kernel
     passes it to {!Nok.match_pattern}, which stops as soon as no later
-    work can precede those nodes; any other plan runs in full and is
-    cut. [Session.first]/[exists] run with [limit = 1]. *)
+    work can precede those nodes, and a plan that is one navigational
+    step from the document root passes it to {!Navigation.eval_plan};
+    any other plan runs in full and is cut. [Session.first]/[exists] run with [limit = 1]. *)
 
 val run_pattern :
   t -> strategy -> Xqp_algebra.Pattern_graph.t ->

@@ -25,6 +25,7 @@ val make_hints : Xqp_xml.Document.t -> Xqp_storage.Path_summary.t -> hints
 
 val eval_plan :
   ?hints:hints ->
+  ?limit:int ->
   ?deadline:float ->
   Xqp_xml.Document.t ->
   Xqp_algebra.Logical_plan.t ->
@@ -37,10 +38,17 @@ val eval_plan :
     (an absolute [Unix.gettimeofday] instant) is checked once per 256
     context nodes of a step, counted over the whole call, the first
     included.
+
+    [?limit] answers the first [limit] rows of a plan that is one
+    forward step (child, descendant, descendant-or-self or attribute)
+    with no positional predicate, from one context node: the walk stops
+    once it has them, and they are the full answer's prefix. Any other
+    plan ignores it and runs in full.
     @raise Deadline.Exceeded (= [Executor.Deadline_exceeded]) past it. *)
 
 val eval_plan_with_stats :
   ?hints:hints ->
+  ?limit:int ->
   ?deadline:float ->
   Xqp_xml.Document.t ->
   Xqp_algebra.Logical_plan.t ->

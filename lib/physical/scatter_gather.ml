@@ -21,7 +21,8 @@ module Tr = Xqp_obs.Trace
 let ordinal_shift = 40
 let node_mask = (1 lsl ordinal_shift) - 1
 let encode ~ordinal node = ((ordinal + 1) lsl ordinal_shift) lor node
-let decode id = ((id lsr ordinal_shift) - 1, id land node_mask)
+let ordinal_of id = (id lsr ordinal_shift) - 1
+let node_of id = id land node_mask
 
 (* [List.map (encode ~ordinal) nodes @ rest] as one new list. *)
 let[@tail_mod_cons] rec encode_onto ~ordinal rest = function
@@ -272,21 +273,27 @@ let slot_executor t ss slot doc_in_shard =
       Mutex.unlock ss.load_lock;
       exec
 
+(* Allocates nothing of its own: a reply resolves every corpus row
+   through [document]. *)
 let with_doc_executor t ~ordinal f =
-  let rec find i =
-    if i + 1 < Array.length t.shard_states
-       && Catalog.doc_base t.catalog (i + 1) <= ordinal
-    then find (i + 1)
-    else i
-  in
   if ordinal < 0 || ordinal >= doc_count t then invalid_arg "Scatter_gather.with_doc_executor";
-  let ss = t.shard_states.(find 0) in
+  let shard = ref 0 in
+  while
+    !shard + 1 < Array.length t.shard_states && Catalog.doc_base t.catalog (!shard + 1) <= ordinal
+  do
+    incr shard
+  done;
+  let ss = t.shard_states.(!shard) in
   let doc_in_shard = ordinal - Catalog.doc_base t.catalog ss.shard_index in
   let slot = ss.slots.(doc_in_shard) in
   Mutex.lock slot.slot_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock slot.slot_lock)
-    (fun () -> f (slot_executor t ss slot doc_in_shard))
+  match f (slot_executor t ss slot doc_in_shard) with
+  | v ->
+    Mutex.unlock slot.slot_lock;
+    v
+  | exception e ->
+    Mutex.unlock slot.slot_lock;
+    raise e
 
 let document t ~ordinal = with_doc_executor t ~ordinal Executor.doc
 

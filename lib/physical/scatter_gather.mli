@@ -19,7 +19,7 @@
       caller. [domains = 1] runs shards inline on the caller — the
       serial baseline the CORPUS bench compares against.
     - {b Merge.} Result node ids are tagged with their document's global
-      ordinal in the high bits ({!encode}/{!decode}), making the merged
+      ordinal in the high bits ({!encode}, {!ordinal_of}, {!node_of}), making the merged
       stream strictly increasing across (catalog order × within-shard
       order) — still sorted, still duplicate-free.
     - {b Observability.} [corpus.*] metrics (shards dispatched/pruned,
@@ -56,8 +56,11 @@ val encode : ordinal:int -> Xqp_xml.Document.node -> Xqp_xml.Document.node
 (** Tag a within-document node id with its global document ordinal
     (stored [+1] in bits 40+, so untagged ids decode to ordinal [-1]). *)
 
-val decode : Xqp_xml.Document.node -> int * Xqp_xml.Document.node
-(** [(ordinal, node)] of a tagged id. *)
+val ordinal_of : Xqp_xml.Document.node -> int
+(** The global ordinal of a tagged id; [-1] for an untagged one. *)
+
+val node_of : Xqp_xml.Document.node -> Xqp_xml.Document.node
+(** The within-document id of a tagged id. *)
 
 exception Shard_error of string
 (** A shard document could not be materialized: its container is

@@ -67,7 +67,7 @@ let decode s =
 
 (* One 256-entry class table drives every escape: a byte is plain under
    an escape when its class shares no bit with it, and runs of plain
-   bytes go out with one [Buffer.add_substring]. *)
+   bytes go out with one [Sink.add_substring]. *)
 type escape = int
 
 let raw = 0
@@ -75,6 +75,7 @@ let text = 1 (* ampersand and angle brackets, in element content *)
 let attr = 2 (* those and the double quote, in an attribute value *)
 let json_string = 4 (* double quote, backslash, control bytes: JSON *)
 let json e = e lor json_string
+let any = text lor attr lor json_string
 
 let classes =
   Bytes.init 256 (fun i ->
@@ -110,26 +111,28 @@ let next_special e s i =
   done;
   !i
 
-let rec add_from e buffer s start =
+let verbatim s = next_special any s 0 = String.length s
+
+let rec add_from e sink s start =
   let i = next_special e s start in
-  if i > start then Buffer.add_substring buffer s start (i - start);
+  if i > start then Sink.add_substring sink s start (i - start);
   if i < String.length s then begin
     let c = String.unsafe_get s i in
     (* XML first: an entity holds no JSON-special byte, so it needs no
        second escape *)
     if Char.code (Bytes.unsafe_get classes (Char.code c)) land e land (text lor attr) <> 0 then
-      Buffer.add_string buffer
+      Sink.add_string sink
         (match c with '&' -> "&amp;" | '<' -> "&lt;" | '>' -> "&gt;" | _ -> "&quot;")
-    else Buffer.add_string buffer (Array.unsafe_get json_escapes (Char.code c));
-    add_from e buffer s (i + 1)
+    else Sink.add_string sink (Array.unsafe_get json_escapes (Char.code c));
+    add_from e sink s (i + 1)
   end
 
-let add e buffer s = if e = raw then Buffer.add_string buffer s else add_from e buffer s 0
+let add e sink s = if e = raw then Sink.add_string sink s else add_from e sink s 0
 
 let escape e s =
   if next_special e s 0 = String.length s then s
   else begin
-    let buffer = Buffer.create (String.length s + 8) in
-    add e buffer s;
-    Buffer.contents buffer
+    let sink = Sink.create (String.length s + 8) in
+    add e sink s;
+    Sink.contents sink
   end

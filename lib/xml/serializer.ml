@@ -1,11 +1,11 @@
 let render_attrs buffer attrs =
   List.iter
     (fun (k, v) ->
-      Buffer.add_char buffer ' ';
-      Buffer.add_string buffer k;
-      Buffer.add_string buffer "=\"";
+      Sink.add_char buffer ' ';
+      Sink.add_string buffer k;
+      Sink.add_string buffer "=\"";
       Entity.add Entity.attr buffer v;
-      Buffer.add_char buffer '"')
+      Sink.add_char buffer '"')
     attrs
 
 let has_element_child children =
@@ -14,34 +14,34 @@ let has_element_child children =
 let has_text_child children = List.exists (function Tree.Text _ -> true | _ -> false) children
 
 let to_string ?(indent = 0) ?(declaration = false) tree =
-  let buffer = Buffer.create 1024 in
-  if declaration then Buffer.add_string buffer "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
+  let buffer = Sink.create 1024 in
+  if declaration then Sink.add_string buffer "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
   let pad level =
     if indent > 0 then begin
-      Buffer.add_char buffer '\n';
-      Buffer.add_string buffer (String.make (level * indent) ' ')
+      Sink.add_char buffer '\n';
+      Sink.add_string buffer (String.make (level * indent) ' ')
     end
   in
   let rec render level node =
     match node with
     | Tree.Text s -> Entity.add Entity.text buffer s
     | Tree.Comment s ->
-      Buffer.add_string buffer "<!--";
-      Buffer.add_string buffer s;
-      Buffer.add_string buffer "-->"
+      Sink.add_string buffer "<!--";
+      Sink.add_string buffer s;
+      Sink.add_string buffer "-->"
     | Tree.Pi (target, body) ->
-      Buffer.add_string buffer "<?";
-      Buffer.add_string buffer target;
-      Buffer.add_char buffer ' ';
-      Buffer.add_string buffer body;
-      Buffer.add_string buffer "?>"
+      Sink.add_string buffer "<?";
+      Sink.add_string buffer target;
+      Sink.add_char buffer ' ';
+      Sink.add_string buffer body;
+      Sink.add_string buffer "?>"
     | Tree.Element e ->
-      Buffer.add_char buffer '<';
-      Buffer.add_string buffer e.name;
+      Sink.add_char buffer '<';
+      Sink.add_string buffer e.name;
       render_attrs buffer e.attrs;
-      if e.children = [] then Buffer.add_string buffer "/>"
+      if e.children = [] then Sink.add_string buffer "/>"
       else begin
-        Buffer.add_char buffer '>';
+        Sink.add_char buffer '>';
         (* Indent only element-only content: reformatting mixed content would
            change significant text. *)
         let block = indent > 0 && has_element_child e.children && not (has_text_child e.children) in
@@ -51,13 +51,13 @@ let to_string ?(indent = 0) ?(declaration = false) tree =
             render (level + 1) child)
           e.children;
         if block then pad level;
-        Buffer.add_string buffer "</";
-        Buffer.add_string buffer e.name;
-        Buffer.add_char buffer '>'
+        Sink.add_string buffer "</";
+        Sink.add_string buffer e.name;
+        Sink.add_char buffer '>'
       end
   in
   render 0 tree;
-  Buffer.contents buffer
+  Sink.contents buffer
 
 let to_file ?indent ?declaration path tree =
   let oc = open_out_bin path in

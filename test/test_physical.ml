@@ -921,7 +921,20 @@ let test_row_limit_early_exit () =
       if s_first.Nok.nodes_visited * 10 >= s_full.Nok.nodes_visited then
         Alcotest.failf "%s: limit 1 visits %d nodes against %d in full" q
           s_first.Nok.nodes_visited s_full.Nok.nodes_visited)
-    [ "//item"; "/site/people/person" ]
+    [ "//item"; "/site/people/person" ];
+  (* a lone step stays a navigational step: exists on it stops at the
+     first row too *)
+  let db = Xqp.Session.of_document doc in
+  let visited = Xqp_obs.Metrics.counter Xqp_obs.Metrics.default "engine.navigation.nodes_visited" in
+  let visits f =
+    let v0 = Xqp_obs.Metrics.value visited in
+    ignore (Result.get_ok (f db "//item"));
+    Xqp_obs.Metrics.value visited - v0
+  in
+  let full = visits (fun db q -> Result.map List.length (Xqp.Session.query db q)) in
+  let limited = visits (fun db q -> Result.map Bool.to_int (Xqp.Session.exists db q)) in
+  if full = 0 || limited * 10 >= full then
+    Alcotest.failf "exists //item visits %d nodes against %d in full" limited full
 
 (* The two ways a root's scans could stop too soon. A binding recorded
    before a later binding branch fails is rolled back (a[b{out}][c//d]:
@@ -967,7 +980,8 @@ let limit_queries =
   [ "/r/a"; "/r/a/b"; "/r/*/c"; "//a//b"; "//a/b"; "//a/b/c"; "//a[b]/c"; "//*[b][c]";
     "//a[c]//b"; "//a/@k"; "/r/a/@k"; "//b[@k = \"5\"]/c"; "/r//b[c]/d"; "//a | //b/c";
     "/r/a | /r/b"; "//a"; "//*/d"; "//a/following-sibling::b"; "/r/a/following-sibling::*";
-    "/r/*/a/following-sibling::b" ]
+    "/r/*/a/following-sibling::b"; "//b"; "//*"; "//text()"; "/r"; "//@k";
+    "//b[c]"; "//a[@k]"; "//b[2]" ]
 
 let prop_limit_prefix =
   QCheck2.Test.make ~name:"every strategy: limit k is the first k of the full run" ~count:200
