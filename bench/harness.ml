@@ -188,24 +188,28 @@ let prefixed prefix a =
     Some (String.sub a n (String.length a - n))
   else None
 
-(* (scale, selected experiments) or the message for an argument error *)
+(* (scale, agreement, selected experiments) or the message for an
+   argument error *)
 let select experiments args =
-  let rec parse scale only = function
-    | [] -> Ok (scale, only)
-    | "--full" :: rest -> parse `Full only rest
+  let rec parse scale agreement only = function
+    | [] -> Ok (scale, agreement, only)
+    | "--full" :: rest -> parse `Full agreement only rest
+    | "--agreement" :: rest -> parse scale true only rest
     | a :: rest -> (
       match prefixed "--only=" a with
-      | Some ids -> parse scale (Some (String.split_on_char ',' ids)) rest
+      | Some ids -> parse scale agreement (Some (String.split_on_char ',' ids)) rest
       | None ->
-        Error (Printf.sprintf "unknown argument %S (the flags are --only=ID,... and --full)" a))
+        Error
+          (Printf.sprintf
+             "unknown argument %S (the flags are --only=ID,..., --full and --agreement)" a))
   in
   let known = List.map (fun e -> e.id) experiments in
-  match parse `Small None args with
+  match parse `Small false None args with
   | Error _ as e -> e
-  | Ok (scale, None) -> Ok (scale, experiments)
-  | Ok (scale, Some wanted) -> (
+  | Ok (scale, agreement, None) -> Ok (scale, agreement, experiments)
+  | Ok (scale, agreement, Some wanted) -> (
     match List.filter (fun id -> not (List.mem id known)) wanted with
-    | [] -> Ok (scale, List.filter (fun e -> List.mem e.id wanted) experiments)
+    | [] -> Ok (scale, agreement, List.filter (fun e -> List.mem e.id wanted) experiments)
     | unknown ->
       Error
         (Printf.sprintf "unknown experiment id(s) %s (known: %s)" (String.concat ", " unknown)
@@ -216,14 +220,24 @@ let pp_gate id g =
     (status_label g.status)
     (if g.note = "" then "" else " (" ^ g.note ^ ")")
 
-(* Run one experiment, write its BENCH file, return (id, gates, error). *)
-let run_one host e =
+(* In an agreement run a gate is only reported: what fails the run is
+   an experiment that raises, as one does when two encoders or engines
+   disagree. *)
+let agreement_only g =
+  if g.status = Skipped then g else { g with status = Skipped; note = "agreement run" }
+
+(* Run one experiment, write its BENCH file (not in an agreement run),
+   return (id, gates, error). *)
+let run_one host ~agreement e =
   Printf.printf "\n== [%s] %s ==\n%!" e.id e.title;
   let outcome, error =
     match e.run ~scale:host.scale with
     | o -> (o, None)
     | exception Failure msg -> (nothing, Some msg)
     | exception exn -> (nothing, Some (Printexc.to_string exn))
+  in
+  let outcome =
+    if agreement then { outcome with gates = List.map agreement_only outcome.gates } else outcome
   in
   let failed = error <> None || List.exists (fun g -> g.status = Failed) outcome.gates in
   List.iter (pp_gate e.id) outcome.gates;
@@ -241,7 +255,7 @@ let run_one host e =
           output_string oc (J.to_string ~pretty:true json);
           output_char oc '\n');
       Printf.printf "  wrote %s\n" path)
-    e.bench;
+    (if agreement then None else e.bench);
   flush stdout;
   (e.id, outcome.gates, error)
 
@@ -250,11 +264,12 @@ let main experiments args =
   | Error msg ->
     prerr_endline ("bench: " ^ msg);
     2
-  | Ok (scale, selected) ->
+  | Ok (scale, agreement, selected) ->
     let host = host scale in
-    Printf.printf "xqp benchmark harness (scale=%s, %d cores, OCaml %s, commit %s)\n%!"
-      (scale_label scale) host.cores host.ocaml host.commit;
-    let results = List.map (run_one host) selected in
+    Printf.printf "xqp benchmark harness (scale=%s, %d cores, OCaml %s, commit %s)%s\n%!"
+      (scale_label scale) host.cores host.ocaml host.commit
+      (if agreement then ", agreement run" else "");
+    let results = List.map (run_one host ~agreement) selected in
     Printf.printf "\n== gate summary ==\n";
     let count status =
       List.fold_left

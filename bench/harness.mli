@@ -82,6 +82,10 @@ val main : experiment list -> string list -> int
     returns the exit code: 0, 1 if any gate or experiment failed, 2 on an
     unknown argument or experiment id (nothing runs then).
 
+    [--agreement] runs the experiments for their agreement checks
+    alone: every gate is reported [Skipped], no BENCH file is written,
+    and only an experiment that raises fails the run.
+
     Every BENCH file has one shape: [bench], [host] ([cores], [ocaml],
     [commit] from [git describe --always --dirty] or ["unknown"],
     [scale]), [status], [gates], then the experiment's own fields — or

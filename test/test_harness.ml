@@ -142,6 +142,20 @@ let test_envelope () =
   check_bool "raised: failed" true (str [ "status" ] raised = Some "failed");
   check_bool "raised: error" true (str [ "error" ] raised = Some "engine disagrees")
 
+(* An agreement run reports a failing gate as skipped and writes no
+   BENCH file; an experiment that raises still fails it. *)
+let test_agreement_run () =
+  in_temp_dir @@ fun () ->
+  let timed =
+    experiment ~bench:"harness_timed" "TIMED" (fun () ->
+        { H.nothing with H.gates = [ H.at_least "speedup" ~bound:3.0 1.0 ] })
+  in
+  check_int "failing gate: exit 0" 0 (H.main [ timed ] [ "--agreement" ]);
+  check_bool "no BENCH file" false (Sys.file_exists "BENCH_harness_timed.json");
+  check_int "disagreement: exit 1" 1
+    (H.main [ timed; experiment "DISAGREE" (fun () -> failwith "bytes differ") ] [ "--agreement" ]);
+  check_int "without the flag the gate fails" 1 (H.main [ timed ] [])
+
 let suite =
   [
     ( "harness",
@@ -153,5 +167,6 @@ let suite =
           test_failure_does_not_stop_the_run;
         Alcotest.test_case "unknown ids and flags rejected" `Quick test_arguments_rejected;
         Alcotest.test_case "envelope parses with host facts" `Quick test_envelope;
+        Alcotest.test_case "an agreement run skips gates" `Quick test_agreement_run;
       ] );
   ]
