@@ -104,14 +104,11 @@ let write sink t =
           if i > 0 then Sink.add_char sink ',';
           add_json_string sink s)
         items
+    | Nodes (_, []) -> ()
     | Nodes (session, nodes) ->
-      List.iteri
-        (fun i id ->
-          if i > 0 then Sink.add_char sink ',';
-          Sink.add_char sink '"';
-          Session.add_node ~json:true session sink id;
-          Sink.add_char sink '"')
-        nodes);
+      Sink.add_char sink '"';
+      Session.add_nodes ~json:true ~sep:"\",\"" session sink nodes;
+      Sink.add_char sink '"');
     Sink.add_char sink ']';
     field "count";
     Sink.add_string sink (J.num_to_string (float_of_int p.count));

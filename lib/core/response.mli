@@ -26,7 +26,7 @@
 
     One encoder, {!write}, produces every body: it appends the response
     to a caller's sink, and an XPath payload writes each result node
-    straight from the document ({!Session.add_node}), with no string per
+    straight from the document ({!Session.add_nodes}), with no string per
     result, no JSON tree and no allocation per row. {!to_string} is
     [write] into a fresh sink. {!of_json} inverts it (covered by a round-trip test), so the
     schema cannot drift between the producers. *)
@@ -70,7 +70,7 @@ val of_query_result :
   ?request_id:string -> ?queue_ms:float -> Session.t -> query:string ->
   Session.query_result -> t
 (** An XPath result that keeps its node ids: {!write} serializes each
-    through {!Session.add_node}. *)
+    through {!Session.add_nodes}. *)
 
 val of_xquery_result :
   ?request_id:string -> ?queue_ms:float -> Session.t -> query:string ->

@@ -769,8 +769,8 @@ let start ?(config = default_config) session =
       m_queue_wait = Metrics.histogram m "serve.queue_wait_ms";
     }
   in
-  (* Build the lazy executor artifacts (store, statistics, index) once on
-     this domain before workers race for them, and validate the canary. *)
+  (* Validate the canary; it also warms what it touches before the
+     first request. *)
   (match Session.query ~deadline_ms:30_000 session config.canary with
   | Ok _ -> ()
   | Error e ->

@@ -3,8 +3,9 @@
     One acceptor domain admits connections onto a bounded, mutex-guarded
     work queue; [config.domains] worker domains pop jobs and answer them
     against a single read-only {!Session.t} (safe to share: the plan
-    cache is sharded, lazy artifacts build under locks, metrics are
-    atomic — DESIGN.md §11/§12). Admission control rejects instantly
+    cache is sharded, executor artifacts and corpus documents build
+    once under their own locks, metrics are atomic — DESIGN.md
+    §11/§12). Admission control rejects instantly
     with 503 when the queue is full, so saturation degrades into fast
     failures rather than unbounded latency.
 
@@ -66,8 +67,8 @@ type t
 (** A running server (acceptor + workers). *)
 
 val start : ?config:config -> Session.t -> t
-(** Bind, validate the canary (building the session's lazy artifacts
-    before workers race for them), spawn the domain pool.
+(** Bind, validate the canary (which also warms what it touches),
+    spawn the domain pool.
     @raise Invalid_argument on a bad config or failing canary;
     @raise Unix.Unix_error if the port cannot be bound. *)
 

@@ -8,19 +8,18 @@ module Pp = Physical.Physical_plan
 
 module Sg = Physical.Scatter_gather
 
-(* A session backs onto either one executor or a whole corpus. In corpus
-   mode [exec] is the scatter-gather planning executor (merged-summary
-   statistics, merged stats version): every compile path — query, explain,
-   the plan cache — goes through it unchanged, and only execution fans
-   out. Single-document callers see no difference anywhere. *)
-type t = { exec : Executor.t; corpus : Sg.t option }
+(* A session is a corpus. A single document, parsed or opened from a
+   .xqdb, is a corpus of one materialized document with no pool, whose
+   planner is the document's own executor; a catalog plans against its
+   merged summary. Every entry point below runs one path for both. *)
+type t = Sg.t
 
 type node = Xml.Document.node
 type engine = Executor.strategy
 
 (* --- constructors ------------------------------------------------------- *)
 
-let of_document doc = { exec = Executor.create doc; corpus = None }
+let of_document doc = Sg.of_executor (Executor.create doc)
 let of_tree tree = of_document (Xml.Document.of_tree tree)
 
 let catching_source f =
@@ -35,30 +34,28 @@ let of_string s = catching_source (fun () -> of_document (Xml.Document.of_string
 
 let open_db ?domains path =
   if Storage.Catalog.is_catalog_path path then
-    catching_source (fun () ->
-        let sg = Sg.open_catalog ?domains (Storage.Catalog.load path) in
-        { exec = Sg.planner sg; corpus = Some sg })
+    catching_source (fun () -> Sg.open_catalog ?domains (Storage.Catalog.load path))
   else if not (Filename.check_suffix path ".xqdb") then
     Error
       (Error.Bad_request
          (Printf.sprintf "%s: open_db expects a packed .xqdb store or .xqdbc catalog" path))
   else
     catching_source (fun () ->
-        { exec = Executor.of_packed ~path (Storage.Store_io.read_file path); corpus = None })
+        Sg.of_executor (Executor.of_packed ~path (Storage.Store_io.read_file path)))
 
 let parse_file path =
   if Filename.check_suffix path ".xqdb" || Storage.Catalog.is_catalog_path path then
     Error (Error.Bad_request (Printf.sprintf "%s: parse_file expects XML; use open_db" path))
   else catching_source (fun () -> of_tree (Xml.Xml_parser.parse_file ~strip:true path))
 
-let document t = Executor.doc t.exec
-let executor t = t.exec
-let close t = Option.iter Sg.close t.corpus
+let executor = Sg.planner
+let document t = Executor.doc (executor t)
+let close = Sg.close
 
 let save t path =
-  match t.corpus with
-  | Some _ -> failwith "Session.save: corpus sessions are packed with `xqp pack`"
-  | None -> Storage.Store_io.save (Executor.store t.exec) path
+  if Sg.doc_count t <> 1 then
+    failwith "Session.save: a corpus of several documents is packed with `xqp pack`";
+  Sg.with_doc_executor t ~ordinal:0 (fun exec -> Storage.Store_io.save (Executor.store exec) path)
 
 (* --- queries ------------------------------------------------------------- *)
 
@@ -153,27 +150,21 @@ let run_profiled ?(engine = Executor.Auto) ?(optimize = true) ?(use_cache = true
   let tracing = match trace with Some tr -> Tr.enabled tr | None -> false in
   let collect = recording || tracing in
   let compiled = ref None in
-  let corpus_ops = ref [] in
+  let ops = ref [] in
   let pages0 = if collect then M.value m_pager_reads else 0 in
   let t0 = Unix.gettimeofday () in
   let outcome =
     catching_query ?deadline_ms (fun () ->
         let deadline = deadline_of_ms deadline_ms in
         let { Executor.physical; fingerprint; cache } =
-          Executor.prepare t.exec ~strategy:engine ~optimize ~use_cache (Executor.Query q)
+          Executor.prepare (executor t) ~strategy:engine ~optimize ~use_cache (Executor.Query q)
         in
         compiled := Some (physical, cache, fingerprint);
+        (* Per-operator rows come back summed across documents. *)
         let execute () =
-          match t.corpus with
-          | None ->
-            Executor.run_physical t.exec ?deadline ?trace physical
-              ~context:[ Ops.document_context ]
-          | Some sg ->
-            (* One compiled plan, fanned across shards; per-operator rows
-               come back summed across documents. *)
-            let r = Sg.run sg ?deadline ?trace physical in
-            corpus_ops := r.Sg.ops;
-            r.Sg.nodes
+          let r = Sg.run t ?deadline ?trace physical in
+          ops := r.Sg.ops;
+          r.Sg.nodes
         in
         match trace with
         | Some tr when tracing ->
@@ -185,12 +176,7 @@ let run_profiled ?(engine = Executor.Auto) ?(optimize = true) ?(use_cache = true
   in
   let time_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
   let pages_read = if collect then max 0 (M.value m_pager_reads - pages0) else 0 in
-  let ops =
-    match (trace, !compiled, t.corpus) with
-    | Some tr, Some (physical, _, _), None when tracing ->
-      Physical.Profile.rows_of_spans physical (Tr.events tr)
-    | _ -> !corpus_ops
-  in
+  let ops = !ops in
   let sample ~rows ~cache ~failed ~deadline_missed ~worst_q_error fingerprint =
     {
       Fr.fingerprint;
@@ -249,17 +235,12 @@ let query ?engine ?optimize ?use_cache ?deadline_ms t q =
 
 (* [first]/[exists]: the plan [query] runs (plan cache, Auto), run for
    one row — the NoK kernel stops at its first witness where it can, any
-   other plan is cut — on a document or across a corpus. Not recorded: a
-   one-row sample would skew its fingerprint's row statistics. *)
+   other plan is cut. Not recorded: a one-row sample would skew its
+   fingerprint's row statistics. *)
 let first t q =
   catching_query (fun () ->
-      let { Executor.physical; _ } = Executor.prepare t.exec (Executor.Query q) in
-      let nodes =
-        match t.corpus with
-        | None -> Executor.run_physical t.exec ~limit:1 physical ~context:[ Ops.document_context ]
-        | Some sg -> (Sg.run sg ~limit:1 physical).Sg.nodes
-      in
-      match nodes with node :: _ -> Some node | [] -> None)
+      let { Executor.physical; _ } = Executor.prepare (executor t) (Executor.Query q) in
+      match (Sg.run t ~limit:1 physical).Sg.nodes with node :: _ -> Some node | [] -> None)
 
 let exists t q = Result.map Option.is_some (first t q)
 
@@ -276,32 +257,19 @@ let run_xquery_profiled ?engine ?deadline_ms ?trace ?(recorder = Fr.default) t q
   let outcome =
     catching_query ?deadline_ms (fun () ->
         let deadline = deadline_of_ms deadline_ms in
+        (* Evaluate per document, in global order, and concatenate the
+           result sequences — the collection()-style map. Aggregates
+           therefore yield one item per document, not one corpus-wide
+           total. *)
         let eval () =
-          match t.corpus with
-          | None -> Xqp_xquery.Eval.eval_query t.exec ?strategy:engine ?deadline q
-          | Some sg ->
-            (* Corpus XQuery semantics: evaluate per document (in global
-               order) and concatenate the result sequences — the
-               collection()-style map. Aggregates therefore yield one item
-               per document, not one corpus-wide total. *)
-            let n = Sg.doc_count sg in
-            let rec go ordinal acc =
-              if ordinal >= n then List.concat (List.rev acc)
-              else
-                let value =
-                  Sg.with_doc_executor sg ~ordinal (fun exec ->
-                      Xqp_xquery.Eval.eval_query exec ?strategy:engine ?deadline q)
-                in
-                let tagged =
-                  List.map
-                    (function
-                      | Algebra.Value.Node id -> Algebra.Value.Node (Sg.encode ~ordinal id)
-                      | item -> item)
-                    value
-                in
-                go (ordinal + 1) (tagged :: acc)
-            in
-            go 0 []
+          List.concat
+            (List.init (Sg.doc_count t) (fun ordinal ->
+                 List.map
+                   (function
+                     | Algebra.Value.Node id -> Algebra.Value.Node (Sg.encode ~ordinal id)
+                     | item -> item)
+                   (Sg.with_doc_executor t ~ordinal (fun exec ->
+                        Xqp_xquery.Eval.eval_query exec ?strategy:engine ?deadline q))))
         in
         match trace with
         | Some tr when Tr.enabled tr ->
@@ -343,62 +311,57 @@ let xquery ?engine ?deadline_ms t q =
 
 (* --- results ------------------------------------------------------------- *)
 
-(* A (possibly ordinal-tagged) result node's owning document.
-   Single-document sessions pass through. *)
-let owning_doc t id =
-  match t.corpus with
-  | None -> document t
-  | Some sg ->
-    let ordinal = Sg.ordinal_of id in
-    if ordinal < 0 then document t else Sg.document sg ~ordinal
+(* A row resolves to its document by ordinal, and to a node within it;
+   the document node is written as its root element, the bytes XQuery's
+   [/] gives. Neither takes a lock nor allocates. *)
+let node_in doc id =
+  let node = Sg.node_of id in
+  if node = Ops.document_context then Xml.Document.root doc else node
 
-(* The row rules are [Document.add_item]'s; resolving the row allocates
-   nothing, so a reply costs no words per row. *)
-let add_node ?(json = false) t sink id =
-  Xml.Document.add_item ~json sink (owning_doc t id) (Sg.node_of id)
+(* The row rules are [Document.add_item]'s. Rows arrive in id order, so
+   a document is looked up once per run of its rows: [lo, hi) holds the
+   ids of the document at hand, its document node first. A warm sink
+   allocates nothing per row. *)
+let add_nodes ?(json = false) ?(sep = "") t sink nodes =
+  let rec go doc lo hi before = function
+    | id :: rest when id >= lo && id < hi ->
+      Xml.Sink.add_string sink before;
+      Xml.Document.add_item ~json sink doc (node_in doc id);
+      go doc lo hi sep rest
+    | id :: _ as rows ->
+      let ordinal = Sg.ordinal_of id in
+      go (Sg.document t ~ordinal) (Sg.encode ~ordinal (-1))
+        (Sg.encode ~ordinal:(ordinal + 1) (-1))
+        before rows
+    | [] -> ()
+  in
+  go (document t) 0 0 "" nodes
 
 let to_xml t nodes =
   let sink = Xml.Sink.create 256 in
-  List.iter (add_node t sink) nodes;
+  add_nodes t sink nodes;
   Xml.Sink.contents sink
 
 let node_string t id = to_xml t [ id ]
 
-let text t id = Xml.Document.typed_value (owning_doc t id) (Sg.node_of id)
+let text t id =
+  let doc = Sg.document t ~ordinal:(Sg.ordinal_of id) in
+  Xml.Document.typed_value doc (node_in doc id)
 
+(* A node item is serialized by its own document's executor; atoms and
+   fragments carry their own data. *)
 let xquery_result_strings t value =
-  match t.corpus with
-  | None ->
-    List.map
-      (fun tree -> Xml.Serializer.to_string tree)
-      (Xqp_xquery.Eval.result_trees t.exec value)
-  | Some sg ->
-    (* Route every node item through its owning document; atoms and
-       fragments carry their own data (the planner executor's placeholder
-       document is never consulted for them). *)
-    List.map
-      (fun item ->
-        let exec_for, item =
-          match item with
-          | Algebra.Value.Node id ->
-            let ordinal = Sg.ordinal_of id in
-            if ordinal < 0 then ((fun f -> f t.exec), item)
-            else
-              ( (fun f -> Sg.with_doc_executor sg ~ordinal f),
-                Algebra.Value.Node (Sg.node_of id) )
-          | _ -> ((fun f -> f t.exec), item)
-        in
-        exec_for (fun exec ->
-            String.concat ""
-              (List.map Xml.Serializer.to_string (Xqp_xquery.Eval.result_trees exec [ item ]))))
-      value
+  List.map
+    (function
+      | Algebra.Value.Node id ->
+        Sg.with_doc_executor t ~ordinal:(Sg.ordinal_of id) (fun exec ->
+            Xqp_xquery.Eval.result_string exec [ Algebra.Value.Node (Sg.node_of id) ])
+      | item -> Xqp_xquery.Eval.result_string (executor t) [ item ])
+    value
 
 let xquery_string ?engine ?deadline_ms t q =
   Result.map
-    (fun v ->
-      match t.corpus with
-      | None -> Xqp_xquery.Eval.result_string t.exec v
-      | Some _ -> String.concat "" (xquery_result_strings t v))
+    (fun v -> String.concat "" (xquery_result_strings t v))
     (xquery ?engine ?deadline_ms t q)
 
 (* --- explain ------------------------------------------------------------- *)
@@ -414,4 +377,4 @@ type explain = Physical.Profile.explain = {
 
 let explain ?(engine = Executor.Auto) ?optimize ?use_cache t q =
   catching_query (fun () ->
-      Physical.Profile.explain t.exec ~strategy:engine ?optimize ?use_cache q)
+      Physical.Profile.explain (executor t) ~strategy:engine ?optimize ?use_cache q)

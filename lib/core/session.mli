@@ -7,12 +7,19 @@
     entry points — the CLI, the tests and {!Server} all drive this exact
     code path.
 
+    Every session is a corpus ({!Xqp_physical.Scatter_gather}): a
+    single document — parsed, or opened from a [.xqdb] — is a corpus of
+    one materialized document with no pool, planned by its own executor,
+    so documents and catalogs run one execution path and one row-id
+    scheme (DESIGN.md §14).
+
     A session is cheap to create and safe to share across domains for
-    read-only querying: the underlying executor's artifacts (succinct
-    store, statistics, content index) build at most once — an opened
-    store brings its statistics with it (DESIGN.md §15) — the
-    shared plan cache is mutex-sharded, and metrics are atomic
-    (DESIGN.md §11). *)
+    read-only querying: each executor artifact (succinct store,
+    statistics, content index, navigation hints) and each corpus
+    document builds at most once, under a lock of its own, and is read
+    without one afterwards — an opened store brings its statistics with
+    it (DESIGN.md §15) — the shared plan cache is mutex-sharded, and
+    metrics are atomic (DESIGN.md §11). *)
 
 type t
 type node = Xqp_xml.Document.node
@@ -29,11 +36,12 @@ val of_string : string -> (t, Error.t) result
 
 val open_db : ?domains:int -> string -> (t, Error.t) result
 (** Open a packed [.xqdb] store saved by {!save}, or a [.xqdbc] corpus
-    catalog written by [xqp pack --corpus]. A corpus session plans once
+    catalog written by [xqp pack --corpus]. A catalog session plans once
     against the catalog's merged path summary and scatter-gathers
     execution across shards on [domains] worker domains (default 1 =
-    inline; ignored for single stores); result node ids are tagged with
-    their document's ordinal, and every entry point below works
+    inline; ignored for single stores); result node ids carry their
+    document's ordinal ({!Xqp_physical.Scatter_gather.encode}; the first
+    document's ids are plain), and every entry point below works
     unchanged. A single store opens through
     {!Xqp_physical.Executor.of_packed}: its DOM is built straight from
     the loaded store, which is then dropped, and its statistics read off
@@ -48,16 +56,22 @@ val parse_file : string -> (t, Error.t) result
     the old [of_file] silently switched behavior on the extension. *)
 
 val document : t -> Xqp_xml.Document.t
+(** The planner's document: a single document's own, a catalog's
+    placeholder. *)
+
 val executor : t -> Xqp_physical.Executor.t
+(** The executor every query compiles against
+    ({!Xqp_physical.Scatter_gather.planner}): a single document's own. *)
 
 val close : t -> unit
-(** Join a corpus session's worker-domain pool (no-op otherwise).
-    Domains are a bounded OS resource — close corpus sessions you are
+(** Join a catalog session's worker-domain pool (no-op otherwise).
+    Domains are a bounded OS resource — close catalog sessions you are
     done with; queries after [close] must not be issued. *)
 
 val save : t -> string -> unit
-(** Persist the succinct store ([.xqdb]). @raise Failure on corpus
-    sessions (corpora are packed with [xqp pack]). *)
+(** Persist the succinct store ([.xqdb]) of the session's one document.
+    @raise Failure when the session holds several documents (those are
+    packed with [xqp pack]). *)
 
 (** {1 Queries} *)
 
@@ -85,9 +99,8 @@ val query :
 val first : t -> string -> (node option, Error.t) result
 (** The first result in document order: the plan {!query} runs (plan
     cache, [Auto]), run with a limit of one row
-    ({!Xqp_physical.Executor.run_physical} [~limit:1]; a corpus session
-    through {!Xqp_physical.Scatter_gather.run}, answering an
-    ordinal-tagged id). A top-level τ bound to the NoK kernel stops at
+    through {!Xqp_physical.Scatter_gather.run}, which passes it to every
+    document's {!Xqp_physical.Executor.run_physical}). A top-level τ bound to the NoK kernel stops at
     its first witness where the kernel's stop rule allows; any other
     plan runs in full. Not fed to the flight recorder. *)
 
@@ -103,7 +116,7 @@ type profiled = {
   ops : Xqp_physical.Profile.row list;
       (** per-operator rows in execution order, read off the operator
           spans ({!Xqp_physical.Profile.rows_of_spans}) — summed across
-          documents for a corpus session; empty unless a trace is enabled *)
+          documents; empty unless a trace is enabled *)
   worst_q_error : float;
       (** max per-operator q-error when traced, else the plan-level
           (root) q-error when the recorder is on, else [1.0] *)
@@ -121,10 +134,10 @@ val run_profiled :
     every outcome that compiled a plan — including timeouts — is folded
     into it as one plan-level sample (fingerprint off the plan cache,
     rows, pages, root q-error) cheap enough for the always-on OBSREC
-    gate. An enabled [trace] wraps the run in a ["query"] span with one
-    child span per operator (a corpus run adds one span per shard
-    instead), isolated from every other request's tracer, and [ops] is
-    read off those spans. Each successful query feeds its worst q-error
+    gate. An enabled [trace] wraps the run in a ["query"] span holding
+    one ["shard"] span per shard, each over its documents' operator
+    spans, isolated from every other request's tracer; [ops] is read off
+    the operator spans and summed across documents. Each successful query feeds its worst q-error
     to the [executor.q_error] histogram and, past 4×, the
     [executor.misestimates] counter in {!Xqp_obs.Metrics.default} — once
     per query, when recorded or traced. With the recorder disabled and
@@ -155,23 +168,27 @@ val xquery_string :
 
 (** {1 Results} *)
 
-val add_node : ?json:bool -> t -> Xqp_xml.Sink.t -> node -> unit
-(** Append one result node the way results travel on the wire: an
-    element (or comment, PI) as the XML of its subtree, an attribute as
-    [@name="value"], a text node as its content — the value and the text
-    unescaped. Written straight from the owning document's pre-order
-    arrays by {!Xqp_xml.Document.add_item}; with [~json:true],
-    JSON-string-escaped in the same pass (the surrounding quotes are the
-    caller's). Corpus ids resolve to their shard's document. A warm sink
-    allocates nothing per node. *)
+val add_nodes : ?json:bool -> ?sep:string -> t -> Xqp_xml.Sink.t -> node list -> unit
+(** Append result nodes the way results travel on the wire, [sep]
+    (default empty) between them: an element (or comment, PI) as the
+    XML of its subtree, an attribute as [@name="value"], a text node as
+    its content — the value and the text unescaped. Written straight from
+    the owning document's pre-order arrays by
+    {!Xqp_xml.Document.add_item}; with [~json:true], JSON-string-escaped
+    in the same pass (quotes around each row are the caller's, which
+    [sep] can close and reopen). A row id resolves to its document by
+    ordinal, once per run of rows from one document and taking no lock;
+    a document node (what [/] answers) is written as the document's root
+    element. A warm sink allocates nothing per node. *)
 
 val node_string : t -> node -> string
-(** {!add_node} of one node, as a string. *)
+(** {!add_nodes} of one node, as a string. *)
 
 val to_xml : t -> node list -> string
-(** {!add_node} of each node, concatenated. *)
+(** {!add_nodes} of the nodes, as a string. *)
 
 val text : t -> node -> string
+(** The typed value of a row (a document node's is its root element's). *)
 
 val xquery_result_strings : t -> Xqp_algebra.Value.t -> string list
 (** One serialized string per result item (the XQuery analogue of
@@ -194,5 +211,5 @@ val explain :
   (explain, Error.t) result
 (** {!Xqp_physical.Profile.explain} on this session's executor: compiles
     through the same cached path as {!query} and reports the plan, this
-    call's cache outcome, and the estimate with provenance. A corpus
+    call's cache outcome, and the estimate with provenance. A catalog
     session explains against its merged-summary planner. *)

@@ -95,8 +95,17 @@ let add_attrs span attrs = if span.s_real then span.s_attrs <- span.s_attrs @ at
    stay queryable through [dropped]. *)
 let m_dropped = Metrics.counter Metrics.default "trace.dropped"
 
+let push t event =
+  if t.count = t.capacity then begin
+    t.lost <- t.lost + 1;
+    Metrics.incr m_dropped
+  end
+  else t.count <- t.count + 1;
+  t.ring.(t.head) <- Some event;
+  t.head <- (t.head + 1) mod t.capacity
+
 let record t span t1 =
-  let event =
+  push t
     {
       id = span.s_id;
       parent = span.s_parent;
@@ -106,14 +115,6 @@ let record t span t1 =
       t1;
       attrs = span.s_attrs;
     }
-  in
-  if t.count = t.capacity then begin
-    t.lost <- t.lost + 1;
-    Metrics.incr m_dropped
-  end
-  else t.count <- t.count + 1;
-  t.ring.(t.head) <- Some event;
-  t.head <- (t.head + 1) mod t.capacity
 
 let finish t span =
   if span.s_real then begin
@@ -154,6 +155,41 @@ let events t =
     match t.ring.(i) with Some e -> out := e :: !out | None -> ()
   done;
   List.sort (fun a b -> compare a.id b.id) !out
+
+(* The new span takes the next id and each source's spans the ids after
+   it, so parents still precede their children; times move from the
+   source's epoch to this tracer's. *)
+let graft t ?(attrs = []) name ~start ~stop sources =
+  if t.on then begin
+    let parent, depth =
+      match t.stack with [] -> (-1, 0) | top :: _ -> (top.s_id, top.s_depth + 1)
+    in
+    let id = t.next_id in
+    t.next_id <- id + 1;
+    let t0 = ref (start -. t.epoch) and t1 = ref (stop -. t.epoch) in
+    List.iter
+      (fun src ->
+        let base = t.next_id and shift = src.epoch -. t.epoch in
+        List.iter
+          (fun e ->
+            let e =
+              {
+                e with
+                id = base + e.id;
+                parent = (if e.parent < 0 then id else base + e.parent);
+                depth = depth + 1 + e.depth;
+                t0 = e.t0 +. shift;
+                t1 = e.t1 +. shift;
+              }
+            in
+            t0 := Float.min !t0 e.t0;
+            t1 := Float.max !t1 e.t1;
+            push t e)
+          (events src);
+        t.next_id <- base + src.next_id)
+      sources;
+    push t { id; parent; depth; name; t0 = !t0; t1 = !t1; attrs }
+  end
 
 let dropped t = t.lost
 

@@ -65,6 +65,15 @@ val events : t -> event list
 (** Completed spans in start order (ascending [id]). Parents therefore
     precede their children even though they complete after them. *)
 
+val graft : t -> ?attrs:attr list -> string -> start:float -> stop:float -> t list -> unit
+(** [graft t name ~start ~stop sources] records, beneath the innermost
+    open span of [t], a completed span [name] over the
+    [Unix.gettimeofday] interval [start, stop] (widened to cover what it
+    holds), with every completed span of each tracer in [sources] beneath
+    it, nesting and wall-clock times kept. Spans measured on other
+    domains, each into a tracer of its own, join a request's trace this
+    way once those domains are done. No-op while [t] is disabled. *)
+
 val dropped : t -> int
 (** Events lost to ring overflow since the last {!clear}. Every drop
     (from any tracer) also bumps the [trace.dropped] counter in

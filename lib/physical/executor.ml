@@ -6,15 +6,17 @@ module Ops = Xqp_algebra.Operators
 module Pp = Physical_plan
 module Ps = Xqp_storage.Path_summary
 
+(* The four artifacts are [Once] cells, so domains sharing an executor
+   build each at most once and read it without a lock afterwards. *)
 type t = {
   id : int;
   document : Doc.t;
-  store_lazy : Store.t Lazy.t;
-  stats_lazy : Statistics.t Lazy.t;
+  store_once : Store.t Once.t;
+  stats_once : Statistics.t Once.t;
   stats_version : int;
   engine_cache : (Pg.t, Cost_model.engine) Plan_cache.Lru.t;
-  content_index_lazy : Content_index.t Lazy.t;
-  hints_lazy : Navigation.hints Lazy.t;
+  content_index_once : Content_index.t Once.t;
+  hints_once : Navigation.hints Once.t;
 }
 
 type strategy = Pp.strategy =
@@ -37,24 +39,25 @@ let next_id = Atomic.make 0
    memo: a client can grow neither past it. *)
 let plan_cache_capacity = 256
 
-let make ?(stats_version = 0) document ~store_lazy ~stats_lazy =
+let make ?(stats_version = 0) document ~store_once ~stats_once =
   {
     id = Atomic.fetch_and_add next_id 1 + 1;
     document;
-    store_lazy;
-    stats_lazy;
+    store_once;
+    stats_once;
     stats_version;
     engine_cache =
       Plan_cache.Lru.create ~name:"Executor.engine_cache" ~capacity:plan_cache_capacity ();
-    content_index_lazy = lazy (Content_index.build document);
-    hints_lazy =
-      lazy (Navigation.make_hints document (Statistics.summary (Lazy.force stats_lazy)));
+    content_index_once = Once.make (fun () -> Content_index.build document);
+    hints_once =
+      Once.make (fun () ->
+          Navigation.make_hints document (Statistics.summary (Once.force stats_once)));
   }
 
 let create ?pager document =
   make document
-    ~store_lazy:(lazy (Store.of_document ?pager document))
-    ~stats_lazy:(lazy (Statistics.build document))
+    ~store_once:(Once.make (fun () -> Store.of_document ?pager document))
+    ~stats_once:(Once.make (fun () -> Statistics.build document))
 
 (* The open path for packed images, single stores and corpus shards
    alike: the DOM comes straight from the loaded store's pre-order scan,
@@ -75,8 +78,8 @@ let of_packed ~path image =
     with Failure m -> corrupt ("path summary: " ^ m)
   in
   make document
-    ~store_lazy:(lazy (Store.of_document document))
-    ~stats_lazy:(Lazy.from_val stats)
+    ~store_once:(Once.make (fun () -> Store.of_document document))
+    ~stats_once:(Once.of_value stats)
 
 (* A planning-only executor whose statistics are injected rather than
    derived from a document — the corpus path plans against the catalog's
@@ -88,16 +91,15 @@ let of_packed ~path image =
 let create_planner ?stats_version stats =
   let document = Doc.of_tree (Xqp_xml.Tree.elt "xqp:corpus" []) in
   make ?stats_version document
-    ~store_lazy:(lazy (Store.of_document document))
-    ~stats_lazy:(Lazy.from_val stats)
+    ~store_once:(Once.make (fun () -> Store.of_document document))
+    ~stats_once:(Once.of_value stats)
 
 let id t = t.id
 let doc t = t.document
-let store t = Lazy.force t.store_lazy
-let statistics t = Lazy.force t.stats_lazy
-let content_index t = Lazy.force t.content_index_lazy
-
-let hints t = Lazy.force t.hints_lazy
+let store t = Once.force t.store_once
+let statistics t = Once.force t.stats_once
+let content_index t = Once.force t.content_index_once
+let hints t = Once.force t.hints_once
 
 (* Path-partition pruning for NoK and PathStack: a vertex's candidate
    stream keeps only nodes whose summary path id lies in the vertex's

@@ -2,7 +2,10 @@
 
     An executor bundles a packed document with the lazily-built artifacts
     around it (the succinct store, statistics for the cost model, the
-    content index). All planning — engine selection, join
+    content index, navigation hints). It is safe to share across
+    domains: each artifact is a {!Once} cell, built at most once by the
+    first domain that asks and read with one atomic load after that
+    (DESIGN.md §11). All planning — engine selection, join
     orders, fallbacks, estimates — happens once in {!compile} (via
     {!Planner}); {!run_physical} just interprets the resulting IR, never
     consulting the cost model or resolving [Auto]. {!prepare} is the one

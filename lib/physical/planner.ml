@@ -1,5 +1,4 @@
 module Lp = Xqp_algebra.Logical_plan
-module Pg = Xqp_algebra.Pattern_graph
 module Pp = Physical_plan
 
 (* One capability predicate per engine — each delegates to the engine

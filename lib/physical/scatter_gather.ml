@@ -1,7 +1,8 @@
-(* Scatter-gather corpus execution: one plan compiled against the catalog's
-   merged summary fans out across shards on a persistent pool of worker
-   domains; per-shard results merge back in global document order. See the
-   .mli and DESIGN.md §14 for the ownership model. *)
+(* Scatter-gather execution: one plan compiled once fans out across a
+   corpus's documents on a persistent pool of worker domains, and the
+   per-document results merge back in global document order. A single
+   document is a corpus of one, already materialized, with no pool. See
+   the .mli and DESIGN.md §14 for the ownership model. *)
 
 module Doc = Xqp_xml.Document
 module Catalog = Xqp_storage.Catalog
@@ -10,19 +11,22 @@ module Pp = Physical_plan
 module M = Xqp_obs.Metrics
 module Tr = Xqp_obs.Trace
 
-(* --- global-ordinal node tagging ---------------------------------------- *)
+(* --- global-ordinal row ids ---------------------------------------------- *)
 
-(* Corpus result node ids carry their owning document's global ordinal in
-   the high bits (ordinal + 1, so plain single-document ids — and the -1
-   document context — decode to ordinal -1). Within-document ids stay
-   below 2^40 by a huge margin; ordinals fit the remaining 22 bits of a
-   63-bit int. Tagged ids are strictly increasing across (ordinal, node),
-   so a merged corpus stream is still sorted and duplicate-free. *)
+(* A row id carries its document's global ordinal in bits 40 and up,
+   offset so that ordinal 0 is plain: the ids of a document, and of a
+   catalog's first document, are its pre-order ids. A document's node
+   (-1 within the document) is [(ordinal lsl 40) - 1]: distinct per
+   ordinal, and just before that document's nodes. Within-document ids
+   stay below 2^40 - 1 by a huge margin and ordinals fit the remaining
+   22 bits of a 63-bit int, so ids increase strictly across
+   (ordinal, node) and a merged corpus stream is still sorted and
+   duplicate-free. *)
 let ordinal_shift = 40
 let node_mask = (1 lsl ordinal_shift) - 1
-let encode ~ordinal node = ((ordinal + 1) lsl ordinal_shift) lor node
-let ordinal_of id = (id lsr ordinal_shift) - 1
-let node_of id = id land node_mask
+let encode ~ordinal node = (ordinal lsl ordinal_shift) + node
+let ordinal_of id = (id + 1) asr ordinal_shift
+let node_of id = ((id + 1) land node_mask) - 1
 
 (* [List.map (encode ~ordinal) nodes @ rest] as one new list. *)
 let[@tail_mod_cons] rec encode_onto ~ordinal rest = function
@@ -157,145 +161,134 @@ let run_batch pool tasks =
 
 (* --- corpus state -------------------------------------------------------- *)
 
-type doc_slot = {
-  ordinal : int;
-  slot_lock : Mutex.t;
-      (* owns the executor: materialization and every query on it run
-         under this lock, so lazy artifacts are forced by exactly one
-         domain at a time *)
-  mutable exec : Executor.t option;
+type shard = {
+  first : int; (* global ordinal of the shard's first document *)
+  docs : int;
+  certainly_empty : Xqp_algebra.Logical_plan.t -> bool; (* off the shard's own summary *)
 }
 
-type shard_state = {
-  shard_index : int;
-  shard_stats : Statistics.t; (* from the catalog's per-shard summary; pruning input *)
-  slots : doc_slot array;
-  load_lock : Mutex.t;
-  mutable images : string array option; (* raw store images, freed once all docs built *)
-  mutable built : int;
-}
-
+(* Executors are safe to share (every artifact is a [Once] cell), so a
+   document's executor is itself a [Once] cell: its lock is held only
+   while the document materializes, and a built one is read with one
+   atomic load — no lock and no allocation per query or per reply row. *)
 type t = {
-  catalog : Catalog.t;
   planner : Executor.t;
-  domains : int;
   pool : pool option;
-  shard_states : shard_state array;
-  m_dispatched : M.counter;
-  m_pruned : M.counter;
-  m_materialized : M.counter;
-  m_shard_ms : M.histogram;
-  m_shard_rows : M.histogram;
+  shards : shard array;
+  execs : Executor.t Once.t array; (* by global ordinal *)
 }
+
+let m_dispatched = M.counter M.default "corpus.shards_dispatched"
+let m_pruned = M.counter M.default "corpus.shards_pruned"
+let m_materialized = M.counter M.default "corpus.docs_materialized"
+let m_shard_ms = M.histogram M.default "corpus.shard_ms"
+let m_shard_rows = M.histogram M.default "corpus.shard_rows"
+
+exception Shard_error of string
+
+(* A shard container's images, read on its first materialization and
+   dropped once every document in it is built. [Mutex.protect]: an
+   unreadable container must not leave the lock held. *)
+type images = {
+  lock : Mutex.t;
+  read : unit -> string array;
+  mutable loaded : string array option;
+  mutable pending : int; (* documents not built yet *)
+}
+
+let image imgs d =
+  Mutex.protect imgs.lock (fun () ->
+      match imgs.loaded with
+      | Some loaded -> loaded.(d)
+      | None ->
+          let loaded = imgs.read () in
+          imgs.loaded <- Some loaded;
+          loaded.(d))
+
+let built imgs =
+  Mutex.protect imgs.lock (fun () ->
+      imgs.pending <- imgs.pending - 1;
+      if imgs.pending = 0 then imgs.loaded <- None)
+
+(* A document's executor, built from its packed image through the same
+   open path as a single store. Materialization happens inside a query,
+   so an unreadable container or a corrupt image surfaces as
+   [Shard_error], not as a failure of the query itself. *)
+let materialize ~path imgs d () =
+  let exec =
+    try Executor.of_packed ~path (image imgs d)
+    with Failure m | Sys_error m -> raise (Shard_error m)
+  in
+  built imgs;
+  M.incr m_materialized;
+  exec
 
 let open_catalog ?(domains = 1) catalog =
-  let domains = max 1 domains in
   (* Cap the busy domains at the hardware: extra ones on a CPU-bound
      batch only add context-switch thrash, and OCaml's minor collection
      stops every domain, so one descheduled domain stalls them all. The
      coordinator drains the queue too and counts as one of the
      [workers]: the pool spawns [workers - 1] domains, and [workers = 1]
-     (or a 1-core box) runs inline with no pool. The requested degree is
-     still what [domains t] reports. *)
-  let workers = min domains (Domain.recommended_domain_count ()) in
-  let shard_states =
-    Array.mapi
-      (fun i (s : Catalog.shard) ->
-        let base = Catalog.doc_base catalog i in
-        {
-          shard_index = i;
-          shard_stats = Statistics.of_summary s.Catalog.summary;
-          slots =
-            Array.init (Array.length s.Catalog.doc_names) (fun d ->
-                { ordinal = base + d; slot_lock = Mutex.create (); exec = None });
-          load_lock = Mutex.create ();
-          images = None;
-          built = 0;
-        })
-      catalog.Catalog.shards
+     (or a 1-core box) runs inline with no pool. *)
+  let workers = min (max 1 domains) (Domain.recommended_domain_count ()) in
+  let execs_of i (s : Catalog.shard) =
+    let docs = Array.length s.Catalog.doc_names in
+    let imgs =
+      {
+        lock = Mutex.create ();
+        read = (fun () -> Catalog.read_shard_images catalog i);
+        loaded = None;
+        pending = docs;
+      }
+    in
+    let file = Catalog.shard_file catalog i in
+    Array.init docs (fun d -> Once.make (materialize ~path:(Printf.sprintf "%s[%d]" file d) imgs d))
   in
   {
-    catalog;
     planner =
       Executor.create_planner
         ~stats_version:catalog.Catalog.merged_stats_version
         (Statistics.of_summary catalog.Catalog.merged);
-    domains;
     pool = (if workers > 1 then Some (make_pool (workers - 1)) else None);
-    shard_states;
-    m_dispatched = M.counter M.default "corpus.shards_dispatched";
-    m_pruned = M.counter M.default "corpus.shards_pruned";
-    m_materialized = M.counter M.default "corpus.docs_materialized";
-    m_shard_ms = M.histogram M.default "corpus.shard_ms";
-    m_shard_rows = M.histogram M.default "corpus.shard_rows";
+    shards =
+      Array.mapi
+        (fun i (s : Catalog.shard) ->
+          let stats = Statistics.of_summary s.Catalog.summary in
+          {
+            first = Catalog.doc_base catalog i;
+            docs = Array.length s.Catalog.doc_names;
+            certainly_empty = Cost_model.plan_certainly_empty stats;
+          })
+        catalog.Catalog.shards;
+    execs = Array.concat (Array.to_list (Array.mapi execs_of catalog.Catalog.shards));
   }
 
-let catalog t = t.catalog
+let of_executor exec =
+  {
+    planner = exec;
+    pool = None;
+    shards =
+      [|
+        {
+          first = 0;
+          docs = 1;
+          certainly_empty = (fun _ -> false) (* a lone shard is never tested *);
+        };
+      |];
+    execs = [| Once.of_value exec |];
+  }
+
 let planner t = t.planner
-let domains t = t.domains
-let doc_count t = Catalog.doc_count t.catalog
-let shard_count t = Array.length t.shard_states
+let doc_count t = Array.length t.execs
 let close t = Option.iter stop_pool t.pool
 
-(* [Mutex.protect]: an unreadable container must not leave the lock held
-   for the next query. *)
-let shard_images t ss =
-  Mutex.protect ss.load_lock (fun () ->
-      match ss.images with
-      | Some imgs -> imgs
-      | None ->
-          let imgs = Catalog.read_shard_images t.catalog ss.shard_index in
-          ss.images <- Some imgs;
-          imgs)
-
-exception Shard_error of string
-
-(* Build a document executor from its packed image through the same open
-   path as a single store. Called with the slot lock held. Materialization
-   happens inside a query, so an unreadable container or a corrupt image
-   surfaces as [Shard_error], not as a failure of the query itself. *)
-let slot_executor t ss slot doc_in_shard =
-  match slot.exec with
-  | Some exec -> exec
-  | None ->
-      let path =
-        Printf.sprintf "%s[%d]" (Catalog.shard_file t.catalog ss.shard_index) doc_in_shard
-      in
-      let exec =
-        try Executor.of_packed ~path (shard_images t ss).(doc_in_shard)
-        with Failure m | Sys_error m -> raise (Shard_error m)
-      in
-      slot.exec <- Some exec;
-      M.incr t.m_materialized;
-      Mutex.lock ss.load_lock;
-      ss.built <- ss.built + 1;
-      if ss.built = Array.length ss.slots then ss.images <- None;
-      Mutex.unlock ss.load_lock;
-      exec
-
-(* Allocates nothing of its own: a reply resolves every corpus row
-   through [document]. *)
 let with_doc_executor t ~ordinal f =
   if ordinal < 0 || ordinal >= doc_count t then invalid_arg "Scatter_gather.with_doc_executor";
-  let shard = ref 0 in
-  while
-    !shard + 1 < Array.length t.shard_states && Catalog.doc_base t.catalog (!shard + 1) <= ordinal
-  do
-    incr shard
-  done;
-  let ss = t.shard_states.(!shard) in
-  let doc_in_shard = ordinal - Catalog.doc_base t.catalog ss.shard_index in
-  let slot = ss.slots.(doc_in_shard) in
-  Mutex.lock slot.slot_lock;
-  match f (slot_executor t ss slot doc_in_shard) with
-  | v ->
-    Mutex.unlock slot.slot_lock;
-    v
-  | exception e ->
-    Mutex.unlock slot.slot_lock;
-    raise e
+  f (Once.force t.execs.(ordinal))
 
-let document t ~ordinal = with_doc_executor t ~ordinal Executor.doc
+(* Takes no lock once the document is built and allocates nothing: a
+   reply resolves every row through here. *)
+let document t ~ordinal = Executor.doc (Once.force t.execs.(ordinal))
 
 (* --- execution ----------------------------------------------------------- *)
 
@@ -308,7 +301,7 @@ type shard_report = {
 }
 
 type run_result = {
-  nodes : Doc.node list; (* ordinal-tagged, global document order *)
+  nodes : Doc.node list; (* global row ids, global document order *)
   ops : Profile.row list;
   reports : shard_report list;
 }
@@ -336,112 +329,114 @@ let sum_rows a b =
       a b
 
 let run t ?deadline ?limit ?trace physical =
-  let logical = Pp.to_logical physical in
-  let n = Array.length t.shard_states in
-  (* Per-shard emptiness proof off the catalog summaries: a pruned shard is
-     never dispatched — its documents are never even opened. *)
+  let n = Array.length t.shards in
+  (* A shard whose own summary proves the plan empty is never dispatched:
+     its documents are never even opened. A plan the planner proved empty
+     prunes every shard, and a lone shard's summary is the one the plan
+     was compiled against, so there is nothing to test. *)
   let pruned =
-    Array.map (fun ss -> Cost_model.plan_certainly_empty ss.shard_stats logical) t.shard_states
+    match physical.Pp.op with
+    | Pp.Empty _ -> Array.make n true
+    | _ when n = 1 -> [| false |]
+    | _ ->
+        let logical = Pp.to_logical physical in
+        Array.map (fun s -> s.certainly_empty logical) t.shards
   in
   (* A traced request profiles every document: each document task
      records its operator spans in a tracer of its own, sized to the
-     plan, so workers never touch the request tracer. *)
-  let profiled = match trace with Some tr -> Tr.enabled tr | None -> false in
+     plan (one span per plan node: at most [2 size + 1], since [size]
+     does not count the root and context leaves), so workers never touch
+     the request tracer. *)
+  let capacity =
+    match trace with Some tr when Tr.enabled tr -> (2 * Pp.size physical) + 1 | _ -> 0
+  in
+  let docs = doc_count t in
+  let doc_nodes = Array.make docs [] in
+  let doc_ops = Array.make docs [] in
+  let tracers = Array.make docs None in
+  let starts = Array.make docs 0.0 in
+  let stops = Array.make docs 0.0 in
+  let errors = Array.make docs None in
+  let task ordinal () =
+    starts.(ordinal) <- Unix.gettimeofday ();
+    (try
+       let exec = Once.force t.execs.(ordinal) in
+       let context = [ Ops.document_context ] in
+       doc_nodes.(ordinal) <-
+         (if capacity = 0 then Executor.run_physical exec ?deadline ?limit physical ~context
+          else begin
+            let tr = Tr.create ~capacity () in
+            Tr.set_enabled tr true;
+            let nodes = Executor.run_physical exec ?deadline ?limit ~trace:tr physical ~context in
+            doc_ops.(ordinal) <- Profile.rows_of_spans physical (Tr.events tr);
+            tracers.(ordinal) <- Some tr;
+            nodes
+          end)
+     with e -> errors.(ordinal) <- Some e);
+    stops.(ordinal) <- Unix.gettimeofday ()
+  in
   (* One task per document of an unpruned shard, so a batch spreads
      evenly over the workers even when shards hold different numbers of
-     documents (a shard task per worker would leave one idle while
-     another materializes its shard's documents one after another). *)
-  let per_doc init =
-    Array.map (fun ss -> Array.make (Array.length ss.slots) init) t.shard_states
-  in
-  let doc_nodes = per_doc (0, []) in
-  let doc_ops = per_doc [] in
-  let doc_ms = per_doc 0.0 in
-  let errors = per_doc None in
-  let task ss doc_in_shard () =
-    let i = ss.shard_index in
-    let t0 = Unix.gettimeofday () in
-    let slot = ss.slots.(doc_in_shard) in
-    (try
-       Mutex.lock slot.slot_lock;
-       Fun.protect
-         ~finally:(fun () -> Mutex.unlock slot.slot_lock)
-         (fun () ->
-           let exec = slot_executor t ss slot doc_in_shard in
-           let context = [ Ops.document_context ] in
-           let nodes =
-             if not profiled then Executor.run_physical exec ?deadline ?limit physical ~context
-             else begin
-               let tr = Tr.create ~capacity:(List.length (Profile.rows_of_physical physical)) () in
-               Tr.set_enabled tr true;
-               let nodes = Executor.run_physical exec ?deadline ?limit ~trace:tr physical ~context in
-               doc_ops.(i).(doc_in_shard) <- Profile.rows_of_spans physical (Tr.events tr);
-               nodes
-             end
-           in
-           doc_nodes.(i).(doc_in_shard) <- (slot.ordinal, nodes))
-     with e -> errors.(i).(doc_in_shard) <- Some e);
-    doc_ms.(i).(doc_in_shard) <- (Unix.gettimeofday () -. t0) *. 1000.0
-  in
-  let dispatched =
-    List.filter (fun ss -> not pruned.(ss.shard_index)) (Array.to_list t.shard_states)
-  in
-  let tasks =
-    Array.of_list
-      (List.concat_map
-         (fun ss -> List.init (Array.length ss.slots) (fun d -> task ss d))
-         dispatched)
-  in
-  M.add t.m_dispatched (List.length dispatched);
-  M.add t.m_pruned (n - List.length dispatched);
-  run_batch t.pool tasks;
-  Array.iter (Array.iter (function Some e -> raise e | None -> ())) errors;
-  let shard_nodes = doc_nodes in
-  let shard_ms = Array.map (Array.fold_left ( +. ) 0.0) doc_ms in
-  let shard_ops = Array.map (Array.fold_left sum_rows []) doc_ops in
-  let reports = ref [] in
-  let nodes = ref [] in
+     documents. *)
+  let tasks = ref [] and dispatched = ref 0 in
   for i = n - 1 downto 0 do
-    let rows =
-      Array.fold_left (fun acc (_, ns) -> acc + List.length ns) 0 shard_nodes.(i)
-    in
     if not pruned.(i) then begin
-      M.observe t.m_shard_ms shard_ms.(i);
-      M.observe t.m_shard_rows (float_of_int rows)
-    end;
-    reports :=
-      {
-        shard = i;
-        pruned = pruned.(i);
-        docs = Array.length t.shard_states.(i).slots;
-        rows;
-        ms = shard_ms.(i);
-      }
-      :: !reports;
-    (* slots are in ordinal order; walk docs backwards while prepending *)
-    for d = Array.length shard_nodes.(i) - 1 downto 0 do
-      let ordinal, ns = shard_nodes.(i).(d) in
-      nodes := encode_onto ~ordinal !nodes ns
-    done
+      incr dispatched;
+      let s = t.shards.(i) in
+      for ordinal = s.first + s.docs - 1 downto s.first do
+        tasks := task ordinal :: !tasks
+      done
+    end
   done;
-  (* Shard-tagged spans land in the request trace from the coordinating
-     domain after the join — tracers are request-scoped and single-domain,
-     so workers never touch them; the measured wall time rides in attrs. *)
-  (match trace with
-  | Some tr when Tr.enabled tr ->
-      List.iter
-        (fun r ->
-          Tr.with_span tr "shard"
+  M.add m_dispatched !dispatched;
+  M.add m_pruned (n - !dispatched);
+  run_batch t.pool (Array.of_list !tasks);
+  Array.iter (function Some e -> raise e | None -> ()) errors;
+  (* Each shard's span lands in the request trace from the coordinating
+     domain after the join, over its documents' tasks, with their
+     operator spans grafted beneath it: tracers are request-scoped and
+     single-domain, so workers never touch the request tracer. *)
+  let joined = Unix.gettimeofday () in
+  let report i =
+    let s = t.shards.(i) in
+    let rows = ref 0 and ms = ref 0.0 and sources = ref [] in
+    let start = ref joined and stop = ref (if pruned.(i) then joined else 0.0) in
+    if not pruned.(i) then begin
+      for ordinal = s.first + s.docs - 1 downto s.first do
+        rows := !rows + List.length doc_nodes.(ordinal);
+        ms := !ms +. ((stops.(ordinal) -. starts.(ordinal)) *. 1000.0);
+        start := Float.min !start starts.(ordinal);
+        stop := Float.max !stop stops.(ordinal);
+        Option.iter (fun tr -> sources := tr :: !sources) tracers.(ordinal)
+      done;
+      M.observe m_shard_ms !ms;
+      M.observe m_shard_rows (float_of_int !rows)
+    end;
+    if capacity > 0 then
+      Option.iter
+        (fun tr ->
+          Tr.graft tr "shard" ~start:!start ~stop:!stop
             ~attrs:
               [
-                ("shard", Tr.Int r.shard);
-                ("pruned", Tr.Bool r.pruned);
-                ("docs", Tr.Int r.docs);
-                ("rows", Tr.Int r.rows);
-                ("ms", Tr.Float r.ms);
+                ("shard", Tr.Int i);
+                ("pruned", Tr.Bool pruned.(i));
+                ("docs", Tr.Int s.docs);
+                ("rows", Tr.Int !rows);
+                ("ms", Tr.Float !ms);
               ]
-            (fun _ -> ()))
-        !reports
-  | _ -> ());
+            !sources)
+        trace;
+    { shard = i; pruned = pruned.(i); docs = s.docs; rows = !rows; ms = !ms }
+  in
+  let reports = Array.to_list (Array.init n report) in
+  (* Walk the documents backwards while prepending. A lone list from the
+     first document is the result as it is: its ids are already global. *)
+  let nodes = ref [] in
+  for ordinal = docs - 1 downto 0 do
+    match doc_nodes.(ordinal) with
+    | [] -> ()
+    | ns when ordinal = 0 && !nodes = [] -> nodes := ns
+    | ns -> nodes := encode_onto ~ordinal !nodes ns
+  done;
   let nodes = match limit with None -> !nodes | Some l -> List.filteri (fun i _ -> i < l) !nodes in
-  { nodes; ops = Array.fold_left sum_rows [] shard_ops; reports = !reports }
+  { nodes; ops = Array.fold_left sum_rows [] doc_ops; reports }

@@ -35,7 +35,6 @@ type frame = { activated : int list (* vertices activated at this element *) }
 type matcher = {
   pattern : Pg.t;
   chain : int array; (* chain.(i) = vertex at chain position i *)
-  pos_of_vertex : int array;
   mutable stack : frame list;
   active_count : int array; (* per vertex: active frames *)
   mutable counter : int; (* next pre-order rank *)
@@ -49,8 +48,6 @@ let create pattern =
   if not (supported pattern) then invalid_arg "Streaming.create: unsupported pattern";
   let chain = Array.of_list (Option.get (chain_of pattern)) in
   let n = Pg.vertex_count pattern in
-  let pos_of_vertex = Array.make n (-1) in
-  Array.iteri (fun i v -> pos_of_vertex.(v) <- i) chain;
   let last = chain.(Array.length chain - 1) in
   let attr_vertex =
     match Pg.parent pattern last with Some (_, Pg.Attribute) -> Some last | _ -> None
@@ -61,7 +58,6 @@ let create pattern =
   {
     pattern;
     chain;
-    pos_of_vertex;
     stack = [ { activated = [ 0 ] } ];
     active_count;
     counter = 0;

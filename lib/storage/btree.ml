@@ -4,15 +4,15 @@
    where subtree c_i holds keys in [k_i, k_{i+1}) (k_0 = -inf). *)
 
 type leaf = {
-  mutable keys : string array;
-  mutable posts : int list array; (* reversed *)
+  keys : string array;
+  posts : int list array; (* reversed *)
   mutable nkeys : int;
   mutable next : leaf option; (* leaf chain, key order *)
 }
 
 type interior = {
-  mutable seps : string array;
-  mutable kids : node array;
+  seps : string array;
+  kids : node array;
   mutable nseps : int;
 }
 

@@ -108,15 +108,15 @@ done
 stop "$dir/serve.log"
 
 # reply bytes: on a fixture with entities, quotes, backslashes, tabs,
-# UTF-8, a comment and a PI, the served body of an element, an @attr
-# and a text() query must equal `xqp query --json` on the same file,
-# once the per-call fields are gone
+# UTF-8, a comment and a PI, the served body of an element, an @attr,
+# a text() and a document-node (/) query must equal `xqp query --json`
+# on the same file, once the per-call fields are gone
 printf '<r><e a="x&amp;y&quot;z&lt;&gt;" b="back\\slash &apos;q&apos;">t&amp;&lt;&gt;"\\ caf\303\251\t|<c k="&quot;"/><!-- c"\\ --><?pi b"\\ ?></e><e a="2">plain</e><e/></r>' \
   > "$dir/escapes.xml"
 boot "$dir/escapes.log" -f "$dir/escapes.xml" --domains 1
 strip_call() { sed -e 's/,"time_ms":[0-9.]*//' -e 's/,"cache":"[a-z]*"//' \
                    -e 's/,"request_id":"[^"]*"//' -e 's/,"queue_ms":[0-9.]*//'; }
-for q in '//e' '//e/@a' '//e/text()'; do
+for q in '//e' '//e/@a' '//e/text()' '/'; do
   curl -sf -G "http://127.0.0.1:$port/query" --data-urlencode "q=$q" | strip_call > "$dir/served.json"
   "$xqp" query --json -f "$dir/escapes.xml" "$q" | strip_call > "$dir/cli.json"
   printf '\n' >> "$dir/served.json"

@@ -161,12 +161,13 @@ let test_empty_shard_pruning () =
           Alcotest.(check int) "all shards pruned" 3 (M.value m_pruned - p0);
           Alcotest.(check int) "nothing dispatched" 0 (M.value m_dispatched - d0);
           Alcotest.(check int) "nothing materialized" 0 (M.value m_materialized - mat0);
-          (* //book prunes exactly the two auction shards *)
+          (* //book prunes exactly the two auction shards; the baseline's
+             one-document sessions count in the corpus metrics too, so it
+             runs first *)
+          let want = serial_baseline docs "//book" in
           let p0 = M.value m_pruned and d0 = M.value m_dispatched in
           let mat0 = M.value m_materialized in
-          Alcotest.(check string)
-            "book answer" (serial_baseline docs "//book")
-            (corpus_answer session "//book");
+          Alcotest.(check string) "book answer" want (corpus_answer session "//book");
           Alcotest.(check int) "auction shards pruned" 2 (M.value m_pruned - p0);
           Alcotest.(check int) "bib shard dispatched" 1 (M.value m_dispatched - d0);
           Alcotest.(check int) "only bib doc materialized" 1 (M.value m_materialized - mat0)))
@@ -326,10 +327,15 @@ let test_traced_corpus_rows () =
             | None -> Alcotest.fail "no root row");
             Alcotest.(check (float 1e-9)) "worst q-error" 1.0 p.Session.worst_q_error;
             Alcotest.(check int) "no misestimate" before (M.value misestimates);
-            (* the request trace still holds one span per shard, no operator spans *)
-            let names = List.map (fun e -> e.Xqp_obs.Trace.name) (Xqp_obs.Trace.events tr) in
-            Alcotest.(check (list string)) "request spans" [ "query"; "shard"; "shard"; "shard"; "shard" ]
-              names))
+            (* the request trace holds one span per shard, each over the
+               operator spans of its two documents *)
+            let events = Xqp_obs.Trace.events tr in
+            let doc_spans = [ "tau(3v)"; "root" ] in
+            Alcotest.(check (list string)) "request spans"
+              ("query" :: List.concat (List.init 4 (fun _ -> ("shard" :: doc_spans) @ doc_spans)))
+              (List.map (fun e -> e.Xqp_obs.Trace.name) events);
+            Alcotest.(check (option string)) "span tree balanced" None
+              (Test_obs.balance_violation events)))
 
 let prop_scatter_equals_serial =
   QCheck.Test.make ~name:"corpus scatter-gather = serial concatenation" ~count:12
@@ -357,6 +363,80 @@ let prop_scatter_equals_serial =
                 (fun q -> String.equal (serial_baseline docs q) (corpus_answer session q))
                 queries)))
 
+(* [/] and [/.] answer the document node: one row per document, in
+   ordinal order, written as the document's root element. *)
+let test_document_node () =
+  let root_xml doc = Xqp_xml.Serializer.to_string (Doc.to_tree doc (Doc.root doc)) in
+  let check_rows what session docs =
+    List.iter
+      (fun q ->
+        let rows = Result.get_ok (Session.query session q) in
+        Alcotest.(check (list int)) (what ^ ": one row per document " ^ q)
+          (List.init (List.length docs) Fun.id)
+          (List.map Sg.ordinal_of rows);
+        Alcotest.(check (list int)) (what ^ ": document nodes " ^ q)
+          (List.map (fun _ -> -1) docs)
+          (List.map Sg.node_of rows);
+        Alcotest.(check string) (what ^ ": written as root elements " ^ q)
+          (String.concat "" (List.map root_xml docs))
+          (Session.to_xml session rows);
+        Alcotest.(check (list string)) (what ^ ": text " ^ q)
+          (List.map (fun d -> Doc.typed_value d (Doc.root d)) docs)
+          (List.map (Session.text session) rows);
+        Alcotest.(check (option int)) (what ^ ": first " ^ q) (List.nth_opt rows 0)
+          (Result.get_ok (Session.first session q)))
+      [ "/"; "/." ]
+  in
+  let docs = List.map snd (corpus_docs 3) in
+  let single = List.hd docs in
+  check_rows "document" (Session.of_document single) [ single ];
+  Alcotest.(check (list int)) "a document's node is -1" [ -1 ]
+    (Result.get_ok (Session.query (Session.of_document single) "/"));
+  with_temp_dir (fun dir ->
+      let path = pack_docs ~dir ~shards:2 (corpus_docs 3) in
+      let session = Result.get_ok (Session.open_db path) in
+      Fun.protect
+        ~finally:(fun () -> Session.close session)
+        (fun () -> check_rows "3-document catalog" session docs))
+
+(* One document answers the same through every way of opening it: parsed,
+   opened from its .xqdb, and as a one-document catalog — the same row
+   ids, the same reply bytes apart from the per-call fields. *)
+let prop_document_is_one_doc_catalog =
+  let queries =
+    [ "/"; "/."; "//a"; "//b/c"; "//@id"; "//text()"; "/root//a[b]"; "//c[@id = \"v1\"]"; "//a//b" ]
+  in
+  let xqueries = [ "count(//a)"; "//b"; "/"; "for $x in //a return $x/@id" ] in
+  let reply session q =
+    match Session.run session q with
+    | Ok r ->
+      Xqp.Response.to_string
+        (Xqp.Response.of_query_result session ~query:q
+           { r with Session.engine = "-"; cache = Xqp_physical.Executor.Cache_hit; time_ms = 0.0 })
+    | Error e -> "error: " ^ Xqp.Error.message e
+  in
+  QCheck2.Test.make ~name:"one document = a one-document catalog" ~count:40 Test_open.gen_tree
+    (fun tree ->
+      with_temp_dir (fun dir ->
+          let doc = Doc.of_tree tree in
+          let parsed = Session.of_document doc in
+          let xqdb = Filename.concat dir "x.xqdb" in
+          Session.save parsed xqdb;
+          let opened = Result.get_ok (Session.open_db xqdb) in
+          let catalog = Result.get_ok (Session.open_db (pack_docs ~dir [ ("x", doc) ])) in
+          Fun.protect
+            ~finally:(fun () -> Session.close catalog)
+            (fun () ->
+              let agree f = List.for_all (fun s -> f s = f parsed) [ opened; catalog ] in
+              List.for_all
+                (fun q ->
+                  agree (fun s -> Session.query s q)
+                  && agree (fun s -> Session.first s q)
+                  && agree (fun s -> Session.exists s q)
+                  && agree (fun s -> reply s q))
+                queries
+              && List.for_all (fun q -> agree (fun s -> Session.xquery_string s q)) xqueries)))
+
 let suite =
   [
     ( "corpus",
@@ -372,5 +452,7 @@ let suite =
         Alcotest.test_case "first and exists answer from the corpus" `Quick test_first_and_exists;
         Alcotest.test_case "traced corpus rows, one per operator path" `Quick test_traced_corpus_rows;
         qcheck prop_scatter_equals_serial;
+        Alcotest.test_case "document node: one row per document" `Quick test_document_node;
+        qcheck prop_document_is_one_doc_catalog;
       ] );
   ]

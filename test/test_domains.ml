@@ -284,9 +284,8 @@ let test_flight_recorder_matches_serial () =
      of the same multiset of queries. *)
   let session = obs_session () in
   let queries = Array.to_list obs_queries in
-  (* Warm serially before spawning: the executor's lazy artifacts
-     (statistics, hints) and the plan cache are built on first use, and
-     [Lazy.force] is not safe to race from two domains. *)
+  (* Warm serially before spawning, so the plan cache's hits and misses
+     match the serial run's. *)
   List.iter (fun q -> ignore (Xqp.Session.query session q)) queries;
   let rounds = 3 in
   let concurrent = Flight_recorder.create () in
@@ -341,6 +340,69 @@ let test_corpus_four_domain_stress () =
             (rounds * List.length Test_corpus.queries * 4)
             (Metrics.value m_dispatched - d0 + (Metrics.value m_pruned - p0))))
 
+(* ------------------------------------------------------------------ *)
+(* Artifacts built once under concurrent first use                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Start [f] on [n] domains, released together once all have spawned. *)
+let released n f =
+  let arrived = Atomic.make 0 in
+  let ds =
+    Array.init n (fun i ->
+        Domain.spawn (fun () ->
+            Atomic.incr arrived;
+            while Atomic.get arrived < n do
+              Domain.cpu_relax ()
+            done;
+            f i))
+  in
+  Array.map Domain.join ds
+
+let test_once_builds_once () =
+  let builds = Atomic.make 0 in
+  let cell =
+    Once.make (fun () ->
+        Atomic.incr builds;
+        Unix.sleepf 0.005;
+        ref 0)
+  in
+  let got = released domains (fun _ -> Once.force cell) in
+  check_int "built once" 1 (Atomic.get builds);
+  check_bool "every domain sees the one value" true (Array.for_all (fun v -> v == got.(0)) got);
+  let failing =
+    Once.make (fun () ->
+        Atomic.incr builds;
+        failwith "no")
+  in
+  let raised =
+    released domains (fun _ ->
+        match Once.force failing with _ -> false | exception Failure _ -> true)
+  in
+  check_bool "a failed build raises for every caller" true (Array.for_all Fun.id raised);
+  check_int "and is retried by each" (1 + domains) (Atomic.get builds)
+
+(* The first content-index query on a fresh document session, sent from
+   several domains at once: every one answers the serial row count. *)
+let test_first_index_query_race () =
+  let doc = Xqp_workload.Gen_auction.packed ~scale:2000 () in
+  let q = "//item[location=\"Canada\"]/name" in
+  let engine = Executor.Binary_default in
+  let serial =
+    List.length (Result.get_ok (Xqp.Session.query ~engine (Xqp.Session.of_document doc) q))
+  in
+  check_bool "the query has rows" true (serial > 0);
+  for _ = 1 to 5 do
+    let session = Xqp.Session.of_document doc in
+    let answers =
+      released domains (fun _ ->
+          match Xqp.Session.query ~engine session q with
+          | Ok nodes -> Ok (List.length nodes)
+          | Error e -> Error (Xqp.Error.message e)
+          | exception e -> Error (Printexc.to_string e))
+    in
+    Array.iter (fun a -> Alcotest.(check (result int string)) "row count" (Ok serial) a) answers
+  done
+
 let suite =
   [
     ( "domains",
@@ -363,5 +425,8 @@ let suite =
           test_flight_recorder_matches_serial;
         Alcotest.test_case "corpus: 4 domains × 4 shards stress" `Quick
           test_corpus_four_domain_stress;
+        Alcotest.test_case "once: racing domains build a cell once" `Quick test_once_builds_once;
+        Alcotest.test_case "first index query raced on a fresh session" `Quick
+          test_first_index_query_race;
       ] );
   ]

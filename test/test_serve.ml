@@ -737,6 +737,38 @@ let test_response_http_status () =
   check_int "shutting-down is 503" 503 (status Error.Shutting_down);
   check_int "internal is 500" 500 (status (Error.Internal "x"))
 
+(* [/] over HTTP: a 200 whose body is, byte for byte, what [xqp query
+   --json] prints ([Response.of_query_result]) with the served per-call
+   fields — on a document and on a 3-document catalog. *)
+let test_document_node_over_http () =
+  let check what session rows =
+    with_server session (fun server ->
+        let status, body = http_request ~port:(Server.port server) ~path:(query_url "/") () in
+        check_int (what ^ ": status") 200 status;
+        let served = Result.get_ok (Response.of_string body) in
+        let payload = decode_ok body in
+        check_int (what ^ ": rows") rows payload.Response.count;
+        let r = Result.get_ok (Session.run session "/") in
+        let expected =
+          Response.to_string
+            (Response.of_query_result ?request_id:served.Response.request_id
+               ?queue_ms:served.Response.queue_ms session ~query:"/"
+               {
+                 r with
+                 Session.time_ms = payload.Response.time_ms;
+                 cache =
+                   (if payload.Response.cache = "hit" then Executor.Cache_hit
+                    else Executor.Cache_miss);
+               })
+        in
+        check_string (what ^ ": body") expected body)
+  in
+  check "document" (bib_session ()) 1;
+  Test_corpus.with_temp_dir (fun dir ->
+      let path = Test_corpus.pack_docs ~dir ~shards:2 (Test_corpus.corpus_docs 3) in
+      let session = Result.get_ok (Session.open_db path) in
+      Fun.protect ~finally:(fun () -> Session.close session) (fun () -> check "catalog" session 3))
+
 let suite =
   [
     ( "serve",
@@ -770,6 +802,7 @@ let suite =
         Alcotest.test_case "explain reports cache and estimate provenance" `Quick
           test_explain_reports_cache_and_estimate;
         Alcotest.test_case "first and exists" `Quick test_first_and_exists;
+        Alcotest.test_case "document node over http" `Quick test_document_node_over_http;
       ] );
     ( "response",
       [
